@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +42,7 @@ from .pruning import (
     verify_mask,
 )
 from .rng import Rng
-from .store import META_NAME, TensorStore, store_read, store_write
+from .store import META_NAME, TensorStore, atomic_write, store_read, store_write
 from .training import (
     NetLayer,
     TrainConfig,
@@ -105,19 +104,6 @@ def _default_seed(value):
         return int(env)
     except ValueError as exc:
         raise UsageError(f"SPP_SEED must be an integer, got {env!r}") from exc
-
-
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _read_store(path) -> TensorStore:
@@ -401,7 +387,7 @@ def cmd_train(args) -> int:
 
     store_write(_bundles_to_store(bundles, meta), args.output)
     run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))
-    _atomic_write_text(run_csv, record.to_csv())
+    atomic_write(run_csv, [record.to_csv().encode("utf-8")])
     summary = record.summary()
     summary["nnz_before_merge"] = int(
         sum(np.count_nonzero(b.weight) for b in bundles)

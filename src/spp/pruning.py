@@ -6,6 +6,12 @@ rules are provided: plain magnitude, and activation-weighted magnitude where
 each column's score is scaled by the calibration norm of the matching input
 feature.  Tie-breaks everywhere are lexicographic by (row, col): the earliest
 index is kept, so mask construction is a pure function of the scores.
+
+Unstructured masks are built by selection, not by sorting: ``np.partition``
+finds the cut (the n_zero-th lowest score) in linear time, every score below
+the cut is zeroed, and among the scores equal to the cut the remaining count
+is zeroed starting from the largest flat index.  That is the same mask a full
+sort by (score ascending, index descending) would give.
 """
 
 import re
@@ -79,8 +85,7 @@ class SparseMask:
 
     def __post_init__(self):
         self.mask = as_matrix(self.mask, "mask")
-        values = np.unique(self.mask)
-        if not np.isin(values, (0.0, 1.0)).all():
+        if not ((self.mask == 0.0) | (self.mask == 1.0)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
         if isinstance(self.pattern, NofM):
             if self.mask.shape[1] % self.pattern.m_group != 0:
@@ -191,26 +196,31 @@ def build_mask(
         return SparseMask(mask3.reshape(rows, cols), pattern)
 
     if row_wise:
-        n_zero = int(pattern.ratio * cols)
-        mask = np.ones_like(scores)
-        for i in range(rows):
-            if n_zero == 0:
-                continue
-            idx = np.arange(cols)
-            order = np.lexsort((-idx, scores[i]))
-            mask[i, order[:n_zero]] = 0.0
-        return SparseMask(mask, pattern)
-
-    n_zero = int(pattern.ratio * scores.size)
-    flat = scores.ravel()
-    idx = np.arange(flat.size)
-    # Primary key ascending score; among ties the larger flat index sorts
-    # first and is zeroed first, so the smaller (row, col) index survives.
-    order = np.lexsort((-idx, flat))
-    mask = np.ones(flat.size, dtype=np.float64)
-    if n_zero:
-        mask[order[:n_zero]] = 0.0
+        return SparseMask(_zero_lowest(scores, int(pattern.ratio * cols)), pattern)
+    flat = scores.reshape(1, rows * cols)
+    mask = _zero_lowest(flat, int(pattern.ratio * flat.size))
     return SparseMask(mask.reshape(rows, cols), pattern)
+
+
+def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:
+    """Keep-mask zeroing the ``n_zero`` lowest scores of each row.
+
+    Among scores tied at the cut, the larger column index is zeroed first, so
+    the earliest index survives.
+    """
+    if n_zero == 0:
+        return np.ones(scores.shape, dtype=np.float64)
+    rows, cols = scores.shape
+    cut = np.partition(scores, n_zero - 1, axis=1)[:, n_zero - 1 : n_zero]
+    keep = scores >= cut
+    need = n_zero - (cols - np.count_nonzero(keep, axis=1))
+    # Tied entries in row-major order; rank each from the right end of its row.
+    tied = np.flatnonzero(scores == cut)
+    tie_rows = tied // cols
+    row_ends = np.cumsum(np.bincount(tie_rows, minlength=rows))
+    from_right = row_ends[tie_rows] - np.arange(tied.size)
+    keep.ravel()[tied[from_right <= need[tie_rows]]] = False
+    return keep.astype(np.float64)
 
 
 def apply_mask(w: np.ndarray, mask: SparseMask) -> PrunedLayer:
@@ -248,8 +258,9 @@ def verify_mask(layer: PrunedLayer) -> MaskReport:
     """
     mask = layer.mask.mask
     pattern = layer.mask.pattern
-    bad = np.argwhere((mask == 0.0) & (layer.weight != 0.0))
-    violations = [(int(r), int(c)) for r, c in bad]
+    bad = (mask == 0.0) & (layer.weight != 0.0)
+    # argwhere scans the whole matrix even when nothing is set; any() is cheap.
+    violations = [(int(r), int(c)) for r, c in np.argwhere(bad)] if bad.any() else []
 
     total = mask.size
     zeros = total - int(np.count_nonzero(mask))
@@ -257,9 +268,10 @@ def verify_mask(layer: PrunedLayer) -> MaskReport:
 
     if isinstance(pattern, NofM):
         rows, cols = mask.shape
-        group_sums = mask.reshape(rows, cols // pattern.m_group, pattern.m_group).sum(
-            axis=2
-        )
+        groups = mask.reshape(rows, cols // pattern.m_group, pattern.m_group)
+        # Adding the m column slices is several times faster than a reduce
+        # over a short last axis; sums of zeros and ones are exact either way.
+        group_sums = sum(groups[:, :, k] for k in range(pattern.m_group))
         pattern_ok = bool((group_sums == pattern.n_keep).all())
     else:
         rows, cols = mask.shape

@@ -14,7 +14,10 @@ Layout, all integers little-endian:
 Entry order is preserved, names are unique.  JSON metadata travels inside the
 container as a reserved uint8 tensor named "__meta__" holding UTF-8 JSON, so
 a checkpoint is always exactly one file.  Writes go through a temp file and
-an atomic rename; readers never observe a half-written store.
+an atomic rename; readers never observe a half-written store.  Both directions
+stream one tensor at a time: a write sends each header and then the array's
+own buffer, a read fills a fresh array straight from the file, and neither
+holds a whole-file buffer.
 """
 
 import json
@@ -96,28 +99,18 @@ class TensorStore:
             raise StoreFormatError(f"invalid {META_NAME} JSON payload: {exc}") from exc
 
 
-def store_write(store: TensorStore, path) -> None:
-    """Serialize and atomically replace ``path``."""
-    parts = [MAGIC]
-    parts.append(int(VERSION).to_bytes(4, "little"))
-    parts.append(len(store).to_bytes(4, "little"))
-    for name, arr in store.items():
-        encoded = name.encode("utf-8")
-        parts.append(len(encoded).to_bytes(4, "little"))
-        parts.append(encoded)
-        parts.append(int(arr.ndim).to_bytes(4, "little"))
-        for dim in arr.shape:
-            parts.append(int(dim).to_bytes(8, "little"))
-        code = _CODE_FOR_DTYPE[arr.dtype]
-        parts.append(code.to_bytes(1, "little"))
-        parts.append(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes(order="C"))
-    blob = b"".join(parts)
+def atomic_write(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to a temp file, then rename it to ``path``.
 
+    Readers see the old file or the whole new one, never a partial write.  On
+    any failure the temp file is removed and ``path`` is left untouched.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -125,17 +118,55 @@ def store_write(store: TensorStore, path) -> None:
         raise
 
 
+def _raw_bytes(arr: np.ndarray) -> np.ndarray:
+    """The payload of a C-contiguous array as a flat uint8 view (no copy)."""
+    return arr.reshape(-1).view(np.uint8)
+
+
+def _encode(store: TensorStore):
+    """Yield the file in order: small headers as bytes, payloads as views."""
+    yield MAGIC + int(VERSION).to_bytes(4, "little") + len(store).to_bytes(4, "little")
+    for name, arr in store.items():
+        encoded = name.encode("utf-8")
+        yield b"".join([
+            len(encoded).to_bytes(4, "little"),
+            encoded,
+            int(arr.ndim).to_bytes(4, "little"),
+            *(int(dim).to_bytes(8, "little") for dim in arr.shape),
+            _CODE_FOR_DTYPE[arr.dtype].to_bytes(1, "little"),
+        ])
+        yield _raw_bytes(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+
+
+def store_write(store: TensorStore, path) -> None:
+    """Serialize and atomically replace ``path``, streaming one tensor at a time."""
+    atomic_write(path, _encode(store))
+
+
 def store_read(path) -> TensorStore:
-    """Parse a store file; raises StoreFormatError with a byte offset on damage."""
-    data = Path(path).read_bytes()
+    """Parse a store file; raises StoreFormatError with a byte offset on damage.
+
+    Each payload's length is checked against the file size before its array
+    is allocated, and the bytes are read straight into that array.
+    """
+    with open(path, "rb") as fh:
+        return _decode(fh, os.fstat(fh.fileno()).st_size)
+
+
+def _decode(fh, size: int) -> TensorStore:
     pos = 0
 
-    def take(count: int, what: str) -> bytes:
+    def reserve(count: int, what: str) -> None:
         nonlocal pos
-        if pos + count > len(data):
+        if pos + count > size:
             raise StoreFormatError(f"truncated while reading {what}", offset=pos)
-        chunk = data[pos : pos + count]
         pos += count
+
+    def take(count: int, what: str) -> bytes:
+        reserve(count, what)
+        chunk = fh.read(count)
+        if len(chunk) != count:
+            raise StoreFormatError(f"file shrank while reading {what}", offset=pos - count)
         return chunk
 
     if take(4, "magic") != MAGIC:
@@ -169,14 +200,24 @@ def store_read(path) -> TensorStore:
         n_items = 1
         for dim in dims:
             n_items *= dim
-        payload = take(n_items * dtype.itemsize, f"payload of tensor {name!r}")
-        arr = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        start = pos
+        reserve(n_items * dtype.itemsize, f"payload of tensor {name!r}")
+        try:
+            arr = np.empty(dims, dtype=dtype)
+        except ValueError as exc:
+            raise StoreFormatError(
+                f"tensor {name!r} has unusable shape {dims}", offset=start
+            ) from exc
+        if fh.readinto(_raw_bytes(arr)) != arr.nbytes:
+            raise StoreFormatError(
+                f"file shrank while reading payload of tensor {name!r}", offset=start
+            )
         try:
             store.add(name, arr)
         except ValueError as exc:
             raise StoreFormatError(str(exc), offset=pos) from exc
-    if pos != len(data):
+    if pos != size:
         raise StoreFormatError(
-            f"{len(data) - pos} trailing bytes after last tensor", offset=pos
+            f"{size - pos} trailing bytes after last tensor", offset=pos
         )
     return store

@@ -38,3 +38,31 @@ def rel_close(got: np.ndarray, want: np.ndarray, tol: float) -> bool:
     got = np.asarray(got, dtype=np.float64)
     want = np.asarray(want, dtype=np.float64)
     return bool(np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want))))
+
+
+def unstructured_mask_oracle(scores: np.ndarray, ratio: float, row_wise: bool = False):
+    """Full two-key sort: the reference for unstructured ``build_mask``.
+
+    Zeroes the floor(ratio * count) lowest scores, over the whole matrix or per
+    row.  The sort is by score ascending, then by index descending, so among
+    tied scores the larger index is zeroed first and the smaller survives.
+    """
+    rows, cols = scores.shape
+    if row_wise:
+        n_zero = int(ratio * cols)
+        mask = np.ones_like(scores)
+        for i in range(rows):
+            if n_zero == 0:
+                continue
+            idx = np.arange(cols)
+            order = np.lexsort((-idx, scores[i]))
+            mask[i, order[:n_zero]] = 0.0
+        return mask
+    n_zero = int(ratio * scores.size)
+    flat = scores.ravel()
+    idx = np.arange(flat.size)
+    order = np.lexsort((-idx, flat))
+    mask = np.ones(flat.size, dtype=np.float64)
+    if n_zero:
+        mask[order[:n_zero]] = 0.0
+    return mask.reshape(rows, cols)

@@ -16,7 +16,7 @@ from spp import (
     verify_mask,
 )
 
-from helpers import rand_matrix
+from helpers import rand_matrix, unstructured_mask_oracle
 
 
 def test_pattern_parsing():
@@ -91,6 +91,27 @@ def test_build_mask_scale_invariance():
     for c in (0.5, 2.0, 3.7):
         assert np.array_equal(build_mask(c * scores, NofM(2, 4)).mask, base_nm)
         assert np.array_equal(build_mask(c * scores, Unstructured(0.5)).mask, base_un)
+
+
+def test_build_mask_unstructured_matches_sort_oracle():
+    rng = Rng(34)
+    for rows, cols in ((7, 11), (1, 13), (13, 1)):
+        uniform = rand_matrix(rng, rows, cols, 0.0, 1.0)
+        quantised = np.floor(rand_matrix(rng, rows, cols, 0.0, 4.0)) / 4.0
+        pick = np.floor(rand_matrix(rng, rows, cols, 0.0, 3.0)).astype(int)
+        signed_zeros = np.array([-0.0, 0.0, 0.5])[pick]
+        all_equal = np.full((rows, cols), 0.5)
+        for scores in (uniform, quantised, signed_zeros, all_equal):
+            for row_wise in (False, True):
+                count = cols if row_wise else rows * cols
+                # Offsets of half a slot make int(ratio * count) exactly
+                # 1 and count - 1, whatever the rounding of the product.
+                for ratio in (0.0, 1.5 / count, 0.5, 0.75, (count - 0.5) / count):
+                    if ratio >= 1.0:
+                        continue
+                    got = build_mask(scores, Unstructured(ratio), row_wise=row_wise).mask
+                    want = unstructured_mask_oracle(scores, ratio, row_wise)
+                    assert np.array_equal(got, want), (scores, ratio, row_wise)
 
 
 def test_build_mask_dimension_errors():

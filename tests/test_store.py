@@ -1,4 +1,6 @@
+import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,3 +131,74 @@ def test_write_leaves_no_temp_files(tmp_path):
     store_write(store, path)  # overwrite in place
     assert sorted(os.listdir(tmp_path)) == ["out.sppt"]
     assert store_read(path).names() == ["w"]
+
+
+def fixed_store():
+    store = TensorStore()
+    store.add("w", np.arange(12, dtype=np.float64).reshape(3, 4) / 8 - 0.5)
+    store.add("w.mask", np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8))
+    store.add("v", np.array([1.5, -2.25, 0.0], dtype=np.float32))
+    store.add("empty", np.zeros((0, 3)))
+    store.set_meta({"pattern": "unstructured", "ratio": 0.5})
+    return store
+
+
+# sha256 of fixed_store() as written by the whole-file writer that preceded
+# the streaming one: the on-disk format must not move.
+FIXED_STORE_SHA256 = "a6a62253c929abe918414402acaf26cc88ccd60e9529b4e56f7a6e160da44f5f"
+
+
+def test_on_disk_bytes_are_pinned_and_reads_own_their_arrays(tmp_path):
+    path, back = roundtrip(fixed_store(), tmp_path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXED_STORE_SHA256
+    assert back.names() == fixed_store().names()
+    for name, arr in fixed_store().items():
+        got = back.get(name)
+        assert got.dtype == arr.dtype and np.array_equal(got, arr)
+        flags = got.flags
+        assert flags.owndata and flags.aligned and flags.c_contiguous and flags.writeable
+    assert back.meta() == {"pattern": "unstructured", "ratio": 0.5}
+
+
+def test_every_proper_prefix_is_rejected_with_offset(tmp_path):
+    full_path = tmp_path / "full.sppt"
+    store_write(fixed_store(), full_path)
+    full = full_path.read_bytes()
+    path = tmp_path / "prefix.sppt"
+    for cut in range(len(full)):
+        path.write_bytes(full[:cut])
+        with pytest.raises(StoreFormatError) as err:
+            store_read(path)
+        assert err.value.offset is not None and err.value.offset <= cut, cut
+
+
+def header_for(name: bytes, dims, code: int = 1) -> bytes:
+    out = b"SPPT" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little")
+    out += len(name).to_bytes(4, "little") + name + len(dims).to_bytes(4, "little")
+    out += b"".join(d.to_bytes(8, "little") for d in dims)
+    return out + code.to_bytes(1, "little")
+
+
+def test_huge_declared_payload_is_rejected_before_allocation(tmp_path):
+    path = tmp_path / "huge.sppt"
+    header = header_for(b"w", (2**40,))
+    path.write_bytes(header + b"\x00" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StoreFormatError) as err:
+            store_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "payload of tensor 'w'" in str(err.value)
+    assert err.value.offset == len(header)
+    assert peak < 1 << 20
+
+
+def test_impossible_empty_shape_is_a_format_error(tmp_path):
+    path = tmp_path / "shape.sppt"
+    header = header_for(b"w", (0, 2**63))
+    path.write_bytes(header)
+    with pytest.raises(StoreFormatError) as err:
+        store_read(path)
+    assert err.value.offset == len(header)
