@@ -23,7 +23,6 @@ from .adapters import (
     spp_backward,
     spp_effective_weight,
     spp_forward_naive,
-    spp_forward_optimized,
     spp_init,
     spp_merge,
 )
@@ -39,15 +38,16 @@ from .numerics import (
     broadcast_col,
     hadamard,
     matmul,
-    note_alloc,
     repeat_rows,
-    track_allocations,
+    sampled_matmul,
+    slot_matmul,
 )
 from .pruning import (
     CalibrationStats,
     MaskReport,
     NofM,
     PrunedLayer,
+    SlotLayout,
     SparseMask,
     Unstructured,
     apply_mask,

@@ -11,11 +11,22 @@ and the layer output is  y = x @ W.T + s * (drop(x) @ W'.T)  with inverted
 dropout on the adapter branch only.  Because W' is W times something, every
 zero of W stays exactly zero, through training and through merging.
 
-Two forward implementations are provided.  The naive one materializes W' and
-is the reference.  The optimized one never builds an m x n temporary: it runs
-one thin matmul per row block against the matching slice of the frozen
-weight, scaling the input by that block's alpha row first and the output
-columns by beta afterwards.  Both share one backward.
+There is one forward, and it computes on the sparsity.  Every product
+against W or W' runs on the layer's slot layout (``SparseMask.slots``), the
+way the kernels in ``numerics`` do: K * m * b multiply-adds instead of
+m * n * b, where K is the largest number of kept entries in a row, and
+bit-identical to the dense products (``numerics`` says why).  W' is formed
+only at the slots, as (w * alpha[row // block, col]) * beta[row]: the same
+products in the same order as ``spp_effective_weight``, which stays as the
+dense reference and as the merge.  The forward forms W' one slot row at a
+time, so it makes no m x n array; its largest transient is W's values in
+slot order.
+
+The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``),
+and d_x = G @ W + s * drop_backward(G @ W') through the transposed layout,
+for which it forms W' at all slots once.  d_beta and d_alpha scatter H * W,
+times alpha or beta, into one m x n buffer of zeros and reduce it exactly
+as the dense formulas do, so they match them bit for bit.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -28,7 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatternError, ShapeError, StateError
-from .numerics import as_matrix, broadcast_col, hadamard, matmul, note_alloc, repeat_rows
+from .numerics import (
+    as_matrix,
+    broadcast_col,
+    hadamard,
+    matmul,
+    repeat_rows,
+    sampled_matmul,
+    slot_matmul,
+)
 from .pruning import PrunedLayer, apply_mask
 from .rng import Rng
 
@@ -60,7 +79,6 @@ class DropoutMask:
             )
         out = x * self.keep
         out *= self.scale
-        note_alloc(out.shape)
         return out
 
 
@@ -84,7 +102,6 @@ def dropout_apply(
         raise ValueError("training-mode dropout with p > 0 requires an rng")
     u = rng.doubles(x.size).reshape(x.shape)
     keep = (u >= p).astype(np.float64)
-    note_alloc(keep.shape)
     mask = DropoutMask(keep=keep, p=p, scale=1.0 / (1.0 - p))
     return mask.apply(x), mask
 
@@ -191,11 +208,14 @@ class SppCache:
 
 @dataclass
 class AdapterGrads:
-    """Gradients from one backward pass through an adapted layer."""
+    """Gradients from one backward pass through an adapted layer.
+
+    ``d_x`` is None when the backward was asked not to compute it.
+    """
 
     d_alpha: np.ndarray
     d_beta: np.ndarray
-    d_x: np.ndarray
+    d_x: np.ndarray | None
 
 
 def _resolve_dropout(
@@ -218,71 +238,53 @@ def spp_forward_naive(
     training: bool = False,
     dropout_mask: DropoutMask | None = None,
 ) -> tuple[np.ndarray, SppCache | None]:
-    """Reference forward: y = x @ W.T + s * (drop(x) @ W'.T).
+    """The forward: y = x @ W.T + s * (drop(x) @ W'.T), on the kept entries.
 
-    Materializes the effective weight.  Returns (y, cache); the cache is None
-    outside training mode.  Pass ``dropout_mask`` to pin the dropout
-    realization, e.g. when cross-checking against the optimized path.
+    Bit-identical to the same formula with dense products and a
+    materialized W'.  Returns (y, cache); the cache is None outside training
+    mode.  Pass ``dropout_mask`` to pin the dropout realization.
     """
     x = as_matrix(x, "x")
     _check_adapter_layer(layer, adapter)
     if x.shape[1] != layer.shape[1]:
         raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
     x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
-    base = matmul(x, layer.weight)
-    w_eff = spp_effective_weight(layer, adapter)
-    branch = adapter.s * matmul(x_dropped, w_eff)
-    note_alloc(branch.shape)
-    y = base + branch
-    note_alloc(y.shape)
-    if not training:
-        return y, None
-    return y, SppCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter)
-
-
-def spp_forward_optimized(
-    x: np.ndarray,
-    layer: PrunedLayer,
-    adapter: SppAdapter,
-    rng: Rng | None = None,
-    training: bool = False,
-    dropout_mask: DropoutMask | None = None,
-) -> tuple[np.ndarray, SppCache | None]:
-    """Memory-lean forward, same contract as spp_forward_naive.
-
-    Never materializes the m x n effective weight.  Dropout is applied to the
-    input once, before the block split; then for each of the r row blocks the
-    dropped input is scaled by that block's alpha row and multiplied against
-    the matching rows of the frozen weight (a view, not a copy).  The
-    concatenated (b, m) output is finally scaled per column by beta.  Peak
-    transient footprint is one (b, n) buffer plus (b, m) accumulators.
-    """
-    x = as_matrix(x, "x")
-    _check_adapter_layer(layer, adapter)
-    if x.shape[1] != layer.shape[1]:
-        raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
-    x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
-
-    m, _ = layer.shape
-    block = m // adapter.r
-    base = matmul(x, layer.weight)
-    branch = np.empty((x.shape[0], m), dtype=np.float64)
-    note_alloc(branch.shape)
-    for j in range(adapter.r):
-        x_scaled = x_dropped * adapter.alpha[j]
-        note_alloc(x_scaled.shape)
-        rows = layer.weight[j * block : (j + 1) * block, :]
-        branch[:, j * block : (j + 1) * block] = matmul(x_scaled, rows)
-    branch *= adapter.beta[:, 0]
+    slots = layer.mask.slots
+    m, n = layer.shape
+    w = slots.grid(slots.values(layer.weight))
+    alpha = adapter.alpha.ravel()
+    alpha_row = np.arange(m) // (m // adapter.r) * n
+    beta = adapter.beta[:, 0]
+    x_cols = np.ascontiguousarray(x.T)
+    x_dropped_cols = x_cols if x_dropped is x else np.ascontiguousarray(x_dropped.T)
+    # Both products accumulate transposed, (m, b), one slot at a time, as in
+    # numerics.slot_matmul.  W' is formed one slot row at a time, as
+    # (alpha * w) * beta; a product of two factors does not depend on their
+    # order, so this is spp_effective_weight's (w * alpha) * beta.
+    base = np.zeros((m, x.shape[0]), dtype=np.float64)
+    branch = np.zeros_like(base)
+    buf = np.empty_like(base)
+    w_eff = np.empty(m, dtype=np.float64)
+    for t, cols in enumerate(slots.idx):
+        np.take(alpha, alpha_row + cols, out=w_eff)
+        w_eff *= w[t]
+        w_eff *= beta
+        np.take(x_cols, cols, axis=0, out=buf)
+        buf *= w[t][:, None]
+        base += buf
+        np.take(x_dropped_cols, cols, axis=0, out=buf)
+        buf *= w_eff[:, None]
+        branch += buf
     branch *= adapter.s
-    y = base + branch
-    note_alloc(y.shape)
+    y = np.add(base.T, branch.T, out=np.empty((x.shape[0], m), dtype=np.float64))
     if not training:
         return y, None
     return y, SppCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter)
 
 
-def spp_backward(cache: SppCache | None, d_y: np.ndarray) -> AdapterGrads:
+def spp_backward(
+    cache: SppCache | None, d_y: np.ndarray, *, input_grad: bool = True
+) -> AdapterGrads:
     """Gradients of the adapted layer given upstream d_y.
 
     With G = d_y, X = dropped input, and H = s * G.T @ X (m x n):
@@ -291,7 +293,9 @@ def spp_backward(cache: SppCache | None, d_y: np.ndarray) -> AdapterGrads:
         d_alpha[j][k] = sum over rows i of block j of H[i][k] * W[i][k] * beta[i]
         d_x           = G @ W + s * drop_backward(G @ W')
 
-    Raises StateError when called without a training-mode cache.
+    H is needed, and computed, only where W is kept.  ``input_grad=False``
+    skips d_x (None in the result), for a first layer, whose input needs no
+    gradient.  Raises StateError when called without a training-mode cache.
     """
     if cache is None:
         raise StateError("backward requires the cache from a training-mode forward")
@@ -303,18 +307,31 @@ def spp_backward(cache: SppCache | None, d_y: np.ndarray) -> AdapterGrads:
             f"d_y shape {d_y.shape} does not match forward output "
             f"({cache.x_dropped.shape[0]}, {m})"
         )
-    block = m // adapter.r
+    slots = layer.mask.slots
+    w = slots.values(layer.weight)
+    alpha_at = adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx]
+    hw = adapter.s * sampled_matmul(d_y, cache.x_dropped, slots.idx)
+    hw *= slots.grid(w)
+    # The sums run over the dense m x n layout, zeros included, so that they
+    # pair up terms exactly as the dense formulas do.  Padded slots write to
+    # the extra last entry, which is never read.
+    dense = np.zeros(m * n + 1, dtype=np.float64)
+    grid = dense[:-1].reshape(m, n)
+    dense[slots.pos] = hw * alpha_at
+    d_beta = grid.sum(axis=1, keepdims=True)
+    dense[slots.pos] = hw * adapter.beta[:, 0]
+    d_alpha = grid.reshape(adapter.r, m // adapter.r, n).sum(axis=1)
 
-    h = adapter.s * matmul(d_y.T, cache.x_dropped.T)
-    hw = h * layer.weight
-    rep = repeat_rows(adapter.alpha, block)
-    d_beta = (hw * rep).sum(axis=1, keepdims=True)
-    d_alpha = (hw * adapter.beta).reshape(adapter.r, block, n).sum(axis=1)
-
-    w_eff = spp_effective_weight(layer, adapter)
-    d_x = matmul(d_y, layer.weight.T) + adapter.s * cache.dropout.apply(
-        matmul(d_y, w_eff.T)
-    )
+    d_x = None
+    if input_grad:
+        # W' once for the whole backward, at the row slots, then read in
+        # transposed order through t2r, whose padded slots read the trailing 0.0.
+        w_eff = np.zeros_like(w)
+        w_eff_grid = slots.grid(w_eff)
+        np.multiply(slots.grid(w), alpha_at, out=w_eff_grid)
+        w_eff_grid *= adapter.beta[:, 0]
+        d_x = slot_matmul(d_y, slots.idx_t, w[slots.t2r])
+        d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w_eff[slots.t2r]))
     return AdapterGrads(d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 
@@ -388,7 +405,7 @@ class LoraCache:
 class LoraGrads:
     d_a: np.ndarray
     d_b: np.ndarray
-    d_x: np.ndarray
+    d_x: np.ndarray | None
 
 
 def lora_forward(
@@ -409,19 +426,21 @@ def lora_forward(
     if x.shape[1] != n:
         raise ShapeError(f"input has {x.shape[1]} features, layer expects {n}")
     x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
-    base = matmul(x, layer.weight)
+    base = layer.apply(x)
     u = matmul(x_dropped, adapter.a)
-    branch = adapter.s * matmul(u, adapter.b)
-    note_alloc(branch.shape)
-    y = base + branch
-    note_alloc(y.shape)
+    y = base + adapter.s * matmul(u, adapter.b)
     if not training:
         return y, None
     return y, LoraCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter, u=u)
 
 
-def lora_backward(cache: LoraCache | None, d_y: np.ndarray) -> LoraGrads:
-    """Gradients for the low-rank branch plus the input."""
+def lora_backward(
+    cache: LoraCache | None, d_y: np.ndarray, *, input_grad: bool = True
+) -> LoraGrads:
+    """Gradients for the low-rank branch plus the input.
+
+    ``input_grad=False`` skips d_x (None in the result), as in spp_backward.
+    """
     if cache is None:
         raise StateError("backward requires the cache from a training-mode forward")
     d_y = as_matrix(d_y, "d_y")
@@ -434,7 +453,9 @@ def lora_backward(cache: LoraCache | None, d_y: np.ndarray) -> LoraGrads:
     d_b = adapter.s * matmul(d_y.T, cache.u.T)
     d_u = adapter.s * matmul(d_y, adapter.b.T)
     d_a = matmul(d_u.T, cache.x_dropped.T)
-    d_x = matmul(d_y, layer.weight.T) + cache.dropout.apply(matmul(d_u, adapter.a.T))
+    d_x = None
+    if input_grad:
+        d_x = layer.apply_transpose(d_y) + cache.dropout.apply(matmul(d_u, adapter.a.T))
     return LoraGrads(d_a=d_a, d_b=d_b, d_x=d_x)
 
 

@@ -1,4 +1,4 @@
-"""Deterministic dense matrix kernels.
+"""Deterministic matrix kernels, dense and on the kept entries of a pruned weight.
 
 Everything downstream (pruning, adapters, training) runs on float64 numpy
 arrays produced and combined by the helpers here.  The one non-obvious
@@ -7,41 +7,23 @@ inner-index order, so its output is bit-identical to a naive triple loop on
 every platform.  That property is what makes checkpoints and run logs
 byte-reproducible, so do not swap the loop for a BLAS call.
 
-The module also hosts a tiny allocation ledger.  Kernel functions report the
-shape of every temporary they create through ``note_alloc``; tests wrap a
-region in ``track_allocations`` to prove that the memory-lean adapter forward
-never materializes a full weight-sized buffer.
+Products against a pruned weight run on its slot layout instead (see
+``pruning.SlotLayout``): slot t of row i holds the t-th kept column of that
+row, in ascending column order, and rows with fewer kept entries than the
+longest row are padded with slots that read column 0 against a weight of
+0.0.  ``slot_matmul`` and ``sampled_matmul`` add the same products in the
+same ascending order as ``matmul``, only without the terms whose weight is
+zero, and they are bit-identical to it: every accumulator starts at +0.0,
+and a sum that starts at +0.0 can never become -0.0, because x + y is -0.0
+only when both are.  Adding a term x * (+-0.0), which is +-0.0 for finite x,
+therefore never changes an accumulator, so skipping it (or adding it again
+for a padded slot) changes no bit.  Inputs are finite because ``as_matrix``
+enforces it.  No canonicalization of zero signs is needed.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ShapeError
-
-_alloc_log: list[tuple[int, ...]] | None = None
-
-
-@contextmanager
-def track_allocations():
-    """Collect the shapes of temporaries allocated by kernels in this block.
-
-    Yields the live list; it keeps growing until the block exits.  Not
-    reentrant, which is fine for tests.
-    """
-    global _alloc_log
-    previous = _alloc_log
-    _alloc_log = []
-    try:
-        yield _alloc_log
-    finally:
-        _alloc_log = previous
-
-
-def note_alloc(shape) -> None:
-    """Record one temporary-array allocation if tracking is active."""
-    if _alloc_log is not None:
-        _alloc_log.append(tuple(int(d) for d in shape))
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -75,13 +57,50 @@ def matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
         )
     rows, inner = a.shape
     cols = b_t.shape[0]
+    # Column k of each operand as one contiguous row: one copy each instead
+    # of a strided read per term.
+    a_cols = np.ascontiguousarray(a.T)[:, :, None]
+    b_cols = np.ascontiguousarray(b_t.T)
     out = np.zeros((rows, cols), dtype=np.float64)
-    note_alloc(out.shape)
     buf = np.empty((rows, cols), dtype=np.float64)
-    note_alloc(buf.shape)
     for k in range(inner):
         # One rank-1 term per k; += keeps the per-entry accumulation order.
-        np.multiply(a[:, k, None], b_t[None, :, k], out=buf)
+        np.multiply(a_cols[k], b_cols[k], out=buf)
+        out += buf
+    return out
+
+
+def slot_matmul(a: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``a @ W.T`` for a weight W given by its slots; bit-identical to matmul.
+
+    ``a`` is (b, n).  ``idx`` and ``vals`` are (K, m): slot t of output row
+    j multiplies column ``idx[t, j]`` of ``a`` by ``vals[t, j]``.  Returns
+    the C-contiguous (b, m) product, each entry summed over ascending t.
+    """
+    rows = a.shape[0]
+    cols = idx.shape[1]
+    a_cols = np.ascontiguousarray(a.T)
+    acc = np.zeros((cols, rows), dtype=np.float64)
+    buf = np.empty((cols, rows), dtype=np.float64)
+    for t in range(idx.shape[0]):
+        np.take(a_cols, idx[t], axis=0, out=buf)
+        buf *= vals[t][:, None]
+        acc += buf
+    return np.ascontiguousarray(acc.T)
+
+
+def sampled_matmul(g: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``g.T @ x`` at the slots only; bit-identical to matmul(g.T, x.T) there.
+
+    ``g`` is (b, m), ``x`` is (b, n) and ``idx`` is (K, m).  Returns (K, m)
+    with out[t, j] = sum_i g[i, j] * x[i, idx[t, j]], summed over ascending
+    batch row i.
+    """
+    out = np.zeros(idx.shape, dtype=np.float64)
+    buf = np.empty(idx.shape, dtype=np.float64)
+    for i in range(g.shape[0]):
+        np.take(x[i], idx, out=buf)
+        buf *= g[i]
         out += buf
     return out
 
@@ -90,9 +109,7 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise product of two same-shaped matrices."""
     if a.shape != b.shape:
         raise ShapeError(f"hadamard shapes differ: {a.shape} vs {b.shape}")
-    out = a * b
-    note_alloc(out.shape)
-    return out
+    return a * b
 
 
 def repeat_rows(a: np.ndarray, k: int) -> np.ndarray:
@@ -105,9 +122,7 @@ def repeat_rows(a: np.ndarray, k: int) -> np.ndarray:
         raise ShapeError("repeat_rows expects a 2-D array")
     if k < 1:
         raise ValueError(f"repeat count must be >= 1, got {k}")
-    out = np.repeat(a, k, axis=0)
-    note_alloc(out.shape)
-    return out
+    return np.repeat(a, k, axis=0)
 
 
 def broadcast_col(v: np.ndarray, n: int) -> np.ndarray:
@@ -116,6 +131,4 @@ def broadcast_col(v: np.ndarray, n: int) -> np.ndarray:
         raise ShapeError(f"broadcast_col expects an (m, 1) column, got {v.shape}")
     if n < 1:
         raise ValueError(f"column count must be >= 1, got {n}")
-    out = np.repeat(v, n, axis=1)
-    note_alloc(out.shape)
-    return out
+    return np.repeat(v, n, axis=1)

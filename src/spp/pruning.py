@@ -12,15 +12,24 @@ finds the cut (the n_zero-th lowest score) in linear time, every score below
 the cut is zeroed, and among the scores equal to the cut the remaining count
 is zeroed starting from the largest flat index.  That is the same mask a full
 sort by (score ascending, index descending) would give.
+
+Products against a pruned weight (``PrunedLayer.apply`` and the adapters)
+run on the mask's slot layout, ``SparseMask.slots``: the kept positions in
+padded slot-major (ELL) order, for the weight and for its transpose.  It is
+built from the mask on first use and cached on the mask, so every layer
+that shares a mask shares one layout; the weight's values are read through
+it on each call.  A weight that breaks its mask (``verify_mask`` fails)
+computes as if its masked entries were zero.
 """
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PatternError, ShapeError
-from .numerics import as_matrix, hadamard
+from .numerics import as_matrix, hadamard, slot_matmul
 
 
 @dataclass(frozen=True)
@@ -98,6 +107,93 @@ class SparseMask:
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
 
+    @cached_property
+    def slots(self) -> "SlotLayout":
+        """The kept entries in slot order, built on first use and then kept.
+
+        Built from the mask, not from the weight, so a kept weight that is
+        zero stays kept.  Prune, attach, merge and verify never use it.
+        """
+        return SlotLayout.of(self)
+
+
+def _slot_rows(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slot-major columns of the kept entries of each row of ``keep``.
+
+    Returns (idx, slot, rows, cols): idx is (K, rows) with idx[t, i] the t-th
+    kept column of row i (0 in padded slots), and slot, rows, cols give the
+    flat slot index t * rows + i, row and column of every kept entry in
+    row-major order.
+    """
+    counts = np.count_nonzero(keep, axis=1)
+    rows, cols = np.nonzero(keep)
+    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = rank * keep.shape[0] + rows
+    idx = np.zeros((int(counts.max()), keep.shape[0]), dtype=np.intp)
+    idx.ravel()[slot] = cols
+    return idx, slot, rows, cols
+
+
+@dataclass(frozen=True, eq=False)
+class SlotLayout:
+    """Padded slot-major (ELL) layout of the kept entries of an (m, n) mask.
+
+    K is the largest number of kept entries in a row and Kt in a column.
+
+    idx:   (K, m), idx[t, i] is the t-th kept column of row i, ascending.
+           Slots past a row's last kept entry read column 0 (padded slots).
+    pos:   (K, m), flat position i * n + idx[t, i] of each slot in the
+           weight; m * n, one past the end, in padded slots.
+    pads:  flat indices t * m + i of the padded slots.
+    idx_t: (Kt, n), the same as idx for the transposed weight: the kept rows
+           of each column, ascending.
+    t2r:   (Kt, n), for each transposed slot the flat index t * m + i of the
+           row slot holding the same entry; K * m in padded slots.
+    """
+
+    idx: np.ndarray
+    pos: np.ndarray
+    pads: np.ndarray
+    idx_t: np.ndarray
+    t2r: np.ndarray
+
+    @classmethod
+    def of(cls, mask: SparseMask) -> "SlotLayout":
+        keep = mask.mask != 0.0
+        m, n = keep.shape
+        idx, slot, rows, cols = _slot_rows(keep)
+        pos = np.full(idx.size, m * n, dtype=np.intp)
+        pos[slot] = rows * n + cols
+        idx_t, slot_t, _, _ = _slot_rows(keep.T)
+        t2r = np.full(idx_t.size, idx.size, dtype=np.intp)
+        # A stable sort by column turns row-major entry order into the
+        # column-major order in which the transposed slots were numbered.
+        t2r[slot_t] = slot[np.argsort(cols, kind="stable")]
+        return cls(
+            idx=idx,
+            pos=pos.reshape(idx.shape),
+            pads=np.flatnonzero(pos == m * n),
+            idx_t=idx_t,
+            t2r=t2r.reshape(idx_t.shape),
+        )
+
+    def grid(self, flat: np.ndarray) -> np.ndarray:
+        """The (K, m) slot view of a flat per-slot array such as ``values``."""
+        return flat[: self.idx.size].reshape(self.idx.shape)
+
+    def values(self, weight: np.ndarray) -> np.ndarray:
+        """The weight at every slot, flat, with one trailing 0.0.
+
+        Padded slots hold 0.0, and so does the trailing entry, which the
+        padded transposed slots of ``t2r`` point at.  Read on each call, so
+        the values are always those of the weight as it is now.
+        """
+        out = np.empty(self.idx.size + 1, dtype=np.float64)
+        np.take(weight, self.pos.ravel(), mode="clip", out=out[:-1])
+        out[self.pads] = 0.0
+        out[-1] = 0.0
+        return out
+
 
 @dataclass
 class PrunedLayer:
@@ -121,6 +217,16 @@ class PrunedLayer:
     @property
     def shape(self) -> tuple[int, int]:
         return self.weight.shape
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``x @ W.T`` over the kept entries; bit-identical to the dense product."""
+        slots = self.mask.slots
+        return slot_matmul(x, slots.idx, slots.grid(slots.values(self.weight)))
+
+    def apply_transpose(self, g: np.ndarray) -> np.ndarray:
+        """``g @ W`` over the kept entries; bit-identical to the dense product."""
+        slots = self.mask.slots
+        return slot_matmul(g, slots.idx_t, slots.values(self.weight)[slots.t2r])
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .adapters import (
     spp_forward_naive,
 )
 from .errors import PatternError, ShapeError, TrainingDiverged
-from .numerics import as_matrix, matmul
+from .numerics import as_matrix, matmul, sampled_matmul
 from .pruning import PrunedLayer, SparseMask, Unstructured, apply_mask, build_mask, score_magnitude
 from .rng import Rng
 
@@ -166,7 +166,7 @@ def net_forward(
     caches = []
     for nl in net.layers:
         if nl.adapter is None:
-            pre = matmul(cur, nl.layer.weight)
+            pre = nl.layer.apply(cur)
             cache = cur if training else None
         elif isinstance(nl.adapter, SppAdapter):
             pre, cache = spp_forward_naive(
@@ -183,7 +183,12 @@ def net_forward(
 
 
 def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
-    """Backpropagate; returns one gradient record per layer (same order)."""
+    """Backpropagate; returns one gradient record per layer (same order).
+
+    An adapter-less layer's record is d_w, the (m, n) weight gradient at the
+    kept entries and +0.0 elsewhere.  The first layer's input gradient is
+    never used, so it is not computed.
+    """
     grads: list[AdapterGrads | object | np.ndarray | None] = [None] * len(net.layers)
     g = d_pred
     for i in range(len(net.layers) - 1, -1, -1):
@@ -192,16 +197,19 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
         if nl.activation == "relu":
             g = g * (pre > 0.0)
         if nl.adapter is None:
-            x_in = cache
-            d_w = matmul(g.T, x_in.T)
-            grads[i] = d_w
-            g = matmul(g, nl.layer.weight.T)
+            m, n = nl.layer.shape
+            slots = nl.layer.mask.slots
+            # Padded slots write to the extra last entry, which is dropped.
+            d_w = np.zeros(m * n + 1, dtype=np.float64)
+            d_w[slots.pos] = sampled_matmul(g, cache, slots.idx)
+            grads[i] = d_w[:-1].reshape(m, n)
+            g = nl.layer.apply_transpose(g) if i > 0 else None
         elif isinstance(nl.adapter, SppAdapter):
-            ag = spp_backward(cache, g)
+            ag = spp_backward(cache, g, input_grad=i > 0)
             grads[i] = ag
             g = ag.d_x
         else:
-            lg = lora_backward(cache, g)
+            lg = lora_backward(cache, g, input_grad=i > 0)
             grads[i] = lg
             g = lg.d_x
     return grads

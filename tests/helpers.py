@@ -1,8 +1,10 @@
 """Shared helpers for the test suite."""
 
+import tracemalloc
+
 import numpy as np
 
-from spp import Rng
+from spp import Rng, matmul, repeat_rows, spp_effective_weight
 
 
 def rand_matrix(rng: Rng, rows: int, cols: int, lo: float = -1.0, hi: float = 1.0):
@@ -66,3 +68,44 @@ def unstructured_mask_oracle(scores: np.ndarray, ratio: float, row_wise: bool = 
     if n_zero:
         mask[order[:n_zero]] = 0.0
     return mask.reshape(rows, cols)
+
+
+def spp_forward_dense(x, layer, adapter, dropout_mask=None):
+    """Reference forward with dense products and a materialized W'.
+
+    y = x @ W.T + s * (drop(x) @ W'.T); returns (y, dropped input).
+    """
+    x_dropped = x if dropout_mask is None else dropout_mask.apply(x)
+    base = matmul(x, layer.weight)
+    branch = adapter.s * matmul(x_dropped, spp_effective_weight(layer, adapter))
+    return base + branch, x_dropped
+
+
+def spp_backward_dense(x_dropped, dropout_mask, layer, adapter, d_y):
+    """Reference backward with dense products; returns (d_alpha, d_beta, d_x)."""
+    m, n = layer.shape
+    block = m // adapter.r
+    h = adapter.s * matmul(d_y.T, x_dropped.T)
+    hw = h * layer.weight
+    rep = repeat_rows(adapter.alpha, block)
+    d_beta = (hw * rep).sum(axis=1, keepdims=True)
+    d_alpha = (hw * adapter.beta).reshape(adapter.r, block, n).sum(axis=1)
+    w_eff = spp_effective_weight(layer, adapter)
+    drop_back = dropout_mask.apply if dropout_mask is not None else (lambda g: g)
+    d_x = matmul(d_y, layer.weight.T) + adapter.s * drop_back(matmul(d_y, w_eff.T))
+    return d_alpha, d_beta, d_x
+
+
+def peak_transient_bytes(fn, *args, **kwargs) -> int:
+    """Peak bytes allocated while ``fn`` runs, above what was live before.
+
+    NumPy reports its buffers to ``tracemalloc``, so every temporary array
+    counts, including ones a kernel frees before it returns.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -24,14 +24,12 @@ from spp import (
     spp_backward,
     spp_effective_weight,
     spp_forward_naive,
-    spp_forward_optimized,
     spp_init,
     spp_merge,
-    track_allocations,
     verify_mask,
 )
 
-from helpers import rand_matrix
+from helpers import peak_transient_bytes, rand_matrix, spp_forward_dense
 
 
 def hand_layer():
@@ -177,10 +175,8 @@ def test_forward_transparency_at_init():
     ad = spp_init(8, 8, 4, 1.0, 0.05, rng)
     x = rand_matrix(rng, 5, 8)
     base = matmul(x, layer.weight)
-    y_naive, _ = spp_forward_naive(x, layer, ad)
-    y_opt, _ = spp_forward_optimized(x, layer, ad)
-    assert np.array_equal(y_naive, base)
-    assert np.array_equal(y_opt, base)
+    y, _ = spp_forward_naive(x, layer, ad)
+    assert np.array_equal(y, base)
     # training mode draws dropout but the silent branch still vanishes
     y_train, cache = spp_forward_naive(x, layer, ad, rng=rng, training=True)
     assert np.array_equal(y_train, base)
@@ -225,41 +221,32 @@ def _equivalence_case(rng, b, m, n, r, p):
         _, shared = dropout_apply(x, p, rng, training=True)
     else:
         shared = None
-    y_naive, _ = spp_forward_naive(
-        x, layer, ad, training=p > 0.0, dropout_mask=shared
-    )
-    y_opt, _ = spp_forward_optimized(
-        x, layer, ad, training=p > 0.0, dropout_mask=shared
-    )
-    scale = max(1.0, np.abs(y_naive).max())
-    return np.abs(y_opt - y_naive).max() / scale
+    y, _ = spp_forward_naive(x, layer, ad, training=p > 0.0, dropout_mask=shared)
+    want, _ = spp_forward_dense(x, layer, ad, shared)
+    return y.tobytes() == want.tobytes()
 
 
 def test_optimized_equals_naive_across_shape_grid():
+    # The one forward (on the kept entries) against the dense reference.
     rng = Rng(50)
-    worst = 0.0
     for b in (1, 2, 7):
         for m in (4, 8, 16):
             for n in (4, 12):
                 for r in [d for d in range(1, m + 1) if m % d == 0]:
                     for p in (0.0, 0.3):
-                        worst = max(worst, _equivalence_case(rng, b, m, n, r, p))
-    assert worst <= 1e-12
+                        assert _equivalence_case(rng, b, m, n, r, p), (b, m, n, r, p)
 
 
 def test_optimized_path_never_allocates_weight_sized_buffer():
     rng = Rng(51)
-    m, n, b = 16, 12, 7
+    m, n, b = 128, 96, 2
     layer = random_pruned(rng, m, n, pattern=Unstructured(0.5))
     ad = adapter_for(layer, rng, r=4, random_beta=True)
     x = rand_matrix(rng, b, n)
-    with track_allocations() as log:
-        spp_forward_optimized(x, layer, ad)
-    assert (m, n) not in log
-    # positive control: the reference path does materialize the m x n update
-    with track_allocations() as log:
-        spp_forward_naive(x, layer, ad)
-    assert (m, n) in log
+    spp_forward_naive(x, layer, ad)  # the first call builds the slot layout
+    assert peak_transient_bytes(spp_forward_naive, x, layer, ad) < m * n * 8
+    # positive control: the dense reference does materialize the m x n update
+    assert peak_transient_bytes(spp_effective_weight, layer, ad) >= m * n * 8
 
 
 def test_both_zero_init_warns():

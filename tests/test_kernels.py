@@ -1,0 +1,246 @@
+"""The slot kernels and every product on a pruned weight, against dense oracles.
+
+Each comparison is byte for byte (``tobytes``), so a sign of zero counts.
+The masks cover the layouts the slot layout must handle: 2:4, global
+unstructured with an empty row and an empty column, row-wise, ratio 0, and
+kept entries whose weight is zero.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import spp
+from spp import (
+    LoraAdapter,
+    NetLayer,
+    NofM,
+    PrunedLayer,
+    Rng,
+    SparseMask,
+    SppAdapter,
+    ToyNet,
+    Unstructured,
+    apply_mask,
+    build_mask,
+    dropout_apply,
+    lora_backward,
+    lora_forward,
+    matmul,
+    net_backward,
+    net_forward,
+    sampled_matmul,
+    spp_backward,
+    spp_forward_naive,
+)
+
+from helpers import (
+    matmul_oracle,
+    rand_matrix,
+    spp_backward_dense,
+    spp_forward_dense,
+)
+
+
+def _layers(rng, m, n):
+    """(name, layer) pairs over one random m x n weight."""
+    w = rand_matrix(rng, m, n)
+    scores = np.abs(w)
+    scores[0] *= 1e-3  # row 0 and the last column score lowest, so a
+    scores[:, -1] *= 1e-3  # global 75% cut empties both
+    masks = {
+        "unstructured": build_mask(scores, Unstructured(0.75)),
+        "row-wise": build_mask(np.abs(w), Unstructured(0.5), row_wise=True),
+        "ratio-0": build_mask(np.abs(w), Unstructured(0.0)),
+    }
+    if n % 4 == 0:
+        masks["2:4"] = build_mask(np.abs(w), NofM(2, 4))
+    keep = masks["unstructured"].mask
+    assert not keep[0].any() and not keep[:, -1].any()
+    out = []
+    for name, mask in masks.items():
+        layer = apply_mask(w, mask)
+        out.append((name, layer))
+        # Kept entries whose weight is +0.0 or -0.0 stay kept.
+        kept_zero = layer.weight.copy()
+        kept = np.flatnonzero(mask.mask)
+        kept_zero.ravel()[kept[::3]] = 0.0
+        kept_zero.ravel()[kept[1::3]] = -0.0
+        out.append((name + "+kept-zeros", PrunedLayer(kept_zero, mask)))
+    return out
+
+
+def _same(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+SHAPES = [(8, 12, 1), (12, 8, 3), (5, 16, 2), (3, 4, 1)]
+
+
+@pytest.mark.parametrize("m,n,b", SHAPES)
+def test_slot_kernels_match_the_triple_loop(m, n, b):
+    rng = Rng(100 + m * n + b)
+    for name, layer in _layers(rng, m, n):
+        x = rand_matrix(rng, b, n)
+        g = rand_matrix(rng, b, m)
+        w_t = np.ascontiguousarray(layer.weight.T)
+        assert _same(layer.apply(x), matmul_oracle(x, layer.weight)), name
+        assert _same(layer.apply_transpose(g), matmul_oracle(g, w_t)), name
+
+        slots = layer.mask.slots
+        sampled = sampled_matmul(g, x, slots.idx)
+        want = matmul_oracle(np.ascontiguousarray(g.T), np.ascontiguousarray(x.T))
+        real = slots.pos < m * n
+        assert real.sum() == np.count_nonzero(layer.mask.mask), name
+        assert _same(sampled[real], want.ravel()[slots.pos[real]]), name
+
+
+def test_slot_layout_orders_kept_entries():
+    mask = SparseMask(
+        np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]]),
+        Unstructured(0.5),
+    )
+    slots = mask.slots
+    assert slots is mask.slots  # built once
+    assert slots.idx.tolist() == [[1, 0, 0], [3, 0, 1], [0, 0, 2]]
+    assert slots.pos.tolist() == [[1, 12, 8], [3, 12, 9], [12, 12, 10]]
+    assert slots.idx_t.tolist() == [[2, 0, 2, 0], [0, 2, 0, 0]]
+    w = np.arange(1.0, 13.0).reshape(3, 4) * mask.mask
+    values = slots.values(w)
+    assert values.tolist() == [2.0, 0.0, 9.0, 4.0, 0.0, 10.0, 0.0, 0.0, 11.0, 0.0]
+    assert values[slots.t2r].tolist() == [[9.0, 2.0, 11.0, 4.0], [0.0, 10.0, 0.0, 0.0]]
+
+
+def _spp_case(rng, layer, r, s, p, b, zero_beta=False):
+    m, n = layer.shape
+    ad = SppAdapter(
+        alpha=rand_matrix(rng, r, n),
+        beta=np.zeros((m, 1)) if zero_beta else rand_matrix(rng, m, 1),
+        r=r,
+        s=s,
+        p=p,
+    )
+    x = rand_matrix(rng, b, n)
+    mask = dropout_apply(x, p, rng, training=True)[1] if p > 0.0 else None
+    d_y = rand_matrix(rng, b, m)
+    d_y[:, ::3] = -0.0  # dead outputs: a relu passes back -0.0
+    return ad, x, mask, d_y
+
+
+def _check_spp(layer, ad, x, mask, d_y, label):
+    y, cache = spp_forward_naive(x, layer, ad, training=True, dropout_mask=mask)
+    want_y, x_dropped = spp_forward_dense(x, layer, ad, mask)
+    assert _same(y, want_y), label
+    grads = spp_backward(cache, d_y)
+    d_alpha, d_beta, d_x = spp_backward_dense(x_dropped, mask, layer, ad, d_y)
+    assert _same(grads.d_alpha, d_alpha), label
+    assert _same(grads.d_beta, d_beta), label
+    assert _same(grads.d_x, d_x), label
+
+
+@pytest.mark.parametrize("m,n,b", SHAPES)
+def test_spp_forward_and_backward_match_the_dense_reference(m, n, b):
+    rng = Rng(200 + m * n + b)
+    for name, layer in _layers(rng, m, n):
+        for r in sorted({1, m // 2 if m % 2 == 0 else 1, m}):
+            for s, p, zero_beta in ((1.0, 0.0, False), (-0.7, 0.3, False), (1.3, 0.3, True)):
+                ad, x, mask, d_y = _spp_case(rng, layer, r, s, p, b, zero_beta)
+                _check_spp(layer, ad, x, mask, d_y, (name, r, s, p, zero_beta))
+
+
+@pytest.mark.parametrize("m,n,b", SHAPES)
+def test_lora_base_products_match_the_dense_formula(m, n, b):
+    rng = Rng(300 + m * n + b)
+    for name, layer in _layers(rng, m, n):
+        ad = LoraAdapter(a=rand_matrix(rng, 2, n), b=rand_matrix(rng, m, 2), s=0.9, p=0.0)
+        x = rand_matrix(rng, b, n)
+        d_y = rand_matrix(rng, b, m)
+        y, cache = lora_forward(x, layer, ad, training=True)
+        u = matmul(x, ad.a)
+        assert _same(y, matmul(x, layer.weight) + ad.s * matmul(u, ad.b)), name
+        d_u = ad.s * matmul(d_y, ad.b.T)
+        want = matmul(d_y, layer.weight.T) + matmul(d_u, ad.a.T)
+        assert _same(lora_backward(cache, d_y).d_x, want), name
+
+
+@st.composite
+def _spp_problems(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 4))
+    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    s = draw(st.sampled_from([1.0, -0.5, 2.0]))
+    p = draw(st.sampled_from([0.0, 0.4]))
+    return m, n, b, r, keep.reshape(m, n).astype(np.float64), seed, s, p
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_spp_problems())
+def test_spp_paths_match_the_dense_reference_on_any_mask(problem):
+    m, n, b, r, keep, seed, s, p = problem
+    rng = Rng(seed)
+    # Integer weights, some kept ones zero, so that exact cancellations occur.
+    w = np.floor(rng.uniform(-2.0, 3.0, m, n)) * keep
+    layer = PrunedLayer(w, SparseMask(keep, Unstructured(0.5)))
+    ad, x, mask, d_y = _spp_case(rng, layer, r, s, p, b)
+    _check_spp(layer, ad, x, mask, d_y, problem)
+    assert _same(layer.apply(x), matmul(x, w))
+
+
+def test_first_layer_input_gradient_is_skipped():
+    rng = Rng(400)
+    layer = apply_mask(rand_matrix(rng, 8, 8), build_mask(rand_matrix(rng, 8, 8), NofM(2, 4)))
+    ad, x, mask, d_y = _spp_case(rng, layer, 2, 1.0, 0.0, 3)
+    _, cache = spp_forward_naive(x, layer, ad, training=True)
+    full = spp_backward(cache, d_y)
+    skipped = spp_backward(cache, d_y, input_grad=False)
+    assert skipped.d_x is None
+    assert _same(skipped.d_alpha, full.d_alpha) and _same(skipped.d_beta, full.d_beta)
+
+    lora = LoraAdapter(a=rand_matrix(rng, 2, 8), b=rand_matrix(rng, 8, 2), p=0.0)
+    _, lcache = lora_forward(x, layer, lora, training=True)
+    lfull = lora_backward(lcache, d_y)
+    lskipped = lora_backward(lcache, d_y, input_grad=False)
+    assert lskipped.d_x is None
+    assert _same(lskipped.d_a, lfull.d_a) and _same(lskipped.d_b, lfull.d_b)
+
+    for first in (None, ad):
+        net = ToyNet([NetLayer(layer, first, "relu"), NetLayer(layer, lora)])
+        pred, caches = net_forward(net, x, training=True)
+        grads = net_backward(net, caches, pred)
+        if first is None:
+            d_w = grads[0]
+            assert d_w.shape == (8, 8)
+            assert not d_w[layer.mask.mask == 0.0].any()
+        else:
+            assert grads[0].d_x is None
+        assert grads[1].d_x is not None
+
+
+def test_training_does_not_import_scipy():
+    src = str(Path(spp.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from spp import NofM, NetLayer, Rng, ToyNet, TrainConfig, apply_mask, build_mask, spp_init, train\n"
+        "rng = Rng(0)\n"
+        "w = rng.uniform(-1.0, 1.0, 8, 8)\n"
+        "layer = apply_mask(w, build_mask(np.abs(w), NofM(2, 4)))\n"
+        "net = ToyNet([NetLayer(layer, spp_init(8, 8, 2, 1.0, 0.1, rng))])\n"
+        "train(net, (rng.uniform(-1.0, 1.0, 16, 8), rng.uniform(-1.0, 1.0, 16, 8)), TrainConfig(steps=3))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
