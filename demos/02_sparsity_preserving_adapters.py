@@ -2,7 +2,7 @@
 
 The adapter is a row factor beta (one knob per output) and a block factor
 alpha (r rows, each shared by m/r consecutive outputs).  The trainable
-branch is w * repeat(alpha) * broadcast(beta), so a zero weight stays zero
+branch is w * alpha[row block] * beta[row], so a zero weight stays zero
 no matter what the factors learn.  Contrast with the additive low-rank
 update at the end, which writes everywhere.
 """
@@ -16,7 +16,6 @@ from spp import (
     build_mask,
     lora_init,
     lora_merge_dense,
-    lora_star_reprune,
     matmul,
     score_magnitude,
     spp_effective_weight,
@@ -58,6 +57,6 @@ dense = lora_merge_dense(layer, lad)
 print("low-rank merge nnz:", np.count_nonzero(dense), "(densified)")
 
 # the usual repair is to re-impose the original mask, losing part of the update
-star = lora_star_reprune(dense, layer.mask)
+star = apply_mask(dense, layer.mask)
 print("after repruning: nnz =", np.count_nonzero(star.weight),
       "ok =", verify_mask(star).ok)

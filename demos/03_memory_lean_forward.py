@@ -1,8 +1,9 @@
 """The adapter forward computes on the kept entries and never builds W'.
 
-The effective weight W' = W * repeat(alpha) * beta is m x n, and
-materializing it (``spp_effective_weight``, the dense reference) allocates
-several weight-sized buffers.  The forward instead forms W' one slot row
+The effective weight W'[i, j] = W[i, j] * alpha[i // (m/r), j] * beta[i]
+is m x n, and materializing it (``spp_effective_weight``, the dense
+reference, which the merge also uses) allocates one weight-sized buffer.
+The forward instead forms W' one slot row
 at a time on the layer's slot layout, so its largest transient is the kept
 entries of W in slot order.  Both give the same output bit for bit;
 tracemalloc, which sees every NumPy buffer, measures the peaks.

@@ -19,7 +19,6 @@ from .adapters import (
     lora_forward,
     lora_init,
     lora_merge_dense,
-    lora_star_reprune,
     spp_backward,
     spp_effective_weight,
     spp_forward_naive,
@@ -33,15 +32,7 @@ from .errors import (
     StoreFormatError,
     TrainingDiverged,
 )
-from .numerics import (
-    as_matrix,
-    broadcast_col,
-    hadamard,
-    matmul,
-    repeat_rows,
-    sampled_matmul,
-    slot_matmul,
-)
+from .numerics import as_matrix, matmul, sampled_matmul, slot_matmul
 from .pruning import (
     CalibrationStats,
     MaskReport,

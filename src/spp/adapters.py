@@ -5,7 +5,7 @@ trainable factors: a block factor ``alpha`` of shape (r, n), where each of
 the r consecutive row blocks of W shares one alpha row, and a per-output-row
 factor ``beta`` of shape (m, 1).  The effective update is
 
-    W' = W * repeat_rows(alpha, m // r) * broadcast_col(beta, n)
+    W'[i, j] = (W[i, j] * alpha[i // (m / r), j]) * beta[i]
 
 and the layer output is  y = x @ W.T + s * (drop(x) @ W'.T)  with inverted
 dropout on the adapter branch only.  Because W' is W times something, every
@@ -39,16 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PatternError, ShapeError, StateError
-from .numerics import (
-    as_matrix,
-    broadcast_col,
-    hadamard,
-    matmul,
-    repeat_rows,
-    sampled_matmul,
-    slot_matmul,
-)
-from .pruning import PrunedLayer, apply_mask
+from .numerics import as_matrix, matmul, sampled_matmul, slot_matmul
+from .pruning import PrunedLayer
 from .rng import Rng
 
 
@@ -60,7 +52,7 @@ from .rng import Rng
 class DropoutMask:
     """Inverted-dropout realization: keep pattern, rate, and rescale factor.
 
-    ``keep`` is a 0/1 matrix over the input shape, or None for the identity
+    ``keep`` is a bool matrix over the input shape, or None for the identity
     (eval mode or p = 0).  Kept entries are scaled by 1 / (1 - p) so the map
     is mean-preserving; applying the same mask to a gradient is the exact
     adjoint, so backward reuses ``apply``.
@@ -101,8 +93,7 @@ def dropout_apply(
     if rng is None:
         raise ValueError("training-mode dropout with p > 0 requires an rng")
     u = rng.doubles(x.size).reshape(x.shape)
-    keep = (u >= p).astype(np.float64)
-    mask = DropoutMask(keep=keep, p=p, scale=1.0 / (1.0 - p))
+    mask = DropoutMask(keep=u >= p, p=p, scale=1.0 / (1.0 - p))
     return mask.apply(x), mask
 
 
@@ -184,16 +175,18 @@ def _check_adapter_layer(layer: PrunedLayer, adapter: SppAdapter) -> None:
 
 
 def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
-    """Materialize W' = W * repeat_rows(alpha, m/r) * broadcast_col(beta, n).
+    """Materialize W' = (W * alpha[i // (m/r), j]) * beta[i] as one m x n array.
 
-    Reference implementation; allocates the full m x n modulation.  Zeros of
-    the frozen weight are zeros of the result by construction.
+    One broadcast over the (r, m/r, n) block view of W, then beta in place,
+    so the only m x n buffer is the result.  Zeros of the frozen weight are
+    zeros of the result by construction.
     """
     _check_adapter_layer(layer, adapter)
     m, n = layer.shape
-    rep = repeat_rows(adapter.alpha, m // adapter.r)
-    col = broadcast_col(adapter.beta, n)
-    return hadamard(hadamard(layer.weight, rep), col)
+    block = m // adapter.r
+    w_eff = layer.weight.reshape(adapter.r, block, n) * adapter.alpha[:, None, :]
+    w_eff *= adapter.beta.reshape(adapter.r, block, 1)
+    return w_eff.reshape(m, n)
 
 
 @dataclass
@@ -266,17 +259,20 @@ def spp_forward_naive(
     buf = np.empty_like(base)
     w_eff = np.empty(m, dtype=np.float64)
     for t, cols in enumerate(slots.idx):
-        np.take(alpha, alpha_row + cols, out=w_eff)
+        np.take(alpha, alpha_row + cols, mode="clip", out=w_eff)
         w_eff *= w[t]
         w_eff *= beta
-        np.take(x_cols, cols, axis=0, out=buf)
+        np.take(x_cols, cols, axis=0, mode="clip", out=buf)
         buf *= w[t][:, None]
         base += buf
-        np.take(x_dropped_cols, cols, axis=0, out=buf)
+        np.take(x_dropped_cols, cols, axis=0, mode="clip", out=buf)
         buf *= w_eff[:, None]
         branch += buf
     branch *= adapter.s
-    y = np.add(base.T, branch.T, out=np.empty((x.shape[0], m), dtype=np.float64))
+    base += branch
+    # Free the batch-sized buffers before y is allocated.
+    del branch, buf, x_cols, x_dropped_cols
+    y = np.ascontiguousarray(base.T)
     if not training:
         return y, None
     return y, SppCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter)
@@ -339,10 +335,12 @@ def spp_merge(layer: PrunedLayer, adapter: SppAdapter) -> PrunedLayer:
     """Fold the adapter into the weight: W + s * W', keeping the mask.
 
     At masked positions both terms are exact zeros, so the merged layer
-    satisfies the same mask; no re-pruning step exists or is needed.
+    satisfies the same mask; no re-pruning step exists or is needed.  W' is
+    scaled and added to in place, so the result is the only m x n buffer.
     """
-    _check_adapter_layer(layer, adapter)
-    merged = layer.weight + adapter.s * spp_effective_weight(layer, adapter)
+    merged = spp_effective_weight(layer, adapter)
+    merged *= adapter.s
+    merged += layer.weight
     return PrunedLayer(merged, layer.mask)
 
 
@@ -467,12 +465,3 @@ def lora_merge_dense(layer: PrunedLayer, adapter: LoraAdapter) -> np.ndarray:
             f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
         )
     return layer.weight + adapter.s * matmul(adapter.b, adapter.a.T)
-
-
-def lora_star_reprune(dense: np.ndarray, original_mask) -> PrunedLayer:
-    """Re-impose the pre-training mask on a densified merge.
-
-    This is the only way an additive merge can honor the original sparsity;
-    whatever the update placed on masked positions is discarded.
-    """
-    return apply_mask(dense, original_mask)

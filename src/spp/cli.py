@@ -23,7 +23,6 @@ from .adapters import (
     SppAdapter,
     lora_init,
     lora_merge_dense,
-    lora_star_reprune,
     spp_init,
     spp_merge,
 )
@@ -142,12 +141,11 @@ def _load_layers(store: TensorStore) -> list[LayerBundle]:
         weight = store.get(name)
         mask = None
         if f"{name}.mask" in store:
-            raw = store.get(f"{name}.mask").astype(np.float64)
-            if pattern is None:
+            raw = store.get(f"{name}.mask")
+            pattern_here = pattern
+            if pattern is None and raw.size:
                 zeros = raw.size - int(np.count_nonzero(raw))
-                pattern_here = Unstructured(zeros / raw.size if raw.size else 0.0)
-            else:
-                pattern_here = pattern
+                pattern_here = Unstructured.matching(zeros, raw.size)
             mask = SparseMask(raw, pattern_here)
         adapter = None
         if adapter_meta is not None:
@@ -181,7 +179,7 @@ def _bundles_to_store(bundles: list[LayerBundle], meta: dict) -> TensorStore:
     for b in bundles:
         out.add(b.name, b.weight)
         if b.mask is not None:
-            out.add(f"{b.name}.mask", b.mask.mask.astype(np.uint8))
+            out.add(f"{b.name}.mask", b.mask.mask.view(np.uint8))
     for b in bundles:
         if isinstance(b.adapter, SppAdapter):
             out.add(f"{b.name}.spp.alpha", b.adapter.alpha)
@@ -422,7 +420,7 @@ def cmd_merge(args) -> int:
         else:
             dense = lora_merge_dense(b.pruned(), b.adapter)
             if args.reprune_with_original_mask:
-                repruned = lora_star_reprune(dense, b.mask)
+                repruned = apply_mask(dense, b.mask)
                 b.weight = repruned.weight
                 after = int(np.count_nonzero(b.weight))
                 print(

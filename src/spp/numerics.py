@@ -83,7 +83,9 @@ def slot_matmul(a: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     acc = np.zeros((cols, rows), dtype=np.float64)
     buf = np.empty((cols, rows), dtype=np.float64)
     for t in range(idx.shape[0]):
-        np.take(a_cols, idx[t], axis=0, out=buf)
+        # Every index is in range.  The default mode="raise" would gather
+        # into a fresh temporary and copy it to ``out`` on every call.
+        np.take(a_cols, idx[t], axis=0, mode="clip", out=buf)
         buf *= vals[t][:, None]
         acc += buf
     return np.ascontiguousarray(acc.T)
@@ -99,36 +101,7 @@ def sampled_matmul(g: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     out = np.zeros(idx.shape, dtype=np.float64)
     buf = np.empty(idx.shape, dtype=np.float64)
     for i in range(g.shape[0]):
-        np.take(x[i], idx, out=buf)
+        np.take(x[i], idx, mode="clip", out=buf)
         buf *= g[i]
         out += buf
     return out
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    if a.shape != b.shape:
-        raise ShapeError(f"hadamard shapes differ: {a.shape} vs {b.shape}")
-    return a * b
-
-
-def repeat_rows(a: np.ndarray, k: int) -> np.ndarray:
-    """Repeat each row of ``a`` k times consecutively.
-
-    Output row i equals input row i // k, so an (r, n) input becomes
-    (r * k, n) with each source row occupying a contiguous block.
-    """
-    if a.ndim != 2:
-        raise ShapeError("repeat_rows expects a 2-D array")
-    if k < 1:
-        raise ValueError(f"repeat count must be >= 1, got {k}")
-    return np.repeat(a, k, axis=0)
-
-
-def broadcast_col(v: np.ndarray, n: int) -> np.ndarray:
-    """Tile a column vector (m, 1) across n columns, giving (m, n)."""
-    if v.ndim != 2 or v.shape[1] != 1:
-        raise ShapeError(f"broadcast_col expects an (m, 1) column, got {v.shape}")
-    if n < 1:
-        raise ValueError(f"column count must be >= 1, got {n}")
-    return np.repeat(v, n, axis=1)

@@ -1,7 +1,8 @@
 """Scoring, mask construction, and mask verification for weight pruning.
 
-Masks are float64 matrices of exact zeros and ones so they can ride the same
-Hadamard kernels as weights; on disk they serialize as uint8.  Two scoring
+A mask is one C-contiguous ``bool`` keep matrix (True where the weight is
+kept); on disk it serializes as uint8 with the same bytes.  Masking is
+``np.where`` on it, so a masked entry is always +0.0.  Two scoring
 rules are provided: plain magnitude, and activation-weighted magnitude where
 each column's score is scaled by the calibration norm of the matching input
 feature.  Tie-breaks everywhere are lexicographic by (row, col): the earliest
@@ -22,6 +23,7 @@ it on each call.  A weight that breaks its mask (``verify_mask`` fails)
 computes as if its masked entries were zero.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PatternError, ShapeError
-from .numerics import as_matrix, hadamard, slot_matmul
+from .numerics import as_matrix, slot_matmul
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,18 @@ class Unstructured:
     def __post_init__(self):
         if not (0.0 <= self.ratio < 1.0):
             raise PatternError(f"ratio must lie in [0, 1), got {self.ratio}")
+
+    @classmethod
+    def matching(cls, zeros: int, total: int) -> "Unstructured":
+        """The pattern that zeroes exactly ``zeros`` of ``total`` entries.
+
+        zeros / total can round so that ``int(ratio * total)`` falls one
+        short (15 / 22 gives 14); the ratio then steps up one float at a time.
+        """
+        ratio = zeros / total
+        while int(ratio * total) < zeros:
+            ratio = math.nextafter(ratio, 1.0)
+        return cls(ratio)
 
     def label(self) -> str:
         return "unstructured"
@@ -81,21 +95,30 @@ def parse_pattern(text: str, ratio: float = 0.5):
 
 @dataclass
 class SparseMask:
-    """A zero/one matrix plus the pattern it claims to satisfy.
+    """A keep matrix plus the pattern it claims to satisfy.
 
-    The constructor checks structure only (binary entries, group
-    divisibility).  Whether the mask actually complies with its pattern is
-    ``verify_mask``'s job, so damaged masks remain constructible and
-    reportable.
+    ``mask`` is stored as a C-contiguous bool array; any numeric input whose
+    entries are exactly 0 or 1 is accepted.  The constructor checks structure
+    only (2-D, binary entries, group divisibility).  Whether the mask
+    actually complies with its pattern is ``verify_mask``'s job, so damaged
+    masks remain constructible and reportable.
     """
 
     mask: np.ndarray
     pattern: Unstructured | NofM
 
     def __post_init__(self):
-        self.mask = as_matrix(self.mask, "mask")
-        if not ((self.mask == 0.0) | (self.mask == 1.0)).all():
-            raise ValueError("mask entries must be exactly 0 or 1")
+        mask = np.asarray(self.mask)
+        if mask.ndim != 2:
+            raise ShapeError(f"mask must be 2-D, got ndim={mask.ndim}")
+        if mask.shape[0] < 1 or mask.shape[1] < 1:
+            raise ShapeError(f"mask must have positive dimensions, got {mask.shape}")
+        if mask.dtype != bool:
+            # NaN equals neither, so it is rejected too.
+            if not ((mask == 0) | (mask == 1)).all():
+                raise ValueError("mask entries must be exactly 0 or 1")
+            mask = mask != 0
+        self.mask = np.ascontiguousarray(mask)
         if isinstance(self.pattern, NofM):
             if self.mask.shape[1] % self.pattern.m_group != 0:
                 raise PatternError(
@@ -159,7 +182,7 @@ class SlotLayout:
 
     @classmethod
     def of(cls, mask: SparseMask) -> "SlotLayout":
-        keep = mask.mask != 0.0
+        keep = mask.mask
         m, n = keep.shape
         idx, slot, rows, cols = _slot_rows(keep)
         pos = np.full(idx.size, m * n, dtype=np.intp)
@@ -297,8 +320,8 @@ def build_mask(
         # Stable sort of negated scores: ties stay in ascending column order,
         # so the earliest column wins a tie.
         order = np.argsort(-groups, axis=2, kind="stable")
-        mask3 = np.zeros_like(groups)
-        np.put_along_axis(mask3, order[:, :, : pattern.n_keep], 1.0, axis=2)
+        mask3 = np.zeros(groups.shape, dtype=bool)
+        np.put_along_axis(mask3, order[:, :, : pattern.n_keep], True, axis=2)
         return SparseMask(mask3.reshape(rows, cols), pattern)
 
     if row_wise:
@@ -315,7 +338,7 @@ def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:
     the earliest index survives.
     """
     if n_zero == 0:
-        return np.ones(scores.shape, dtype=np.float64)
+        return np.ones(scores.shape, dtype=bool)
     rows, cols = scores.shape
     cut = np.partition(scores, n_zero - 1, axis=1)[:, n_zero - 1 : n_zero]
     keep = scores >= cut
@@ -326,7 +349,7 @@ def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:
     row_ends = np.cumsum(np.bincount(tie_rows, minlength=rows))
     from_right = row_ends[tie_rows] - np.arange(tied.size)
     keep.ravel()[tied[from_right <= need[tie_rows]]] = False
-    return keep.astype(np.float64)
+    return keep
 
 
 def apply_mask(w: np.ndarray, mask: SparseMask) -> PrunedLayer:
@@ -334,11 +357,7 @@ def apply_mask(w: np.ndarray, mask: SparseMask) -> PrunedLayer:
     w = as_matrix(w, "weight")
     if w.shape != mask.shape:
         raise ShapeError(f"weight {w.shape} and mask {mask.shape} differ")
-    new_w = hadamard(w, mask.mask)
-    # negative * 0.0 leaves -0.0 behind; pin masked slots to canonical +0.0
-    # so byte-level comparisons of pruned tensors behave
-    new_w[mask.mask == 0.0] = 0.0
-    return PrunedLayer(new_w, mask)
+    return PrunedLayer(np.where(mask.mask, w, 0.0), mask)
 
 
 @dataclass
@@ -362,25 +381,27 @@ def verify_mask(layer: PrunedLayer) -> MaskReport:
     listing the offending (row, col) positions, or when the mask does not
     satisfy its declared pattern.
     """
-    mask = layer.mask.mask
+    keep = layer.mask.mask
     pattern = layer.mask.pattern
-    bad = (mask == 0.0) & (layer.weight != 0.0)
+    bad = ~keep & (layer.weight != 0.0)
     # argwhere scans the whole matrix even when nothing is set; any() is cheap.
     violations = [(int(r), int(c)) for r, c in np.argwhere(bad)] if bad.any() else []
 
-    total = mask.size
-    zeros = total - int(np.count_nonzero(mask))
+    total = keep.size
+    zeros = total - int(np.count_nonzero(keep))
     nnz = int(np.count_nonzero(layer.weight))
 
+    rows, cols = keep.shape
     if isinstance(pattern, NofM):
-        rows, cols = mask.shape
-        groups = mask.reshape(rows, cols // pattern.m_group, pattern.m_group)
+        groups = keep.reshape(rows, cols // pattern.m_group, pattern.m_group)
         # Adding the m column slices is several times faster than a reduce
-        # over a short last axis; sums of zeros and ones are exact either way.
-        group_sums = sum(groups[:, :, k] for k in range(pattern.m_group))
+        # over a short last axis.  The counts must be integers: bool + bool
+        # is a logical or.
+        group_sums = np.zeros((rows, cols // pattern.m_group), dtype=np.intp)
+        for k in range(pattern.m_group):
+            group_sums += groups[:, :, k]
         pattern_ok = bool((group_sums == pattern.n_keep).all())
     else:
-        rows, cols = mask.shape
         expected = {int(pattern.ratio * total), rows * int(pattern.ratio * cols)}
         pattern_ok = zeros in expected
 

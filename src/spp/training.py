@@ -95,10 +95,10 @@ def adamw_step(
 
 
 def fixed_mask_sgd_step(layer: PrunedLayer, grad: np.ndarray, lr: float) -> PrunedLayer:
-    """Sparse retraining update: w -= lr * (grad * mask), zeros untouched."""
+    """Sparse retraining update: w -= lr * grad where kept, zeros untouched."""
     if grad.shape != layer.shape:
         raise ShapeError(f"grad {grad.shape} does not match layer {layer.shape}")
-    new_w = layer.weight - lr * (grad * layer.mask.mask)
+    new_w = layer.weight - lr * np.where(layer.mask.mask, grad, 0.0)
     return PrunedLayer(new_w, layer.mask)
 
 
@@ -342,10 +342,10 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
                 if cfg.optimizer == "sgd":
                     nl.layer = fixed_mask_sgd_step(nl.layer, d_w, lr)
                 else:
-                    masked = d_w * nl.layer.mask.mask
+                    # d_w is already +0.0 off the mask (see net_backward).
                     new_w, adam_states[(i, "w")] = adamw_step(
                         nl.layer.weight,
-                        masked,
+                        d_w,
                         adam_states.get((i, "w")),
                         lr,
                         cfg.weight_decay,

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 
-from spp import Rng, matmul, repeat_rows, spp_effective_weight
+from spp import Rng, matmul, spp_effective_weight
 
 
 def rand_matrix(rng: Rng, rows: int, cols: int, lo: float = -1.0, hi: float = 1.0):
@@ -87,7 +87,7 @@ def spp_backward_dense(x_dropped, dropout_mask, layer, adapter, d_y):
     block = m // adapter.r
     h = adapter.s * matmul(d_y.T, x_dropped.T)
     hw = h * layer.weight
-    rep = repeat_rows(adapter.alpha, block)
+    rep = np.repeat(adapter.alpha, block, axis=0)
     d_beta = (hw * rep).sum(axis=1, keepdims=True)
     d_alpha = (hw * adapter.beta).reshape(adapter.r, block, n).sum(axis=1)
     w_eff = spp_effective_weight(layer, adapter)

@@ -18,7 +18,6 @@ from spp import (
     lora_forward,
     lora_init,
     lora_merge_dense,
-    lora_star_reprune,
     matmul,
     score_magnitude,
     spp_backward,
@@ -249,6 +248,27 @@ def test_optimized_path_never_allocates_weight_sized_buffer():
     assert peak_transient_bytes(spp_effective_weight, layer, ad) >= m * n * 8
 
 
+def test_merge_holds_one_weight_sized_buffer():
+    rng = Rng(55)
+    m = n = 256
+    layer = random_pruned(rng, m, n, pattern=Unstructured(0.75))
+    ad = adapter_for(layer, rng, r=16, random_beta=True)
+    assert peak_transient_bytes(spp_merge, layer, ad) < 2 * m * n * 8
+
+
+def test_forward_frees_batch_buffers_before_the_output():
+    rng = Rng(56)
+    m = n = 64
+    b = 2048
+    layer = random_pruned(rng, m, n)
+    ad = adapter_for(layer, rng, r=4, random_beta=True)
+    x = rand_matrix(rng, b, n)
+    spp_forward_naive(x, layer, ad)  # the first call builds the slot layout
+    # x.T, base, branch and one gather buffer are live in the loop; the
+    # output comes after three of them are gone.
+    assert peak_transient_bytes(spp_forward_naive, x, layer, ad) < 4.5 * b * m * 8
+
+
 def test_both_zero_init_warns():
     with pytest.warns(UserWarning):
         SppAdapter(alpha=np.zeros((2, 4)), beta=np.zeros((4, 1)), r=2)
@@ -283,7 +303,7 @@ def test_lora_merge_densifies_and_reprune_restores():
     ad = LoraAdapter(a=a, b=b, s=1.0, p=0.0)
     dense = lora_merge_dense(layer, ad)
     assert np.count_nonzero(dense) > np.count_nonzero(layer.weight)
-    repruned = lora_star_reprune(dense, layer.mask)
+    repruned = apply_mask(dense, layer.mask)
     assert verify_mask(repruned).ok
     assert np.all(repruned.weight[layer.mask.mask == 0.0] == 0.0)
     # kept positions carry the dense update

@@ -370,6 +370,19 @@ def test_merge_lora_reprune_restores_mask(tmp_path, capsys):
     assert main(["verify", merged]) == 0
 
 
+def test_merge_refuses_weight_off_its_mask(tmp_path, capsys):
+    attached = attached_store(tmp_path)
+    st = store_read(attached)
+    w = st.get("a")
+    zr, zc = np.argwhere(st.get("a.mask") == 0)[0]
+    w[zr, zc] = 0.25
+    store_write(st, attached)
+    out = tmp_path / "m.spp"
+    assert main(["merge", attached, str(out)]) == 3
+    assert "broke the mask of 'a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_merge_without_adapters(tmp_path, capsys):
     pruned = pruned_store(tmp_path)
     assert main(["merge", pruned, str(tmp_path / "m.spp")]) == 2
@@ -392,6 +405,27 @@ def test_verify_flags_corrupted_weight(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert f"({zr}, {zc})" in out
+
+
+def test_verify_infers_unstructured_ratio_without_meta(tmp_path, capsys):
+    # 15 zeros of 22: int((15 / 22) * 22) is 14, so a ratio of plain
+    # zeros / total would fail this valid mask.
+    mask = np.ones((2, 11), dtype=np.uint8)
+    mask.ravel()[:15] = 0
+    w = np.where(mask == 1, 0.5, 0.0)
+    path = write_weights(tmp_path / "m.spp", {"w": w, "w.mask": mask})
+    assert main(["verify", path]) == 0
+    assert "pattern=unstructured ratio=0.6818 nnz=7 ok" in capsys.readouterr().out
+
+
+def test_verify_rejects_non_binary_mask(tmp_path, capsys):
+    mask = np.ones((4, 8), dtype=np.uint8)
+    mask[1, 2] = 2
+    path = write_weights(
+        tmp_path / "m.spp", {"w": np.ones((4, 8)), "w.mask": mask}, {"pattern": "2:4"}
+    )
+    assert main(["verify", path]) == 2
+    assert "mask entries must be exactly 0 or 1" in capsys.readouterr().err
 
 
 def test_verify_flags_pattern_breach(tmp_path, capsys):

@@ -1,17 +1,9 @@
 import numpy as np
 import pytest
 
-from spp import (
-    Rng,
-    ShapeError,
-    as_matrix,
-    broadcast_col,
-    hadamard,
-    matmul,
-    repeat_rows,
-)
+from spp import Rng, ShapeError, as_matrix, matmul
 
-from helpers import matmul_oracle, peak_transient_bytes, rand_int_matrix, rand_matrix
+from helpers import matmul_oracle, peak_transient_bytes, rand_matrix
 
 
 def test_matmul_hand_example():
@@ -52,49 +44,6 @@ def test_matmul_works_on_transposed_views():
     # (3, 4) @ (4, 6) expressed through the transposed-right primitive
     got = matmul(a.T, w.T)
     assert np.array_equal(got, matmul_oracle(np.ascontiguousarray(a.T), np.ascontiguousarray(w.T)))
-
-
-def test_hadamard_and_errors():
-    x = np.array([[1.0, -2.0], [3.0, 0.0]])
-    y = np.array([[5.0, 4.0], [-1.0, 9.0]])
-    assert hadamard(x, y).tolist() == [[5.0, -8.0], [-3.0, 0.0]]
-    with pytest.raises(ShapeError):
-        hadamard(x, np.ones((1, 2)))
-
-
-def test_hadamard_commutative_associative_over_exact_values():
-    rng = Rng(11)
-    for _ in range(20):
-        a = rand_int_matrix(rng, 4, 5)
-        b = rand_int_matrix(rng, 4, 5)
-        c = rand_int_matrix(rng, 4, 5)
-        assert np.array_equal(hadamard(a, b), hadamard(b, a))
-        assert np.array_equal(hadamard(hadamard(a, b), c), hadamard(a, hadamard(b, c)))
-
-
-def test_repeat_rows_definition():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = repeat_rows(a, 3)
-    assert out.shape == (6, 2)
-    for i in range(6):
-        assert np.array_equal(out[i], a[i // 3])
-
-
-def test_repeat_rows_block_sum_recovers_scaled_input():
-    rng = Rng(2)
-    a = rand_int_matrix(rng, 3, 4)
-    k = 4
-    out = repeat_rows(a, k)
-    summed = out.reshape(3, k, 4).sum(axis=1)
-    assert np.array_equal(summed, k * a)
-
-
-def test_broadcast_col():
-    v = np.array([[2.0], [7.0]])
-    out = broadcast_col(v, 3)
-    assert out.tolist() == [[2.0, 2.0, 2.0], [7.0, 7.0, 7.0]]
-    with pytest.raises(ShapeError):
-        broadcast_col(np.ones((2, 2)), 3)
 
 
 def test_as_matrix_rejects_bad_input():

@@ -6,6 +6,7 @@ from spp import (
     PatternError,
     Rng,
     ShapeError,
+    SparseMask,
     Unstructured,
     apply_mask,
     build_mask,
@@ -37,6 +38,43 @@ def test_build_mask_nofm_hand_example():
     scores = np.array([[1.0, 3.0, 2.0, 4.0]])
     mask = build_mask(scores, NofM(2, 4))
     assert mask.mask.tolist() == [[0.0, 1.0, 0.0, 1.0]]
+
+
+def test_masks_are_contiguous_bool_keep_matrices():
+    scores = rand_matrix(Rng(30), 4, 8, 0.0, 1.0)
+    for pattern, row_wise in (
+        (NofM(2, 4), False),
+        (Unstructured(0.5), False),
+        (Unstructured(0.5), True),
+        (Unstructured(0.0), False),
+    ):
+        mask = build_mask(scores, pattern, row_wise=row_wise).mask
+        assert mask.dtype == bool and mask.flags.c_contiguous
+    from_floats = SparseMask(np.array([[1.0, 0.0], [-0.0, 1.0]]), Unstructured(0.5))
+    assert from_floats.mask.dtype == bool
+    assert from_floats.mask.tolist() == [[True, False], [False, True]]
+
+
+def test_sparse_mask_rejects_bad_input():
+    pattern = Unstructured(0.5)
+    for bad in (np.array([[1, 2]]), np.array([[1.0, np.nan]]), np.array([[0.5, 1.0]])):
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            SparseMask(bad, pattern)
+    for bad in (np.ones((2, 2, 2)), np.ones((0, 4)), np.ones(4)):
+        with pytest.raises(ShapeError):
+            SparseMask(bad, pattern)
+    with pytest.raises(PatternError):
+        SparseMask(np.ones((2, 6)), NofM(2, 4))
+
+
+def test_inferred_unstructured_ratio_matches_the_zero_count():
+    # zeros / total alone falls one short for some pairs: int((15/22) * 22) == 14.
+    assert int((15 / 22) * 22) == 14
+    assert Unstructured.matching(15, 22).ratio > 15 / 22
+    for total in range(1, 513):
+        for zeros in range(total):
+            ratio = Unstructured.matching(zeros, total).ratio
+            assert int(ratio * total) == zeros, (zeros, total)
 
 
 def test_build_mask_tie_break_keeps_earliest():
