@@ -62,7 +62,6 @@ from .training import (
     count_trainable,
     cross_entropy_loss,
     eval_loss,
-    fixed_mask_sgd_step,
     lr_schedule,
     make_teacher_student,
     mse_loss,

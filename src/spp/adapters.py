@@ -12,21 +12,23 @@ dropout on the adapter branch only.  Because W' is W times something, every
 zero of W stays exactly zero, through training and through merging.
 
 There is one forward, and it computes on the sparsity.  Every product
-against W or W' runs on the layer's slot layout (``SparseMask.slots``), the
-way the kernels in ``numerics`` do: K * m * b multiply-adds instead of
-m * n * b, where K is the largest number of kept entries in a row, and
-bit-identical to the dense products (``numerics`` says why).  W' is formed
-only at the slots, as (w * alpha[row // block, col]) * beta[row]: the same
-products in the same order as ``spp_effective_weight``, which stays as the
-dense reference and as the merge.  The forward forms W' one slot row at a
-time, so it makes no m x n array; its largest transient is W's values in
-slot order.
+against W or W' goes through the kernels in ``numerics`` on the layer's slot
+layout (``SparseMask.slots``): K * m * b multiply-adds instead of m * n * b,
+where K is the largest number of kept entries in a row, and bit-identical to
+the dense products (``numerics`` says why).  The forward gathers W's values
+at the slots once, computes the base term ``slot_matmul(x, idx, w)``, turns
+those values into W' in place, one slot row at a time, as
+(w * alpha[row // block, col]) * beta[row] (the same products in the same
+order as ``spp_effective_weight``, which stays as the dense reference and as
+the merge), and computes the branch with the same kernel.  It makes no
+m x n array; its largest transient is W's values in slot order.
 
-The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``),
-and d_x = G @ W + s * drop_backward(G @ W') through the transposed layout,
-for which it forms W' at all slots once.  d_beta and d_alpha scatter H * W,
-times alpha or beta, into one m x n buffer of zeros and reduce it exactly
-as the dense formulas do, so they match them bit for bit.
+The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``).
+d_beta and d_alpha scatter H * W, times alpha or beta, to m x n
+(``SlotLayout.scatter``) and reduce it exactly as the dense formulas do, so
+they match them bit for bit.  d_x = G @ W + s * drop_backward(G @ W') reads
+the slot values through the transposed layout, first W's, then W' formed in
+place by the forward's helper.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -50,7 +52,7 @@ from .rng import Rng
 
 @dataclass
 class DropoutMask:
-    """Inverted-dropout realization: keep pattern, rate, and rescale factor.
+    """Inverted-dropout realization: keep pattern and rescale factor.
 
     ``keep`` is a bool matrix over the input shape, or None for the identity
     (eval mode or p = 0).  Kept entries are scaled by 1 / (1 - p) so the map
@@ -59,7 +61,6 @@ class DropoutMask:
     """
 
     keep: np.ndarray | None
-    p: float
     scale: float
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -74,7 +75,7 @@ class DropoutMask:
         return out
 
 
-_IDENTITY_DROPOUT = DropoutMask(keep=None, p=0.0, scale=1.0)
+_IDENTITY_DROPOUT = DropoutMask(keep=None, scale=1.0)
 
 
 def dropout_apply(
@@ -93,7 +94,7 @@ def dropout_apply(
     if rng is None:
         raise ValueError("training-mode dropout with p > 0 requires an rng")
     u = rng.doubles(x.size).reshape(x.shape)
-    mask = DropoutMask(keep=u >= p, p=p, scale=1.0 / (1.0 - p))
+    mask = DropoutMask(keep=u >= p, scale=1.0 / (1.0 - p))
     return mask.apply(x), mask
 
 
@@ -166,12 +167,29 @@ def spp_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> SppAdapter
     return SppAdapter(alpha=alpha, beta=beta, r=r, s=s, p=p)
 
 
-def _check_adapter_layer(layer: PrunedLayer, adapter: SppAdapter) -> None:
+def _check_adapter_layer(layer: PrunedLayer, adapter: "SppAdapter | LoraAdapter") -> None:
     m, n = layer.shape
     if adapter.m != m or adapter.n != n:
         raise ShapeError(
             f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
         )
+
+
+def _effective_at_slots(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter) -> None:
+    """Turn W's slot values ``w`` (K, m) into W' = (w * alpha) * beta, in place.
+
+    One slot row at a time: scaling all K rows by beta in one broadcast makes
+    NumPy allocate a 64 KiB ufunc buffer on top of the slot values.
+    """
+    m = idx.shape[1]
+    alpha = adapter.alpha.ravel()
+    alpha_row = np.arange(m) // (m // adapter.r) * adapter.n
+    beta = adapter.beta[:, 0]
+    alpha_at = np.empty(m, dtype=np.float64)
+    for w_t, cols in zip(w, idx):
+        alpha.take(alpha_row + cols, mode="clip", out=alpha_at)
+        w_t *= alpha_at
+        w_t *= beta
 
 
 def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
@@ -243,36 +261,12 @@ def spp_forward_naive(
         raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
     x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
     slots = layer.mask.slots
-    m, n = layer.shape
     w = slots.grid(slots.values(layer.weight))
-    alpha = adapter.alpha.ravel()
-    alpha_row = np.arange(m) // (m // adapter.r) * n
-    beta = adapter.beta[:, 0]
-    x_cols = np.ascontiguousarray(x.T)
-    x_dropped_cols = x_cols if x_dropped is x else np.ascontiguousarray(x_dropped.T)
-    # Both products accumulate transposed, (m, b), one slot at a time, as in
-    # numerics.slot_matmul.  W' is formed one slot row at a time, as
-    # (alpha * w) * beta; a product of two factors does not depend on their
-    # order, so this is spp_effective_weight's (w * alpha) * beta.
-    base = np.zeros((m, x.shape[0]), dtype=np.float64)
-    branch = np.zeros_like(base)
-    buf = np.empty_like(base)
-    w_eff = np.empty(m, dtype=np.float64)
-    for t, cols in enumerate(slots.idx):
-        np.take(alpha, alpha_row + cols, mode="clip", out=w_eff)
-        w_eff *= w[t]
-        w_eff *= beta
-        np.take(x_cols, cols, axis=0, mode="clip", out=buf)
-        buf *= w[t][:, None]
-        base += buf
-        np.take(x_dropped_cols, cols, axis=0, mode="clip", out=buf)
-        buf *= w_eff[:, None]
-        branch += buf
+    y = slot_matmul(x, slots.idx, w)
+    _effective_at_slots(w, slots.idx, adapter)
+    branch = slot_matmul(x_dropped, slots.idx, w)
     branch *= adapter.s
-    base += branch
-    # Free the batch-sized buffers before y is allocated.
-    del branch, buf, x_cols, x_dropped_cols
-    y = np.ascontiguousarray(base.T)
+    y += branch
     if not training:
         return y, None
     return y, SppCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter)
@@ -305,29 +299,23 @@ def spp_backward(
         )
     slots = layer.mask.slots
     w = slots.values(layer.weight)
+    w_slots = slots.grid(w)
     alpha_at = adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx]
     hw = adapter.s * sampled_matmul(d_y, cache.x_dropped, slots.idx)
-    hw *= slots.grid(w)
+    hw *= w_slots
     # The sums run over the dense m x n layout, zeros included, so that they
-    # pair up terms exactly as the dense formulas do.  Padded slots write to
-    # the extra last entry, which is never read.
-    dense = np.zeros(m * n + 1, dtype=np.float64)
-    grid = dense[:-1].reshape(m, n)
-    dense[slots.pos] = hw * alpha_at
-    d_beta = grid.sum(axis=1, keepdims=True)
-    dense[slots.pos] = hw * adapter.beta[:, 0]
-    d_alpha = grid.reshape(adapter.r, m // adapter.r, n).sum(axis=1)
+    # pair up terms exactly as the dense formulas do.
+    d_beta = slots.scatter(hw * alpha_at).sum(axis=1, keepdims=True)
+    d_alpha = slots.scatter(hw * adapter.beta[:, 0])
+    d_alpha = d_alpha.reshape(adapter.r, m // adapter.r, n).sum(axis=1)
 
     d_x = None
     if input_grad:
-        # W' once for the whole backward, at the row slots, then read in
-        # transposed order through t2r, whose padded slots read the trailing 0.0.
-        w_eff = np.zeros_like(w)
-        w_eff_grid = slots.grid(w_eff)
-        np.multiply(slots.grid(w), alpha_at, out=w_eff_grid)
-        w_eff_grid *= adapter.beta[:, 0]
+        # Transposed slots read ``w`` through t2r; padded ones read its
+        # trailing 0.0.
         d_x = slot_matmul(d_y, slots.idx_t, w[slots.t2r])
-        d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w_eff[slots.t2r]))
+        _effective_at_slots(w_slots, slots.idx, adapter)
+        d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w[slots.t2r]))
     return AdapterGrads(d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 
@@ -416,13 +404,9 @@ def lora_forward(
 ) -> tuple[np.ndarray, LoraCache | None]:
     """y = x @ W.T + s * drop(x) @ A.T @ B.T."""
     x = as_matrix(x, "x")
-    m, n = layer.shape
-    if adapter.m != m or adapter.n != n:
-        raise ShapeError(
-            f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
-        )
-    if x.shape[1] != n:
-        raise ShapeError(f"input has {x.shape[1]} features, layer expects {n}")
+    _check_adapter_layer(layer, adapter)
+    if x.shape[1] != layer.shape[1]:
+        raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
     x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
     base = layer.apply(x)
     u = matmul(x_dropped, adapter.a)
@@ -459,9 +443,5 @@ def lora_backward(
 
 def lora_merge_dense(layer: PrunedLayer, adapter: LoraAdapter) -> np.ndarray:
     """Fold the low-rank update in: W + s * B @ A.  Generically dense."""
-    m, n = layer.shape
-    if adapter.m != m or adapter.n != n:
-        raise ShapeError(
-            f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
-        )
+    _check_adapter_layer(layer, adapter)
     return layer.weight + adapter.s * matmul(adapter.b, adapter.a.T)

@@ -377,8 +377,8 @@ def cmd_train(args) -> int:
                     f"frozen base weight {b.name!r} changed during adapter training"
                 )
 
-    # Push trained state back into the bundles (adapters were updated in
-    # place; baseline mode replaced the PrunedLayer objects).
+    # Push trained state back into the bundles (training replaces the
+    # adapter factors, or in baseline mode the weights, with new arrays).
     for nl, b in zip(net.layers, ordered):
         b.weight = nl.layer.weight
         b.adapter = nl.adapter

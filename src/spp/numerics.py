@@ -7,18 +7,21 @@ inner-index order, so its output is bit-identical to a naive triple loop on
 every platform.  That property is what makes checkpoints and run logs
 byte-reproducible, so do not swap the loop for a BLAS call.
 
-Products against a pruned weight run on its slot layout instead (see
-``pruning.SlotLayout``): slot t of row i holds the t-th kept column of that
-row, in ascending column order, and rows with fewer kept entries than the
-longest row are padded with slots that read column 0 against a weight of
-0.0.  ``slot_matmul`` and ``sampled_matmul`` add the same products in the
-same ascending order as ``matmul``, only without the terms whose weight is
-zero, and they are bit-identical to it: every accumulator starts at +0.0,
-and a sum that starts at +0.0 can never become -0.0, because x + y is -0.0
-only when both are.  Adding a term x * (+-0.0), which is +-0.0 for finite x,
-therefore never changes an accumulator, so skipping it (or adding it again
-for a padded slot) changes no bit.  Inputs are finite because ``as_matrix``
-enforces it.  No canonicalization of zero signs is needed.
+Products against a pruned weight run on its slot layout instead, through
+``slot_matmul`` and ``sampled_matmul`` only: ``PrunedLayer``, both adapters
+and the training loop call no other kernel on it.  ``pruning.SlotLayout``
+owns the layout, gathers a weight's values into slot order and scatters
+per-slot results back to m x n.  Slot t of row i holds the t-th kept column
+of that row, in ascending column order, and rows with fewer kept entries
+than the longest row are padded with slots that read column 0 against a
+weight of 0.0.  ``slot_matmul`` and ``sampled_matmul`` add the same products
+in the same ascending order as ``matmul``, only without the terms whose
+weight is zero, and they are bit-identical to it: every accumulator starts
+at +0.0, and a sum that starts at +0.0 can never become -0.0, because x + y
+is -0.0 only when both are.  Adding a term x * (+-0.0), which is +-0.0 for
+finite x, therefore never changes an accumulator, so skipping it (or adding
+it again for a padded slot) changes no bit.  Inputs are finite because
+``as_matrix`` enforces it.  No canonicalization of zero signs is needed.
 """
 
 import numpy as np
@@ -82,12 +85,15 @@ def slot_matmul(a: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     a_cols = np.ascontiguousarray(a.T)
     acc = np.zeros((cols, rows), dtype=np.float64)
     buf = np.empty((cols, rows), dtype=np.float64)
-    for t in range(idx.shape[0]):
+    for cols_t, vals_t in zip(idx, vals[:, :, None]):
         # Every index is in range.  The default mode="raise" would gather
-        # into a fresh temporary and copy it to ``out`` on every call.
-        np.take(a_cols, idx[t], axis=0, mode="clip", out=buf)
-        buf *= vals[t][:, None]
+        # into a fresh temporary and copy it to ``out`` on every call.  The
+        # method skips np.take's dispatch, which the loop pays K times.
+        a_cols.take(cols_t, axis=0, mode="clip", out=buf)
+        buf *= vals_t
         acc += buf
+    # Free the batch-sized buffers before the output is allocated.
+    del a_cols, buf
     return np.ascontiguousarray(acc.T)
 
 
@@ -100,8 +106,8 @@ def sampled_matmul(g: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(idx.shape, dtype=np.float64)
     buf = np.empty(idx.shape, dtype=np.float64)
-    for i in range(g.shape[0]):
-        np.take(x[i], idx, mode="clip", out=buf)
-        buf *= g[i]
+    for g_i, x_i in zip(g, x):
+        x_i.take(idx, mode="clip", out=buf)
+        buf *= g_i
         out += buf
     return out

@@ -217,6 +217,14 @@ class SlotLayout:
         out[-1] = 0.0
         return out
 
+    def scatter(self, vals: np.ndarray) -> np.ndarray:
+        """A fresh (m, n) array: ``vals`` (K, m) at the kept positions, +0.0 elsewhere."""
+        m, n = self.idx.shape[1], self.idx_t.shape[1]
+        out = np.zeros(m * n + 1, dtype=np.float64)
+        # Padded slots write to the extra last entry, which is dropped.
+        out[self.pos] = vals
+        return out[:-1].reshape(m, n)
+
 
 @dataclass
 class PrunedLayer:

@@ -94,14 +94,6 @@ def adamw_step(
     return new_param, AdamState(m=m, v=v, t=t)
 
 
-def fixed_mask_sgd_step(layer: PrunedLayer, grad: np.ndarray, lr: float) -> PrunedLayer:
-    """Sparse retraining update: w -= lr * grad where kept, zeros untouched."""
-    if grad.shape != layer.shape:
-        raise ShapeError(f"grad {grad.shape} does not match layer {layer.shape}")
-    new_w = layer.weight - lr * np.where(layer.mask.mask, grad, 0.0)
-    return PrunedLayer(new_w, layer.mask)
-
-
 # ---------------------------------------------------------------------------
 # the toy net
 
@@ -197,12 +189,8 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
         if nl.activation == "relu":
             g = g * (pre > 0.0)
         if nl.adapter is None:
-            m, n = nl.layer.shape
             slots = nl.layer.mask.slots
-            # Padded slots write to the extra last entry, which is dropped.
-            d_w = np.zeros(m * n + 1, dtype=np.float64)
-            d_w[slots.pos] = sampled_matmul(g, cache, slots.idx)
-            grads[i] = d_w[:-1].reshape(m, n)
+            grads[i] = slots.scatter(sampled_matmul(g, cache, slots.idx))
             g = nl.layer.apply_transpose(g) if i > 0 else None
         elif isinstance(nl.adapter, SppAdapter):
             ag = spp_backward(cache, g, input_grad=i > 0)
@@ -278,21 +266,21 @@ class RunRecord:
         return out
 
 
-def _iter_params(net: ToyNet):
-    """Yield (key, get, set, grad-extractor) for every trainable tensor."""
-    for i, nl in enumerate(net.layers):
-        if isinstance(nl.adapter, SppAdapter):
-            ad = nl.adapter
-            yield (i, "alpha"), ad.alpha, lambda v, ad=ad: setattr(ad, "alpha", v), (
-                lambda g: g.d_alpha
-            )
-            yield (i, "beta"), ad.beta, lambda v, ad=ad: setattr(ad, "beta", v), (
-                lambda g: g.d_beta
-            )
+def _trainable(net: ToyNet, grads, fixed_mask_baseline: bool):
+    """Yield (owner, attribute, gradient) for every tensor a step updates.
+
+    In adapter mode that is every adapter factor, and no weight; in baseline
+    mode every weight, whose gradient is +0.0 off its mask.
+    """
+    for nl, g in zip(net.layers, grads):
+        if fixed_mask_baseline:
+            yield nl.layer, "weight", g
+        elif isinstance(nl.adapter, SppAdapter):
+            yield nl.adapter, "alpha", g.d_alpha
+            yield nl.adapter, "beta", g.d_beta
         elif isinstance(nl.adapter, LoraAdapter):
-            ad = nl.adapter
-            yield (i, "a"), ad.a, lambda v, ad=ad: setattr(ad, "a", v), (lambda g: g.d_a)
-            yield (i, "b"), ad.b, lambda v, ad=ad: setattr(ad, "b", v), (lambda g: g.d_b)
+            yield nl.adapter, "a", g.d_a
+            yield nl.adapter, "b", g.d_b
 
 
 def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
@@ -336,31 +324,16 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
 
         grads = net_backward(net, caches, d_pred)
 
-        if cfg.fixed_mask_baseline:
-            for i, nl in enumerate(net.layers):
-                d_w = grads[i]
-                if cfg.optimizer == "sgd":
-                    nl.layer = fixed_mask_sgd_step(nl.layer, d_w, lr)
-                else:
-                    # d_w is already +0.0 off the mask (see net_backward).
-                    new_w, adam_states[(i, "w")] = adamw_step(
-                        nl.layer.weight,
-                        d_w,
-                        adam_states.get((i, "w")),
-                        lr,
-                        cfg.weight_decay,
-                    )
-                    nl.layer = PrunedLayer(new_w, nl.layer.mask)
-        else:
-            for key, param, assign, pick in _iter_params(net):
-                g = pick(grads[key[0]])
-                if cfg.optimizer == "sgd":
-                    assign(param - lr * g)
-                else:
-                    new_p, adam_states[key] = adamw_step(
-                        param, g, adam_states.get(key), lr, cfg.weight_decay
-                    )
-                    assign(new_p)
+        trainable = _trainable(net, grads, cfg.fixed_mask_baseline)
+        for key, (owner, name, grad) in enumerate(trainable):
+            param = getattr(owner, name)
+            if cfg.optimizer == "sgd":
+                new = param - lr * grad
+            else:
+                new, adam_states[key] = adamw_step(
+                    param, grad, adam_states.get(key), lr, cfg.weight_decay
+                )
+            setattr(owner, name, new)
 
     if record.steps:
         record.train_loss = record.steps[-1][2]

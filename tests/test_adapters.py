@@ -264,8 +264,9 @@ def test_forward_frees_batch_buffers_before_the_output():
     ad = adapter_for(layer, rng, r=4, random_beta=True)
     x = rand_matrix(rng, b, n)
     spp_forward_naive(x, layer, ad)  # the first call builds the slot layout
-    # x.T, base, branch and one gather buffer are live in the loop; the
-    # output comes after three of them are gone.
+    # Each slot_matmul holds x.T, its accumulator and one gather buffer, and
+    # frees two of them before its output.  The branch product runs while
+    # the base output is live: four batch buffers at most.
     assert peak_transient_bytes(spp_forward_naive, x, layer, ad) < 4.5 * b * m * 8
 
 

@@ -509,8 +509,11 @@ def test_console_script_is_declared():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with open(pyproject, "rb") as f:
-        scripts = tomllib.load(f)["project"]["scripts"]
-    assert scripts["spp"] == "spp.cli:main_entry"
+        config = tomllib.load(f)
+    assert config["project"]["scripts"]["spp"] == "spp.cli:main_entry"
+    # A plain checkout runs the suite without installing: python -m pytest.
+    assert config["tool"]["pytest"]["ini_options"]["pythonpath"] == ["src"]
+    assert set(config["project"]["optional-dependencies"]["test"]) >= {"pytest", "hypothesis"}
 
 
 def test_module_run_without_args_exits_2():

@@ -21,7 +21,6 @@ from spp import (
     count_trainable,
     cross_entropy_loss,
     eval_loss,
-    fixed_mask_sgd_step,
     lr_schedule,
     make_teacher_student,
     mse_loss,
@@ -129,17 +128,6 @@ def test_adamw_shape_mismatch():
         adamw_step(np.ones((2, 2)), np.ones((2, 3)), None, lr=0.1)
 
 
-def test_fixed_mask_sgd_hand_example():
-    w = np.array([[1.0, 0.0]])
-    mask = SparseMask(np.array([[1.0, 0.0]]), Unstructured(0.5))
-    layer = PrunedLayer(w, mask)
-    new = fixed_mask_sgd_step(layer, np.array([[2.0, 5.0]]), lr=0.1)
-    assert new.weight.tolist() == [[0.8, 0.0]]
-    assert new.mask is mask
-    with pytest.raises(ShapeError):
-        fixed_mask_sgd_step(layer, np.ones((2, 2)), lr=0.1)
-
-
 # ---------------------------------------------------------------------------
 # losses and the net
 
@@ -229,6 +217,21 @@ def test_train_never_touches_base_weights():
     before = layer.weight.tobytes()
     train(ts.student, (ts.x_train, ts.y_train), TrainConfig(steps=30, seed=2))
     assert layer.weight.tobytes() == before
+
+
+def test_adapter_mode_keeps_adapterless_layers_frozen():
+    for optimizer in ("sgd", "adamw"):
+        rng = Rng(7)
+        w0, w1 = rand_matrix(rng, 16, 12), rand_matrix(rng, 8, 16)
+        hidden = apply_mask(w0, build_mask(score_magnitude(w0), NofM(2, 4)))
+        out = apply_mask(w1, build_mask(score_magnitude(w1), NofM(2, 4)))
+        ad = spp_init(8, 16, 4, 1.0, 0.05, rng)
+        net = ToyNet([NetLayer(hidden, activation="relu"), NetLayer(out, adapter=ad)])
+        before = [hidden.weight.tobytes(), out.weight.tobytes()]
+        data = (rand_matrix(rng, 64, 12), rand_matrix(rng, 64, 8))
+        train(net, data, TrainConfig(steps=10, optimizer=optimizer, batch_size=16, seed=7))
+        assert [nl.layer.weight.tobytes() for nl in net.layers] == before, optimizer
+        assert np.any(ad.beta != 0.0), optimizer
 
 
 def test_train_mode_validation():
