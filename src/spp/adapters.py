@@ -28,7 +28,7 @@ d_beta and d_alpha scatter H * W, times alpha or beta, to m x n
 (``SlotLayout.scatter``) and reduce it exactly as the dense formulas do, so
 they match them bit for bit.  d_x = G @ W + s * drop_backward(G @ W') reads
 the slot values through the transposed layout, first W's, then W' formed in
-place by the forward's helper.
+place from the alpha values that d_beta already gathered.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -314,7 +314,9 @@ def spp_backward(
         # Transposed slots read ``w`` through t2r; padded ones read its
         # trailing 0.0.
         d_x = slot_matmul(d_y, slots.idx_t, w[slots.t2r])
-        _effective_at_slots(w_slots, slots.idx, adapter)
+        # W' = (w * alpha) * beta in place, from the alpha already gathered.
+        w_slots *= alpha_at
+        w_slots *= adapter.beta[:, 0]
         d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w[slots.t2r]))
     return AdapterGrads(d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 

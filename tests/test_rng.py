@@ -1,8 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spp import Rng
+from spp import rng as rng_module
 from spp.rng import splitmix64
+
+from helpers import peak_transient_bytes
 
 # Published splitmix64 outputs for seed 0 (same constants as Java's
 # SplittableRandom); an implementation that matches these and the xoshiro
@@ -48,6 +55,26 @@ GOLDEN_DOUBLES_SEED42 = [
     0.8777672296213497,
 ]
 
+# sha256 of Rng(seed).doubles(count).tobytes(), frozen from the one-draw-at-a-
+# time loop that preceded the lane path.  The counts are recovery-64's and
+# cli-512's per-step dropout draws and recovery-64's task build.
+PINNED_DOUBLES_SHA256 = {
+    (1, 2048): "01705e39cf16bde4a559e50caf308c36ae8f7bc6fc3b90413e393d7b59114d26",
+    (1, 16384): "8ce25a18295b4bab371a2a551ffade95588552111fd2a80d1f4759de659aeb49",
+    (1, 135168): "d4fd17bb4f1615a1725d17e28cb4ec94cd2b7ca9d6fdbecff8b2c1c0c1fc2506",
+    (42, 2048): "1eb2e08331390daaa2946b40dc5e61779d16c08c25299c2e26a39eb0daf84dbc",
+    (42, 16384): "b184ab57ab13078f71d135b831e75a6468f5093a7f596ef24a9e0b4cd2f21e71",
+    (42, 135168): "fe16cb6b1c995b5c2848dc01649a7d822b13a10cc7f5bde1a35a5a4b3f807b8f",
+    (2**64 - 1, 2048): "dcf5376fe53b9179cacbdeeb5780ede0e425ab618d5c153cef79979e68f48ab8",
+    (2**64 - 1, 16384): "2ec075548ef0ffdbf1c548543b408c8ecefd1848f7ef35ec0314d4139794d415",
+    (2**64 - 1, 135168): "492c6563039ff5579ae9330a39bbaf5a3035ce53e41be3364a6c380c12243917",
+}
+
+CROSSOVER = rng_module._CROSSOVER
+BLOCK = rng_module._BLOCK
+EDGE_COUNTS = [0, 1, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+               2 * BLOCK + 5]
+
 
 def test_splitmix64_published_vectors():
     state = 0
@@ -89,6 +116,43 @@ def test_bulk_doubles_equals_scalar_stream():
     want = np.array([scalar.next_double() for _ in range(100)])
     got = bulk.doubles(100)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, BLOCK + 1)), max_size=3),
+)
+def test_any_split_of_lane_draws_equals_the_scalar_stream(seed, counts):
+    scalar = Rng(seed)
+    want = np.array([scalar.next_double() for _ in range(sum(counts))])
+    bulk = Rng(seed)
+    got = np.concatenate([np.empty(0)] + [bulk.doubles(c) for c in counts])
+    assert got.tobytes() == want.tobytes()
+    assert bulk._s == scalar._s
+
+
+@pytest.mark.parametrize("seed,count", sorted(PINNED_DOUBLES_SHA256))
+def test_doubles_match_pinned_hashes(seed, count):
+    digest = hashlib.sha256(Rng(seed).doubles(count).tobytes()).hexdigest()
+    assert digest == PINNED_DOUBLES_SHA256[seed, count]
+
+
+@pytest.mark.parametrize("count", [5, CROSSOVER + 7])
+def test_numpy_integer_count_gives_the_same_draws(count):
+    assert Rng(9).doubles(np.int64(count)).tobytes() == Rng(9).doubles(count).tobytes()
+
+
+def test_lane_path_memory_is_bounded():
+    # Every lane shape up to the block size, and requests spanning blocks.
+    for k in range(18):
+        for count in (2**k - 1, 2**k, 2**k + 1, 3 * 2**k):
+            Rng(count).doubles(count)
+    assert sum(p.nbytes for p in rng_module._POWERS) <= 1 << 20
+    r = Rng(1)
+    r.doubles(1 << 17)
+    # The output itself is 1 MiB; the lanes may add at most 1 MiB more.
+    assert peak_transient_bytes(r.doubles, 1 << 17) <= 2 << 20
 
 
 def test_doubles_in_unit_interval_with_53_bit_grid():
