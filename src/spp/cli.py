@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 verification failure (or diverged training),
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import os
 import sys
@@ -574,7 +576,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h>
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed weight-sized buffers in the heap for the next command.
+
+    Every command allocates and frees a few weight-sized arrays.  glibc's
+    default thresholds adapt to past frees, so whether it hands the freed
+    top of the heap back to the OS, and the next command faults every page
+    in again, depends on where unrelated small allocations happened to land:
+    repeated merges of two 512x512 layers in one process took 2,524 minor
+    faults each or 1, from one run to the next.  Fixed thresholds (arrays
+    up to 32 MiB from the heap, its top trimmed only past 64 MiB) make that
+    the same every run.  Other C libraries are left as they are.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

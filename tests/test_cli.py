@@ -338,6 +338,38 @@ def test_merge_after_training_keeps_sparsity(tmp_path, capsys):
     assert main(["verify", merged]) == 0
 
 
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, AttributeError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="heap thresholds are set on glibc only")
+def test_repeated_merges_reuse_freed_memory(tmp_path):
+    # One process, four merges of two 512x512 layers.  Each merge frees
+    # about 10 MB of weight-sized buffers; the next must get them back from
+    # the heap, not fault fresh pages in (2,524 minor faults a merge when
+    # glibc hands them back to the OS).  A fresh child, so the heap holds
+    # nothing from earlier tests.
+    shapes = {"a": (512, 512), "b": (512, 512)}
+    attached = attached_store(tmp_path, shapes=shapes)
+    child = (
+        "import json, resource, sys\n"
+        "from spp.cli import main\n"
+        "faults = []\n"
+        "for _ in range(4):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert main(['merge', sys.argv[1], sys.argv[2]]) == 0\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(json.dumps(faults))\n"
+    )
+    r = _run_python("-c", child, attached, str(tmp_path / "merged.spp"))
+    assert r.returncode == 0, r.stderr
+    faults = json.loads(r.stdout.strip().splitlines()[-1])
+    assert max(faults[1:]) < 256, faults  # one 512x512 float64 array is 512 pages
+
+
 def test_merge_lora_densifies_with_warning(tmp_path, capsys):
     attached = attached_store(tmp_path, extra=("--kind", "lora"), r=2)
     data = make_data(tmp_path)
@@ -492,17 +524,23 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["prune", str(empty), "out.spp", "--pattern", "2:4"]) == 2
 
 
-def run_spp(*argv):
-    """Run `python -m spp *argv` in a child that imports this same `spp`."""
+def _run_python(*argv):
+    """Run `python *argv` in a child that imports this same `spp`."""
     src = str(Path(spp.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "spp", *argv],
+        [sys.executable, *argv],
         capture_output=True, text=True, timeout=120, env=env,
     )
+
+
+def run_spp(*argv):
+    """Run `python -m spp *argv` in a child that imports this same `spp`."""
+    return _run_python("-m", "spp", *argv)
+
 
 
 def test_console_script_is_declared():
