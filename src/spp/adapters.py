@@ -33,10 +33,16 @@ place from the alpha values that d_beta already gathered.
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
 exactly the failure mode the multiplicative form avoids.
+
+Each adapter class declares its ``kind`` ("spp", "lora"), keyed in
+``ADAPTERS``, and its trainable ``factors``: attribute names in constructor
+and optimizer order, each with a ``d_<factor>`` gradient from the kind's
+backward and a ``<name>.<kind>.<factor>`` store key.  The rank ``r`` is read
+off the factors; ``s`` and ``p`` are keyword-only.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -107,29 +113,26 @@ class SppAdapter:
     """Trainable multiplicative factors for one pruned layer.
 
     alpha: (r, n) block factor, beta: (m, 1) row factor, s: branch scale,
-    p: adapter-branch dropout rate.  r must divide the layer's row count m.
+    p: adapter-branch dropout rate.  r, alpha's row count, must divide the
+    layer's row count m.
     """
+
+    kind = "spp"
+    factors = ("alpha", "beta")
 
     alpha: np.ndarray
     beta: np.ndarray
-    r: int
+    _: KW_ONLY
     s: float = 1.0
     p: float = 0.05
 
     def __post_init__(self):
         self.alpha = as_matrix(self.alpha, "alpha")
         self.beta = as_matrix(self.beta, "beta")
-        if self.alpha.shape[0] != self.r:
-            raise ShapeError(
-                f"alpha has {self.alpha.shape[0]} rows, expected r = {self.r}"
-            )
         if self.beta.shape[1] != 1:
             raise ShapeError(f"beta must be a column (m, 1), got {self.beta.shape}")
-        if self.r < 1:
-            raise PatternError(f"r must be >= 1, got {self.r}")
-        m = self.beta.shape[0]
-        if m % self.r != 0:
-            raise PatternError(f"r = {self.r} does not divide m = {m}")
+        if self.m % self.r != 0:
+            raise PatternError(f"r = {self.r} does not divide m = {self.m}")
         if not (0.0 <= self.p < 1.0):
             raise ValueError(f"dropout rate must lie in [0, 1), got {self.p}")
         if not np.any(self.alpha) and not np.any(self.beta):
@@ -140,6 +143,10 @@ class SppAdapter:
                 UserWarning,
                 stacklevel=2,
             )
+
+    @property
+    def r(self) -> int:
+        return self.alpha.shape[0]
 
     @property
     def m(self) -> int:
@@ -164,7 +171,7 @@ def spp_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> SppAdapter
     bound = 1.0 / np.sqrt(n)
     alpha = rng.uniform(-bound, bound, r, n)
     beta = np.zeros((m, 1), dtype=np.float64)
-    return SppAdapter(alpha=alpha, beta=beta, r=r, s=s, p=p)
+    return SppAdapter(alpha=alpha, beta=beta, s=s, p=p)
 
 
 def _check_adapter_layer(layer: PrunedLayer, adapter: "SppAdapter | LoraAdapter") -> None:
@@ -342,8 +349,12 @@ def spp_merge(layer: PrunedLayer, adapter: SppAdapter) -> PrunedLayer:
 class LoraAdapter:
     """Additive low-rank factors: update s * B @ A with A (r, n), B (m, r)."""
 
+    kind = "lora"
+    factors = ("a", "b")
+
     a: np.ndarray
     b: np.ndarray
+    _: KW_ONLY
     s: float = 1.0
     p: float = 0.05
 
@@ -447,3 +458,6 @@ def lora_merge_dense(layer: PrunedLayer, adapter: LoraAdapter) -> np.ndarray:
     """Fold the low-rank update in: W + s * B @ A.  Generically dense."""
     _check_adapter_layer(layer, adapter)
     return layer.weight + adapter.s * matmul(adapter.b, adapter.a.T)
+
+
+ADAPTERS = {cls.kind: cls for cls in (SppAdapter, LoraAdapter)}

@@ -1,9 +1,9 @@
 """Command-line pipeline: prune, attach, train, merge, verify, count-params.
 
 Checkpoints are single-file tensor stores.  Weight matrices live under their
-layer names; a pruned layer adds "<name>.mask" (uint8), adapters add
-"<name>.spp.alpha"/"<name>.spp.beta" or "<name>.lora.a"/"<name>.lora.b", and
-run-level settings ride the "__meta__" JSON tensor.
+layer names; a pruned layer adds "<name>.mask" (uint8), an adapter adds each
+factor as "<name>.<kind>.<factor>" (e.g. "<name>.spp.alpha"), and run-level
+settings ride the "__meta__" JSON tensor.
 
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import (
+    ADAPTERS,
     LoraAdapter,
     SppAdapter,
     lora_init,
@@ -52,7 +53,13 @@ from .training import (
     train,
 )
 
-_RESERVED_SUFFIXES = (".mask", ".spp.alpha", ".spp.beta", ".lora.a", ".lora.b")
+
+def _factor_keys(name: str, cls) -> list[str]:
+    """Store keys of an adapter kind's factors on layer ``name``, in order."""
+    return [f"{name}.{cls.kind}.{factor}" for factor in cls.factors]
+
+
+_RESERVED_SUFFIXES = (".mask", *(k for c in ADAPTERS.values() for k in _factor_keys("", c)))
 
 ARCH_PRESETS = {
     # Per transformer block: four attention projections, two feed-forward
@@ -137,7 +144,9 @@ def _mask_pattern(meta: dict):
 def _load_layers(store: TensorStore) -> list[LayerBundle]:
     meta = store.meta()
     pattern = _mask_pattern(meta)
-    adapter_meta = meta.get("adapter")
+    adapter_meta = meta.get("adapter") or {}
+    kind = adapter_meta.get("kind")
+    cls = ADAPTERS.get(kind) if isinstance(kind, str) else None
     bundles = []
     for name in _layer_names(store):
         weight = store.get(name)
@@ -150,25 +159,18 @@ def _load_layers(store: TensorStore) -> list[LayerBundle]:
                 pattern_here = Unstructured.matching(zeros, raw.size)
             mask = SparseMask(raw, pattern_here)
         adapter = None
-        if adapter_meta is not None:
-            kind = adapter_meta.get("kind")
-            r = int(adapter_meta.get("r", 1))
-            s = float(adapter_meta.get("s", 1.0))
-            p = float(adapter_meta.get("p", 0.05))
-            if kind == "spp" and f"{name}.spp.alpha" in store:
-                adapter = SppAdapter(
-                    alpha=store.get(f"{name}.spp.alpha"),
-                    beta=store.get(f"{name}.spp.beta"),
-                    r=r,
-                    s=s,
-                    p=p,
-                )
-            elif kind == "lora" and f"{name}.lora.a" in store:
-                adapter = LoraAdapter(
-                    a=store.get(f"{name}.lora.a"),
-                    b=store.get(f"{name}.lora.b"),
-                    s=s,
-                    p=p,
+        keys = _factor_keys(name, cls) if cls is not None else ()
+        if keys and keys[0] in store:
+            adapter = cls(
+                *(store.get(k) for k in keys),
+                s=float(adapter_meta.get("s", 1.0)),
+                p=float(adapter_meta.get("p", 0.05)),
+            )
+            r = adapter_meta.get("r", adapter.r)
+            if r != adapter.r:
+                raise UsageError(
+                    f"layer {name!r}: adapter meta gives r = {r}, "
+                    f"but its factors have rank {adapter.r}"
                 )
         bundles.append(LayerBundle(name=name, weight=weight, mask=mask, adapter=adapter))
     if not bundles:
@@ -183,12 +185,9 @@ def _bundles_to_store(bundles: list[LayerBundle], meta: dict) -> TensorStore:
         if b.mask is not None:
             out.add(f"{b.name}.mask", b.mask.mask.view(np.uint8))
     for b in bundles:
-        if isinstance(b.adapter, SppAdapter):
-            out.add(f"{b.name}.spp.alpha", b.adapter.alpha)
-            out.add(f"{b.name}.spp.beta", b.adapter.beta)
-        elif isinstance(b.adapter, LoraAdapter):
-            out.add(f"{b.name}.lora.a", b.adapter.a)
-            out.add(f"{b.name}.lora.b", b.adapter.b)
+        if b.adapter is not None:
+            for key, factor in zip(_factor_keys(b.name, b.adapter), b.adapter.factors):
+                out.add(key, getattr(b.adapter, factor))
     out.set_meta(meta)
     return out
 
@@ -270,24 +269,15 @@ def cmd_attach(args) -> int:
                 + ", ".join(offenders)
             )
 
+    init = spp_init if args.kind == "spp" else lora_init
     rng = Rng(_default_seed(args.seed))
-    full = []
     for b in bundles:
-        m, n = b.weight.shape
-        if args.kind == "spp":
-            b.adapter = spp_init(m, n, args.r, args.scale, args.dropout, rng)
-            if args.r == m:
-                full.append(b.name)
-        else:
-            b.adapter = lora_init(m, n, args.r, args.scale, args.dropout, rng)
+        b.adapter = init(*b.weight.shape, args.r, args.scale, args.dropout, rng)
+    full = [b.name for b in bundles if args.kind == "spp" and args.r == b.weight.shape[0]]
 
-    shapes = [tuple(b.weight.shape) for b in bundles]
-    if args.kind == "spp":
-        trainable, total, per_mille = count_trainable(shapes, 1, args.r)
-    else:
-        trainable = sum(args.r * (m + n) for m, n in shapes)
-        total = sum(m * n for m, n in shapes)
-        per_mille = 1000.0 * trainable / total
+    trainable = sum(getattr(b.adapter, f).size for b in bundles for f in b.adapter.factors)
+    total = sum(b.weight.size for b in bundles)
+    per_mille = 1000.0 * trainable / total
 
     meta = store.meta()
     meta["adapter"] = {
@@ -379,11 +369,11 @@ def cmd_train(args) -> int:
                     f"frozen base weight {b.name!r} changed during adapter training"
                 )
 
-    # Push trained state back into the bundles (training replaces the
-    # adapter factors, or in baseline mode the weights, with new arrays).
+    # Training replaces the factors of the bundles' own adapter objects, but
+    # in baseline mode the weights of the net's PrunedLayer copies: push
+    # those back.
     for nl, b in zip(net.layers, ordered):
         b.weight = nl.layer.weight
-        b.adapter = nl.adapter
 
     store_write(_bundles_to_store(bundles, meta), args.output)
     run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))

@@ -19,6 +19,7 @@ import numpy as np
 from .adapters import (
     AdapterGrads,
     LoraAdapter,
+    LoraGrads,
     SppAdapter,
     lora_backward,
     lora_forward,
@@ -148,6 +149,8 @@ def cross_entropy_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, n
 
 
 _LOSS_FNS = {"mse": mse_loss, "cross_entropy": cross_entropy_loss}
+_FORWARDS = {SppAdapter: spp_forward_naive, LoraAdapter: lora_forward}
+_BACKWARDS = {SppAdapter: spp_backward, LoraAdapter: lora_backward}
 
 
 def net_forward(
@@ -160,12 +163,8 @@ def net_forward(
         if nl.adapter is None:
             pre = nl.layer.apply(cur)
             cache = cur if training else None
-        elif isinstance(nl.adapter, SppAdapter):
-            pre, cache = spp_forward_naive(
-                cur, nl.layer, nl.adapter, rng=rng, training=training
-            )
         else:
-            pre, cache = lora_forward(
+            pre, cache = _FORWARDS[type(nl.adapter)](
                 cur, nl.layer, nl.adapter, rng=rng, training=training
             )
         post = np.maximum(pre, 0.0) if nl.activation == "relu" else pre
@@ -181,7 +180,7 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
     kept entries and +0.0 elsewhere.  The first layer's input gradient is
     never used, so it is not computed.
     """
-    grads: list[AdapterGrads | object | np.ndarray | None] = [None] * len(net.layers)
+    grads: list[AdapterGrads | LoraGrads | np.ndarray | None] = [None] * len(net.layers)
     g = d_pred
     for i in range(len(net.layers) - 1, -1, -1):
         nl = net.layers[i]
@@ -192,14 +191,9 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
             slots = nl.layer.mask.slots
             grads[i] = slots.scatter(sampled_matmul(g, cache, slots.idx))
             g = nl.layer.apply_transpose(g) if i > 0 else None
-        elif isinstance(nl.adapter, SppAdapter):
-            ag = spp_backward(cache, g, input_grad=i > 0)
-            grads[i] = ag
-            g = ag.d_x
         else:
-            lg = lora_backward(cache, g, input_grad=i > 0)
-            grads[i] = lg
-            g = lg.d_x
+            grads[i] = _BACKWARDS[type(nl.adapter)](cache, g, input_grad=i > 0)
+            g = grads[i].d_x
     return grads
 
 
@@ -246,9 +240,6 @@ class RunRecord:
 
     steps: list[tuple[int, float, float]] = field(default_factory=list)
     train_loss: float | None = None
-    eval_loss: float | None = None
-    nnz_before_merge: int | None = None
-    nnz_after_merge: int | None = None
 
     def to_csv(self) -> str:
         lines = ["step,lr,loss"]
@@ -257,11 +248,7 @@ class RunRecord:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
-        out = {}
-        for key in ("train_loss", "eval_loss", "nnz_before_merge", "nnz_after_merge"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
+        out = {} if self.train_loss is None else {"train_loss": self.train_loss}
         out["recorded_steps"] = len(self.steps)
         return out
 
@@ -269,18 +256,16 @@ class RunRecord:
 def _trainable(net: ToyNet, grads, fixed_mask_baseline: bool):
     """Yield (owner, attribute, gradient) for every tensor a step updates.
 
-    In adapter mode that is every adapter factor, and no weight; in baseline
-    mode every weight, whose gradient is +0.0 off its mask.
+    In adapter mode that is every adapter factor, in ``factors`` order, and
+    no weight; in baseline mode every weight, whose gradient is +0.0 off its
+    mask.  The optimizer keys its state by position in this sequence.
     """
     for nl, g in zip(net.layers, grads):
         if fixed_mask_baseline:
             yield nl.layer, "weight", g
-        elif isinstance(nl.adapter, SppAdapter):
-            yield nl.adapter, "alpha", g.d_alpha
-            yield nl.adapter, "beta", g.d_beta
-        elif isinstance(nl.adapter, LoraAdapter):
-            yield nl.adapter, "a", g.d_a
-            yield nl.adapter, "b", g.d_b
+        elif nl.adapter is not None:
+            for name in nl.adapter.factors:
+                yield nl.adapter, name, getattr(g, f"d_{name}")
 
 
 def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):

@@ -116,7 +116,6 @@ def test_criterion_2_sparsity_preservation():
         ad = SppAdapter(
             alpha=rand_mat(rng, r, n),
             beta=rand_mat(rng, m, 1),
-            r=r,
             s=s,
             p=0.0,
         )
@@ -302,7 +301,7 @@ def test_criterion_5_init_transparency_and_warning():
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        dead = SppAdapter(alpha=np.zeros((4, 8)), beta=np.zeros((16, 1)), r=4, p=0.0)
+        dead = SppAdapter(alpha=np.zeros((4, 8)), beta=np.zeros((16, 1)), p=0.0)
     warned = any(issubclass(c.category, UserWarning) for c in caught)
 
     w = rand_mat(rng, 16, 8)
@@ -382,7 +381,7 @@ def test_criterion_7_densification_contrast():
             lora_densified += 1
 
         sad = SppAdapter(
-            alpha=rand_mat(rng, 4, n), beta=rand_mat(rng, m, 1), r=4, s=1.0, p=0.0
+            alpha=rand_mat(rng, 4, n), beta=rand_mat(rng, m, 1), s=1.0, p=0.0
         )
         if np.count_nonzero(spp_merge(layer, sad).weight) == nnz0:
             spp_preserved += 1

@@ -60,7 +60,6 @@ def test_effective_weight_hand_example():
     ad = SppAdapter(
         alpha=np.array([[2.0, 3.0], [5.0, 7.0]]),
         beta=np.ones((4, 1)),
-        r=2,
         s=1.0,
         p=0.0,
     )
@@ -73,7 +72,6 @@ def test_merge_hand_example():
     ad = SppAdapter(
         alpha=np.array([[2.0, 3.0], [5.0, 7.0]]),
         beta=np.ones((4, 1)),
-        r=2,
         s=1.0,
         p=0.0,
     )
@@ -113,7 +111,10 @@ def test_r_extremes_and_divisibility():
     with pytest.raises(PatternError):
         spp_init(8, 8, 3, 1.0, 0.0, rng)
     with pytest.raises(PatternError):
-        SppAdapter(alpha=np.ones((3, 8)), beta=np.zeros((8, 1)), r=3)
+        SppAdapter(alpha=np.ones((3, 8)), beta=np.zeros((8, 1)))
+    # r is alpha's row count; an old positional r must not land in s
+    with pytest.raises(TypeError):
+        SppAdapter(np.ones((2, 8)), np.ones((8, 1)), 2)
 
 
 def test_full_rank_adapter_reaches_any_supported_target():
@@ -124,7 +125,7 @@ def test_full_rank_adapter_reaches_any_supported_target():
     alpha = np.ones((8, 8))
     kept = layer.weight != 0.0
     alpha[kept] = target[kept] / layer.weight[kept]
-    ad = SppAdapter(alpha=alpha, beta=np.ones((8, 1)), r=8, s=1.0, p=0.0)
+    ad = SppAdapter(alpha=alpha, beta=np.ones((8, 1)), s=1.0, p=0.0)
     w_eff = spp_effective_weight(layer, ad)
     assert np.allclose(w_eff, target, rtol=1e-14, atol=0.0)
 
@@ -185,7 +186,7 @@ def test_forward_transparency_at_init():
 def test_forward_all_ones_adapter_doubles_base():
     rng = Rng(47)
     layer = random_pruned(rng, 4, 4)
-    ad = SppAdapter(alpha=np.ones((2, 4)), beta=np.ones((4, 1)), r=2, s=1.0, p=0.0)
+    ad = SppAdapter(alpha=np.ones((2, 4)), beta=np.ones((4, 1)), s=1.0, p=0.0)
     x = rand_matrix(rng, 3, 4)
     base = matmul(x, layer.weight)
     y, _ = spp_forward_naive(x, layer, ad)
@@ -272,7 +273,7 @@ def test_forward_frees_batch_buffers_before_the_output():
 
 def test_both_zero_init_warns():
     with pytest.warns(UserWarning):
-        SppAdapter(alpha=np.zeros((2, 4)), beta=np.zeros((4, 1)), r=2)
+        SppAdapter(alpha=np.zeros((2, 4)), beta=np.zeros((4, 1)))
 
 
 def test_spp_init_bounds_and_silent_beta():

@@ -9,7 +9,8 @@ import pytest
 
 import spp
 from spp import Rng, TensorStore, store_read, store_write
-from spp.cli import _build_net, _load_layers, main
+from spp.adapters import ADAPTERS
+from spp.cli import _build_net, _bundles_to_store, _load_layers, main
 
 from helpers import rand_matrix
 
@@ -194,6 +195,43 @@ def test_attach_seed_determinism_and_env_fallback(tmp_path, monkeypatch):
 
     monkeypatch.setenv("SPP_SEED", "not-a-number")
     assert main(["attach", pruned, c, "--r", "4"]) == 2
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_adapter_table_round_trips_every_kind(tmp_path, kind):
+    attached = attached_store(tmp_path, r=2, extra=("--kind", kind))
+    st = store_read(attached)
+    bundles = _load_layers(st)
+    # no factor tensor is mistaken for a layer
+    assert [b.name for b in bundles] == ["a", "b"]
+    cls = ADAPTERS[kind]
+    for b in bundles:
+        assert type(b.adapter) is cls and b.adapter.r == 2
+        for f in cls.factors:
+            stored, loaded = st.get(f"{b.name}.{kind}.{f}"), getattr(b.adapter, f)
+            assert loaded.shape == stored.shape and loaded.tobytes() == stored.tobytes()
+    again = str(tmp_path / "again.spp")
+    store_write(_bundles_to_store(bundles, st.meta()), again)
+    assert open(again, "rb").read() == open(attached, "rb").read()
+
+    net, _ = _build_net(bundles, st.meta())
+    pred, caches = spp.net_forward(net, rand_matrix(Rng(3), 4, 8), rng=Rng(4), training=True)
+    grads = spp.net_backward(net, caches, np.ones_like(pred))
+    for nl, g in zip(net.layers, grads):
+        for f in cls.factors:
+            assert getattr(g, f"d_{f}").shape == getattr(nl.adapter, f).shape
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_adapter_meta_rank_must_match_factors(tmp_path, capsys, kind):
+    attached = attached_store(tmp_path, r=2, extra=("--kind", kind))
+    st = store_read(attached)
+    meta = st.meta()
+    meta["adapter"]["r"] = 4
+    st.set_meta(meta)
+    store_write(st, attached)
+    assert main(["verify", attached]) == 2
+    assert "layer 'a'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

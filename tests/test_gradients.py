@@ -161,7 +161,7 @@ def test_scale_factor_enters_gradients_linearly():
     y, cache = spp_forward_naive(x, layer, ad, training=True)
     g1 = spp_backward(cache, y - t)
     ad2 = SppAdapter(
-        alpha=ad.alpha.copy(), beta=ad.beta.copy(), r=ad.r, s=2.0 * ad.s, p=ad.p
+        alpha=ad.alpha.copy(), beta=ad.beta.copy(), s=2.0 * ad.s, p=ad.p
     )
     y2, cache2 = spp_forward_naive(x, layer, ad2, training=True)
     g2 = spp_backward(cache2, y - t)  # same upstream on purpose

@@ -122,7 +122,6 @@ def _spp_case(rng, layer, r, s, p, b, zero_beta=False):
     ad = SppAdapter(
         alpha=rand_matrix(rng, r, n),
         beta=np.zeros((m, 1)) if zero_beta else rand_matrix(rng, m, 1),
-        r=r,
         s=s,
         p=p,
     )
