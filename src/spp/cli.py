@@ -141,6 +141,13 @@ def _mask_pattern(meta: dict):
     return parse_pattern(label, ratio)
 
 
+def _meta_number(adapter_meta: dict, key: str, default: float) -> float:
+    value = adapter_meta.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"adapter meta {key!r} must be a number, got {value!r}")
+    return float(value)
+
+
 def _load_layers(store: TensorStore) -> list[LayerBundle]:
     meta = store.meta()
     pattern = _mask_pattern(meta)
@@ -163,8 +170,8 @@ def _load_layers(store: TensorStore) -> list[LayerBundle]:
         if keys and keys[0] in store:
             adapter = cls(
                 *(store.get(k) for k in keys),
-                s=float(adapter_meta.get("s", 1.0)),
-                p=float(adapter_meta.get("p", 0.05)),
+                s=_meta_number(adapter_meta, "s", 1.0),
+                p=_meta_number(adapter_meta, "p", 0.05),
             )
             r = adapter_meta.get("r", adapter.r)
             if r != adapter.r:

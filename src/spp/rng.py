@@ -6,28 +6,16 @@ xoshiro256** generator.  Doubles take the top 53 bits of each output word:
 identical on every platform, which is what makes weight init, dropout masks,
 and therefore whole checkpoints reproducible byte for byte.
 
-The step is written once, as a state transition ``_advance`` and the ``**``
-output scrambler ``_scramble``; both run unchanged on Python ints and on
-``uint64`` arrays.  ``_advance`` is linear over GF(2) (xors, shifts and
-rotations), so the state i steps ahead is A^i s for a fixed 256 x 256 bit
-matrix A (Blackman & Vigna, "Scrambled linear pseudorandom number
-generators", ACM TOMS 2021).  ``Rng.doubles`` uses that to draw n doubles as
-L lanes of S consecutive outputs, S = 2**floor(log2(n) / 2) and L =
-ceil(n / S): lane l starts at A^(l*S) s, all lanes step together on arrays,
-and the scrambler runs once on the whole (S, L) block.  The lane starts come
-from ceil(log2 L) doublings, each one batched jump by A^(2**j) (Haramoto et
-al., "Efficient jump ahead for F2-linear random number generators", INFORMS
-J. Computing 2008).  Every output and the final state A^n s are those of the
-one-at-a-time loop, bit for bit.
-
-Requests under ``_CROSSOVER`` (1,024) draws step one state in Python and
-scramble the recorded words once as an array; below that size the lanes'
-fixed cost (about 0.4 ms) outweighs what they save.  Larger requests are
-drawn in blocks of at most ``_BLOCK`` (16,384), which caps the transient
-memory (under 1 MiB) and the highest power of A needed at A^(2**13).  The
-jumps are float32 GEMMs on 0/1 bits.  The powers A^(2**i) are built by
-squaring on the first lane call in a process (13-18 ms on a 2-core x86
-host), never at import, and kept packed: 14 bit matrices of 8 KiB each.
+An ``Rng`` reads its one sequence ahead into a buffer of output words and
+serves every draw from it in order, so no split of the draws changes a value.
+A refill is the larger of the request and twice the last refill, at most
+``_BLOCK`` (16,384) words; one under ``_CROSSOVER`` (1,024) steps in Python.  Larger
+ones run as L lanes of S = 2**floor(log2(n) / 2) words stepping together on
+arrays.  The step ``_advance`` is linear over GF(2), so lane l starts at
+A^(l*S) s (Blackman & Vigna, ACM TOMS 2021), reached by ceil(log2 L) jumps by
+A^(2**j) (Haramoto et al., INFORMS J. Computing 2008), built on first use
+(13-18 ms on a 2-core x86 host) and kept packed, 8 KiB each.  ``Rng._s``, the
+state after the last word consumed, is the buffer's start advanced likewise.
 """
 
 import operator
@@ -50,21 +38,23 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 def _advance(s0, s1, s2, s3):
-    """xoshiro256**'s state transition.  Arrays are updated in place."""
-    t = (s1 << 17) & _MASK
+    """xoshiro256**'s state transition; on Python ints, mask s2 and s3 to 64 bits after."""
+    t = s1 << 17
     s2 ^= s0
     s3 ^= s1
     s1 ^= s2
     s0 ^= s3
     s2 ^= t
-    s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+    s3 = (s3 << 45) | (s3 >> 19)
     return s0, s1, s2, s3
 
 
-def _scramble(s1):
-    """The ``**`` scrambler: the output word of a state, from its s1."""
-    x = (s1 * 5) & _MASK
-    return ((((x << 7) | (x >> 57)) & _MASK) * 9) & _MASK
+def _scramble(words: np.ndarray) -> np.ndarray:
+    """The ``**`` scrambler rotl(s1 * 5, 7) * 9, in place on ``uint64`` s1 words."""
+    words *= 5
+    np.bitwise_or(words << 7, words >> 57, out=words)
+    words *= 9
+    return words
 
 
 def _bits(words: np.ndarray) -> np.ndarray:
@@ -74,11 +64,9 @@ def _bits(words: np.ndarray) -> np.ndarray:
 
 
 def _jump(states: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Apply a GF(2)-linear map to every state of ``states`` (k, 4) uint64.
+    """Apply the GF(2)-linear map whose image of state bit j is ``rows[j]`` to (k, 4) ``states``.
 
-    ``rows`` (256, 4) uint64 holds the map's image of each state bit.  The
-    product runs as a float32 GEMM on 0/1 bits, exact because no sum exceeds
-    256; its parity is the GF(2) product.
+    A float32 GEMM on 0/1 bits is exact (no sum exceeds 256); its parity is the GF(2) product.
     """
     sums = _bits(states) @ _bits(rows)
     parity = (sums.astype(np.int32) & 1).astype(np.uint8)
@@ -90,18 +78,14 @@ _POWERS: tuple[np.ndarray, ...] = ()
 
 
 def _powers() -> tuple[np.ndarray, ...]:
-    """A^(2**i) for i < 14, as the image rows ``_jump`` takes; built on first use.
-
-    Built whole and then published in one assignment, so a caller never sees
-    a partial cache.
-    """
+    """A^(2**i) for i < 14 as ``_jump`` rows; built whole on first use, then published at once."""
     global _POWERS
     if not _POWERS:
         images = []
         for j in range(256):
             basis = [0, 0, 0, 0]
             basis[j // 64] = 1 << (j % 64)
-            images.append(_advance(*basis))
+            images.append([w & _MASK for w in _advance(*basis)])
         powers = [np.array(images, dtype=np.uint64)]
         while len(powers) < _BLOCK.bit_length() - 1:
             powers.append(_jump(powers[-1], powers[-1]))
@@ -109,40 +93,29 @@ def _powers() -> tuple[np.ndarray, ...]:
     return _POWERS
 
 
-def _fill_scalar(s: tuple, out: np.ndarray) -> tuple:
-    """Fill ``out`` one step at a time from state ``s``; returns the state after."""
-    s0, s1, s2, s3 = s
-    words = []
-    for _ in range(out.size):
+def _fill_scalar(s: tuple, n: int) -> tuple[np.ndarray, tuple]:
+    """The n output words from state ``s``, one step at a time; returns (words, state after)."""
+    (s0, s1, s2, s3), words = s, []
+    for _ in range(n):
         words.append(s1)
         s0, s1, s2, s3 = _advance(s0, s1, s2, s3)
-    out[:] = (_scramble(np.array(words, dtype=np.uint64)) >> 11) * _TO_DOUBLE
-    return s0, s1, s2, s3
+        s2, s3 = s2 & _MASK, s3 & _MASK
+    return _scramble(np.array(words, dtype=np.uint64)), (s0, s1, s2, s3)
 
 
-def _fill_lanes(s: tuple, out: np.ndarray) -> tuple:
-    """Fill ``out`` (at most ``_BLOCK`` long) in lanes from ``s``; returns the state after."""
-    n = out.size
+def _fill_lanes(s: tuple, n: int) -> tuple[np.ndarray, tuple]:
+    """Whole lanes of output words from ``s``, n to n + S - 1; returns (words, state after)."""
     log_s = (n.bit_length() - 1) // 2
-    steps = 1 << log_s
-    lanes = -(-n // steps)
+    steps, lanes = 1 << log_s, -(-n >> log_s)
     starts = np.array([s], dtype=np.uint64)
-    j = log_s
-    while len(starts) < lanes:
-        ahead = _jump(starts[: lanes - len(starts)], _powers()[j])
-        starts = np.concatenate([starts, ahead])
-        j += 1
+    for power in _powers()[log_s : log_s + (lanes - 1).bit_length()]:
+        starts = np.concatenate([starts, _jump(starts[: lanes - len(starts)], power)])
     state = tuple(starts.T.copy())
-    last = n - (lanes - 1) * steps
-    block = np.empty((steps, lanes), dtype=np.uint64)
+    block = np.empty((lanes, steps), dtype=np.uint64)
     for k in range(steps):
-        block[k] = state[1]
+        block[:, k] = state[1]
         state = _advance(*state)
-        if k + 1 == last:
-            end = tuple(int(w[-1]) for w in state)
-    vals = (_scramble(block) >> 11) * _TO_DOUBLE
-    out[:] = vals.T.ravel()[:n]
-    return end
+    return _scramble(block).ravel(), tuple(int(w[-1]) for w in state)
 
 
 class Rng:
@@ -160,10 +133,38 @@ class Rng:
             words.append(w)
         self._s = words
 
+    @property
+    def _s(self) -> list[int]:
+        """The state after the last word consumed, as four ints."""
+        if self._pos == self._buf.size:
+            return list(self._end)
+        state = np.array([self._start], dtype=np.uint64)
+        for j in range(self._pos.bit_length()):
+            if self._pos >> j & 1:
+                state = _jump(state, _powers()[j])
+        return [int(w) for w in state[0]]
+
+    @_s.setter
+    def _s(self, state) -> None:
+        """Restart the stream at ``state``, dropping the words read ahead."""
+        self._start = self._end = tuple(int(w) for w in state)
+        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0
+
+    def _words(self, count: int):
+        """Consume the next ``count`` words, yielded as slices of the buffer."""
+        while count:
+            if self._pos == self._buf.size:
+                n = min(max(count, 2 * self._buf.size), _BLOCK)
+                fill = _fill_lanes if n >= _CROSSOVER else _fill_scalar
+                self._start, self._pos = self._end, 0
+                self._buf, self._end = fill(self._start, n)
+            part = self._buf[self._pos : self._pos + count]
+            self._pos += part.size
+            count -= part.size
+            yield part
+
     def next_u64(self) -> int:
-        result = _scramble(self._s[1])
-        self._s = list(_advance(*self._s))
-        return result
+        return int(next(self._words(1))[0])
 
     def next_double(self) -> float:
         """Uniform double in [0, 1) with a full 53-bit mantissa."""
@@ -175,11 +176,10 @@ class Rng:
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         out = np.empty(count, dtype=np.float64)
-        s = tuple(self._s)
-        for lo in range(0, count, _BLOCK):
-            part = out[lo : lo + _BLOCK]
-            s = (_fill_lanes if part.size >= _CROSSOVER else _fill_scalar)(s, part)
-        self._s = list(s)
+        lo = 0
+        for part in self._words(count):
+            np.multiply(part >> 11, _TO_DOUBLE, out=out[lo : lo + part.size])
+            lo += part.size
         return out
 
     def uniform(self, lo: float, hi: float, rows: int, cols: int) -> np.ndarray:

@@ -234,6 +234,20 @@ def test_adapter_meta_rank_must_match_factors(tmp_path, capsys, kind):
     assert "layer 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "merge"])
+@pytest.mark.parametrize("key,value", [("s", None), ("p", [1])])
+def test_malformed_adapter_meta_exits_2_naming_the_key(tmp_path, capsys, command, key, value):
+    attached = attached_store(tmp_path)
+    st = store_read(attached)
+    meta = st.meta()
+    meta["adapter"][key] = value
+    st.set_meta(meta)
+    store_write(st, attached)
+    argv = [command, attached] + ([str(tmp_path / "merged.spp")] if command == "merge" else [])
+    assert main(argv) == 2
+    assert f"adapter meta {key!r}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -132,6 +132,82 @@ def test_any_split_of_lane_draws_equals_the_scalar_stream(seed, counts):
     assert bulk._s == scalar._s
 
 
+MASK = 2**64 - 1
+
+
+class OneAtATime:
+    """The published xoshiro256** step on Python ints, one output per call."""
+
+    def __init__(self, state):
+        self.s = list(state)
+
+    def word(self):
+        s0, s1, s2, s3 = self.s
+        x = (s1 * 5) & MASK
+        out = ((((x << 7) | (x >> 57)) & MASK) * 9) & MASK
+        t = (s1 << 17) & MASK
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        self.s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK]
+        return out
+
+    def doubles(self, n):
+        return np.array([(self.word() >> 11) * 2.0**-53 for _ in range(n)])
+
+
+DRAWS = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("next_double")),
+    st.tuples(st.just("doubles"),
+              st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, BLOCK + 1))),
+    st.tuples(st.just("uniform"), st.integers(1, 40), st.integers(1, 40)),
+    st.tuples(st.just("read_s")),
+    st.tuples(st.just("write_s"), st.lists(st.integers(0, MASK), min_size=4, max_size=4)),
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=8))
+def test_any_interleaving_of_draws_equals_the_one_at_a_time_oracle(seed, ops):
+    r = Rng(seed)
+    oracle = OneAtATime(r._s)
+    for op, *args in ops:
+        if op == "next_u64":
+            assert r.next_u64() == oracle.word()
+        elif op == "next_double":
+            assert r.next_double() == oracle.doubles(1)[0]
+        elif op == "doubles":
+            assert r.doubles(*args).tobytes() == oracle.doubles(*args).tobytes()
+        elif op == "uniform":
+            rows, cols = args
+            want = np.minimum(-2.0 + oracle.doubles(rows * cols) * 5.0, np.nextafter(3.0, -2.0))
+            assert r.uniform(-2.0, 3.0, rows, cols).tobytes() == want.tobytes()
+        elif op == "read_s":
+            assert r._s == oracle.s
+        else:
+            r._s = oracle.s = args[0]
+    assert r._s == oracle.s
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, CROSSOVER - 1), min_size=1, max_size=6))
+def test_small_draws_compute_words_in_proportion(seed, counts):
+    # A fresh stream computes exactly what its first draw asks for; after
+    # that each refill at most doubles, so the words read ahead stay within
+    # twice the words drawn.
+    r = Rng(seed)
+    r.doubles(counts[0])
+    assert r._buf.size == counts[0]
+    drawn = counts[0]
+    for count in counts[1:]:
+        r.doubles(count)
+        drawn += count
+        assert r._buf.size <= 2 * drawn
+
+
 @pytest.mark.parametrize("seed,count", sorted(PINNED_DOUBLES_SHA256))
 def test_doubles_match_pinned_hashes(seed, count):
     digest = hashlib.sha256(Rng(seed).doubles(count).tobytes()).hexdigest()
