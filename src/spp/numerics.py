@@ -2,10 +2,16 @@
 
 Everything downstream (pruning, adapters, training) runs on float64 numpy
 arrays produced and combined by the helpers here.  The one non-obvious
-constraint is summation order: ``matmul`` accumulates strictly in ascending
-inner-index order, so its output is bit-identical to a naive triple loop on
-every platform.  That property is what makes checkpoints and run logs
-byte-reproducible, so do not swap the loop for a BLAS call.
+constraint is summation order: ``matmul`` accumulates every output entry
+from +0.0 strictly in ascending inner-index order, so its output is
+bit-identical to a naive triple loop on every platform.  That property is
+what makes checkpoints and run logs byte-reproducible.  Small outputs stack
+their terms and sum them with one ``np.add.accumulate``, which adds each
+term to the running sum before it, in order; larger outputs add one rank-1
+term per inner index.  ``np.add.reduce`` is never used, because it sums
+pairwise when the reduced axis is contiguous (it differed from the loop on
+94 of 100 outputs of 1x1 to 3x1), and neither are einsum or BLAS, which fix
+no summation order at all.
 
 Products against a pruned weight run on its slot layout instead, through
 ``slot_matmul`` and ``sampled_matmul`` only: ``PrunedLayer``, both adapters
@@ -49,8 +55,11 @@ def matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     """Product against a transposed right operand: returns ``a @ b_t.T``.
 
     ``a`` is (b, n), ``b_t`` is (m, n); the result is (b, m) with
-    result[i][j] = sum_k a[i][k] * b_t[j][k], accumulated in ascending k.
-    Bit-identical to a scalar triple loop.
+    result[i][j] = sum_k a[i][k] * b_t[j][k], summed from +0.0 in ascending
+    k.  Bit-identical to a scalar triple loop.  Outputs of at most
+    ``_STACK_OUTPUT`` entries take ``_stacked_matmul``; larger ones add one
+    rank-1 term per k, whose NumPy calls are then large enough to pay for
+    their dispatch.
     """
     if a.ndim != 2 or b_t.ndim != 2:
         raise ShapeError("matmul operands must be 2-D")
@@ -60,6 +69,8 @@ def matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
         )
     rows, inner = a.shape
     cols = b_t.shape[0]
+    if rows * cols <= _STACK_OUTPUT:
+        return _stacked_matmul(a, b_t)
     # Column k of each operand as one contiguous row: one copy each instead
     # of a strided read per term.
     a_cols = np.ascontiguousarray(a.T)[:, :, None]
@@ -71,6 +82,45 @@ def matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
         np.multiply(a_cols[k], b_cols[k], out=buf)
         out += buf
     return out
+
+
+# Largest output (rows * cols) summed by ``_stacked_matmul``.  Best of 5 on
+# a shared 2-core Xeon VM, loop -> stack: (32,64)x(4,64)^T 163-291 -> 55 us,
+# (64,32)x(4,32)^T 112-184 -> 60 us, (4,32)x(64,32)^T 86-150 -> 60 us.  At
+# 512 outputs the loop was already as fast or faster: (8,64)x(64,64)^T
+# 167 against 203 us, (32,64)x(16,64)^T 172 against 202 us.
+_STACK_OUTPUT = 256
+# Cap on the bytes of one stack, so that an inner dimension as long as a
+# batch holds a bounded transient.  At 256 outputs and 2,048 terms, 256 KiB
+# blocks took 2.8-2.9 ms, one unblocked 4.2 MB stack 2.6-2.7 ms, 64 KiB
+# blocks 3.7-4.0 ms and the loop 6.8-7.1 ms.  NumPy's iterator buffers, up
+# to getbufsize() doubles for each of the multiply's three operands, come on
+# top; the loop's rank-1 multiply borrows them too.
+_STACK_BYTES = 1 << 18
+
+
+def _stacked_matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
+    """``matmul`` for small outputs, in O(n / block) NumPy calls.
+
+    Each block of terms is one broadcast product into slots 1.. of a
+    (rows, cols, block + 1) stack whose slot 0 holds the running sum,
+    +0.0 at first.  An in-place ``np.add.accumulate`` along the last axis
+    then adds slot by slot in ascending k, and its last slot carries into
+    slot 0 for the next block.  The stack stays within ``_STACK_BYTES``.
+    """
+    rows, inner = a.shape
+    cols = b_t.shape[0]
+    width = min(inner, _STACK_BYTES // (8 * rows * cols) - 1)
+    stack = np.empty((rows, cols, width + 1), dtype=np.float64)
+    stack[:, :, 0] = 0.0
+    a_rows = a[:, None, :]
+    b_rows = b_t[None, :, :]
+    for k in range(0, inner, width):
+        part = stack[:, :, : min(width, inner - k) + 1]
+        np.multiply(a_rows[:, :, k : k + width], b_rows[:, :, k : k + width], out=part[:, :, 1:])
+        np.add.accumulate(part, axis=-1, out=part)
+        stack[:, :, 0] = part[:, :, -1]
+    return stack[:, :, 0].copy()
 
 
 def slot_matmul(a: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spp import Rng, ShapeError, as_matrix, matmul
+from spp import Rng, ShapeError, as_matrix, matmul, numerics
 
 from helpers import matmul_oracle, peak_transient_bytes, rand_matrix
 
@@ -65,10 +67,85 @@ def test_as_matrix_passthrough_and_coercion():
 
 
 def test_allocation_tracker_records_kernel_temporaries():
-    # tracemalloc sees matmul's output and its per-term buffer, (2, 4) each,
-    # although the buffer is freed before matmul returns.
+    # tracemalloc sees matmul's (2, 4) output and its (2, 4, 4) stack of
+    # terms, although the stack is freed before matmul returns.
     a = np.ones((2, 3))
     b_t = np.ones((4, 3))
     assert peak_transient_bytes(matmul, a, b_t) >= 2 * (2 * 4 * 8)
     # What was allocated before the probe started does not count.
     assert peak_transient_bytes(lambda: None) < 2 * 4 * 8
+
+
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-4, 4).map(float),
+    st.builds(lambda m, e: m * 2.0**e, st.floats(-1.0, 1.0), st.integers(-60, 60)),
+)
+
+
+@st.composite
+def _matmul_problems(draw):
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(1, 24))
+    inner = draw(st.integers(1, 16))
+    if rows * cols <= numerics._STACK_OUTPUT and draw(st.booleans()):
+        # Past one stack of terms, so the running sum carries between blocks.
+        per_stack = numerics._STACK_BYTES // (8 * rows * cols) - 1
+        inner = draw(st.integers(per_stack - 1, 2 * per_stack + 1))
+    pool = np.array(draw(st.lists(ENTRIES, min_size=1, max_size=8)))
+    pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def operand(m):
+        # LoRA passes transposed views such as d_y.T and adapter.b.T.
+        if draw(st.booleans()):
+            return pick.choice(pool, (inner, m)).T
+        return pick.choice(pool, (m, inner))
+
+    return operand(rows), operand(cols)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_matmul_problems())
+def test_matmul_equals_the_triple_loop_byte_for_byte(problem):
+    a, b_t = problem
+    assert _same_bytes(matmul(a, b_t), matmul_oracle(a, b_t))
+
+
+def test_matmul_sums_in_order_where_pairwise_would_not():
+    # Sixteen terms: 2**53 and fifteen 1.0s.  In order every 1.0 rounds
+    # away; pairwise summation adds the 1.0s to each other first.
+    a = np.ones((1, 16))
+    b_t = np.array([[2.0**53] + [1.0] * 15])
+    assert matmul(a, b_t).tolist() == [[2.0**53]]
+    assert np.add.reduce((a * b_t)[0]) != 2.0**53
+
+
+def test_matmul_starts_every_sum_at_positive_zero():
+    # Every term of row 0 is -0.0, and +0.0 + -0.0 is +0.0; a sum seeded
+    # with its first term would stay -0.0.
+    a = np.array([[-1.0, 2.0, -0.0], [0.0, 0.0, 0.0]])
+    b_t = np.array([[0.0, -0.0, 5.0]])
+    want = np.zeros((2, 1))
+    assert _same_bytes(matmul(a, b_t), want)
+    assert _same_bytes(matmul_oracle(a, b_t), want)
+
+
+def test_small_output_transient_stays_within_the_stack_cap():
+    # 4,096 terms of a 16 x 16 output fill 33 stacks of 127 terms, so the
+    # carried-sum blocks run; one stack of all of them would take 8.4 MB.
+    a = np.ones((16, 4096))
+    b_t = np.ones((16, 4096))
+    assert numerics._STACK_BYTES == 1 << 18
+    # NumPy >= 2.3 lends each operand of a ufunc call whose inner loop is
+    # shorter than its buffer size an iterator buffer of up to getbufsize()
+    # elements.  The stacked multiply has three operands.  tracemalloc also
+    # counts the call's Python objects: array headers of the views, ~2.5 KB.
+    iterator_buffers = 3 * 8 * np.getbufsize()
+    python_objects = 8 << 10
+    out_bytes = 16 * 16 * 8
+    bound = numerics._STACK_BYTES + out_bytes + iterator_buffers + python_objects
+    assert peak_transient_bytes(matmul, a, b_t) <= bound
