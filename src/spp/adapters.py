@@ -25,10 +25,11 @@ m x n array; its largest transient is W's values in slot order.
 
 The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``).
 d_beta and d_alpha scatter H * W, times alpha or beta, to m x n
-(``SlotLayout.scatter``) and reduce it exactly as the dense formulas do, so
-they match them bit for bit.  d_x = G @ W + s * drop_backward(G @ W') reads
-the slot values through the transposed layout, first W's, then W' formed in
-place from the alpha values that d_beta already gathered.
+(``SlotLayout.scatter``, one buffer for both) and reduce it exactly as the
+dense formulas do, so they match them bit for bit; the products are formed
+in place.  d_x = G @ W + s * drop_backward(G @ W') gathers W at the
+transposed slots (``SlotLayout.values_t``) and turns those values into W'
+in place, with the same two products in the same order as the forward.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -199,6 +200,26 @@ def _effective_at_slots(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter) -> 
         w_t *= beta
 
 
+def _effective_at_transposed_slots(
+    w_t: np.ndarray, idx_t: np.ndarray, adapter: SppAdapter
+) -> None:
+    """Turn W's transposed slot values ``w_t`` (Kt, n) into W', in place.
+
+    Slot t of column j holds row i = idx_t[t, j]: (w * alpha[i // (m/r), j])
+    * beta[i], the same two products in the same order as at the row slots.
+    A padded slot holds 0.0, so it stays +-0.0.
+    """
+    n = adapter.n
+    at = idx_t // (adapter.m // adapter.r)
+    at *= n
+    at += np.arange(n)
+    factor = adapter.alpha.take(at)
+    del at
+    w_t *= factor
+    adapter.beta.take(idx_t, out=factor, mode="clip")
+    w_t *= factor
+
+
 def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
     """Materialize W' = (W * alpha[i // (m/r), j]) * beta[i] as one m x n array.
 
@@ -305,26 +326,29 @@ def spp_backward(
             f"({cache.x_dropped.shape[0]}, {m})"
         )
     slots = layer.mask.slots
-    w = slots.values(layer.weight)
-    w_slots = slots.grid(w)
-    alpha_at = adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx]
-    hw = adapter.s * sampled_matmul(d_y, cache.x_dropped, slots.idx)
-    hw *= w_slots
+    # Products are formed in place; IEEE products commute, so s * H * W
+    # below is bit for bit the dense formulas' (s * H) * W.
+    hw = sampled_matmul(d_y, cache.x_dropped, slots.idx)
+    hw *= adapter.s
+    hw *= slots.grid(slots.values(layer.weight))
     # The sums run over the dense m x n layout, zeros included, so that they
-    # pair up terms exactly as the dense formulas do.
-    d_beta = slots.scatter(hw * alpha_at).sum(axis=1, keepdims=True)
-    d_alpha = slots.scatter(hw * adapter.beta[:, 0])
-    d_alpha = d_alpha.reshape(adapter.r, m // adapter.r, n).sum(axis=1)
+    # pair up terms exactly as the dense formulas do.  Both scatter to the
+    # same positions, so they share one buffer.
+    terms = adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx]
+    terms *= hw
+    dense = slots.scatter(terms)
+    del terms
+    d_beta = dense.sum(axis=1, keepdims=True)
+    hw *= adapter.beta[:, 0]
+    d_alpha = slots.scatter(hw, out=dense).reshape(adapter.r, m // adapter.r, n).sum(axis=1)
+    del hw, dense
 
     d_x = None
     if input_grad:
-        # Transposed slots read ``w`` through t2r; padded ones read its
-        # trailing 0.0.
-        d_x = slot_matmul(d_y, slots.idx_t, w[slots.t2r])
-        # W' = (w * alpha) * beta in place, from the alpha already gathered.
-        w_slots *= alpha_at
-        w_slots *= adapter.beta[:, 0]
-        d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w[slots.t2r]))
+        w_t = slots.values_t(layer.weight)
+        d_x = slot_matmul(d_y, slots.idx_t, w_t)
+        _effective_at_transposed_slots(w_t, slots.idx_t, adapter)
+        d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w_t))
     return AdapterGrads(d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
 

@@ -140,21 +140,24 @@ class SparseMask:
         return SlotLayout.of(self)
 
 
-def _slot_rows(keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Slot-major columns of the kept entries of each row of ``keep``.
+def _slot_positions(keep: np.ndarray) -> np.ndarray:
+    """Flat positions in ``keep`` of its kept entries, in padded slot-major order.
 
-    Returns (idx, slot, rows, cols): idx is (K, rows) with idx[t, i] the t-th
-    kept column of row i (0 in padded slots), and slot, rows, cols give the
-    flat slot index t * rows + i, row and column of every kept entry in
-    row-major order.
+    Returns (K, rows): entry [t, i] is i * cols + j for the t-th kept column
+    j of row i, ascending, and keep.size in padded slots.  Built in place
+    from the row-major list of kept positions, whose e-th entry, the r-th of
+    row i, goes to slot r * rows + i.
     """
+    rows = keep.shape[0]
     counts = np.count_nonzero(keep, axis=1)
-    rows, cols = np.nonzero(keep)
-    rank = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    slot = rank * keep.shape[0] + rows
-    idx = np.zeros((int(counts.max()), keep.shape[0]), dtype=np.intp)
-    idx.ravel()[slot] = cols
-    return idx, slot, rows, cols
+    flat = np.flatnonzero(keep)
+    # r * rows + i = e * rows - (start_i * rows - i), start_i = row i's first e.
+    slot = np.arange(flat.size)
+    slot *= rows
+    slot -= np.repeat((np.cumsum(counts) - counts) * rows - np.arange(rows), counts)
+    pos = np.full((int(counts.max()), rows), keep.size, dtype=np.intp)
+    pos.ravel()[slot] = flat
+    return pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,41 +166,44 @@ class SlotLayout:
 
     K is the largest number of kept entries in a row and Kt in a column.
 
-    idx:   (K, m), idx[t, i] is the t-th kept column of row i, ascending.
-           Slots past a row's last kept entry read column 0 (padded slots).
-    pos:   (K, m), flat position i * n + idx[t, i] of each slot in the
-           weight; m * n, one past the end, in padded slots.
-    pads:  flat indices t * m + i of the padded slots.
-    idx_t: (Kt, n), the same as idx for the transposed weight: the kept rows
-           of each column, ascending.
-    t2r:   (Kt, n), for each transposed slot the flat index t * m + i of the
-           row slot holding the same entry; K * m in padded slots.
+    idx:    (K, m), idx[t, i] is the t-th kept column of row i, ascending.
+            Slots past a row's last kept entry read column 0 (padded slots).
+    pos:    (K, m), flat position i * n + idx[t, i] of each slot in the
+            weight; m * n, one past the end, in padded slots.
+    pads:   flat indices t * m + i of the padded slots.
+    idx_t:  (Kt, n), the same as idx for the transposed weight: the kept rows
+            of each column, ascending, and row 0 in padded slots.
+    pads_t: flat indices t * n + j of the padded transposed slots.
+
+    The forward reads both idx and pos, and deriving either from the other
+    per call made its transient outgrow the weight (691,568 B against the
+    524,288 B weight of a 256 x 256 layer, with pos derived).  The positions
+    of the transposed slots are derived per call instead (``values_t``): the
+    backward reads them next to an m x n buffer of its own.
     """
 
     idx: np.ndarray
     pos: np.ndarray
     pads: np.ndarray
     idx_t: np.ndarray
-    t2r: np.ndarray
+    pads_t: np.ndarray
 
     @classmethod
     def of(cls, mask: SparseMask) -> "SlotLayout":
         keep = mask.mask
         m, n = keep.shape
-        idx, slot, rows, cols = _slot_rows(keep)
-        pos = np.full(idx.size, m * n, dtype=np.intp)
-        pos[slot] = rows * n + cols
-        idx_t, slot_t, _, _ = _slot_rows(keep.T)
-        t2r = np.full(idx_t.size, idx.size, dtype=np.intp)
-        # A stable sort by column turns row-major entry order into the
-        # column-major order in which the transposed slots were numbered.
-        t2r[slot_t] = slot[np.argsort(cols, kind="stable")]
+        # Each index array is turned into the next in place where it can be,
+        # so the build holds little more than the layout it returns.
+        idx_t = _slot_positions(keep.T)
+        pads_t = np.flatnonzero(idx_t == m * n)
+        idx_t %= m  # (j * m + i) % m is i, and a padded m * n gives row 0
+        pos = _slot_positions(keep)
         return cls(
-            idx=idx,
-            pos=pos.reshape(idx.shape),
+            idx=pos % n,  # a padded m * n gives column 0
+            pos=pos,
             pads=np.flatnonzero(pos == m * n),
             idx_t=idx_t,
-            t2r=t2r.reshape(idx_t.shape),
+            pads_t=pads_t,
         )
 
     def grid(self, flat: np.ndarray) -> np.ndarray:
@@ -207,9 +213,8 @@ class SlotLayout:
     def values(self, weight: np.ndarray) -> np.ndarray:
         """The weight at every slot, flat, with one trailing 0.0.
 
-        Padded slots hold 0.0, and so does the trailing entry, which the
-        padded transposed slots of ``t2r`` point at.  Read on each call, so
-        the values are always those of the weight as it is now.
+        Padded slots hold 0.0, and so does the trailing entry.  Read on each
+        call, so the values are always those of the weight as it is now.
         """
         out = np.empty(self.idx.size + 1, dtype=np.float64)
         np.take(weight, self.pos.ravel(), mode="clip", out=out[:-1])
@@ -217,13 +222,32 @@ class SlotLayout:
         out[-1] = 0.0
         return out
 
-    def scatter(self, vals: np.ndarray) -> np.ndarray:
-        """A fresh (m, n) array: ``vals`` (K, m) at the kept positions, +0.0 elsewhere."""
+    def values_t(self, weight: np.ndarray) -> np.ndarray:
+        """The weight at every transposed slot, (Kt, n), 0.0 in padded slots.
+
+        Slot t of column j reads weight[idx_t[t, j], j].  Read on each call,
+        like ``values``.
+        """
+        n = self.idx_t.shape[1]
+        at = self.idx_t * n
+        at += np.arange(n)
+        out = np.take(weight, at)
+        out.ravel()[self.pads_t] = 0.0
+        return out
+
+    def scatter(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(m, n): ``vals`` (K, m) at the kept positions, +0.0 elsewhere.
+
+        A fresh array, or ``out``, an earlier result of this method, written
+        over: the same positions take the new values, and the rest are still
+        +0.0.
+        """
         m, n = self.idx.shape[1], self.idx_t.shape[1]
-        out = np.zeros(m * n + 1, dtype=np.float64)
-        # Padded slots write to the extra last entry, which is dropped.
-        out[self.pos] = vals
-        return out[:-1].reshape(m, n)
+        # Padded slots write to one extra last entry, which the (m, n) view
+        # leaves out and ``out.base`` still holds.
+        flat = np.zeros(m * n + 1, dtype=np.float64) if out is None else out.base
+        flat[self.pos] = vals
+        return flat[:-1].reshape(m, n)
 
 
 @dataclass
@@ -257,7 +281,7 @@ class PrunedLayer:
     def apply_transpose(self, g: np.ndarray) -> np.ndarray:
         """``g @ W`` over the kept entries; bit-identical to the dense product."""
         slots = self.mask.slots
-        return slot_matmul(g, slots.idx_t, slots.values(self.weight)[slots.t2r])
+        return slot_matmul(g, slots.idx_t, slots.values_t(self.weight))
 
 
 @dataclass

@@ -271,6 +271,21 @@ def test_forward_frees_batch_buffers_before_the_output():
     assert peak_transient_bytes(spp_forward_naive, x, layer, ad) < 4.5 * b * m * 8
 
 
+def test_backward_holds_one_scatter_buffer():
+    rng = Rng(57)
+    m = n = 128
+    layer = random_pruned(rng, m, n)  # 2:4: K * m = m * n / 2 slots
+    ad = adapter_for(layer, rng, r=8, random_beta=True)
+    x = rand_matrix(rng, 4, n)
+    d_y = rand_matrix(rng, 4, m)
+    _, cache = spp_forward_naive(x, layer, ad, rng=rng, training=True)
+    # d_beta and d_alpha share one m x n scatter buffer, beside at most two
+    # K x m per-slot arrays: 2 * m * n * 8 bytes at 2:4.  A quarter of a
+    # weight covers index and ufunc temporaries; a second scatter buffer
+    # would add a whole weight.
+    assert peak_transient_bytes(spp_backward, cache, d_y) < 2.25 * m * n * 8
+
+
 def test_both_zero_init_warns():
     with pytest.warns(UserWarning):
         SppAdapter(alpha=np.zeros((2, 4)), beta=np.zeros((4, 1)))

@@ -6,13 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import spp
 from spp import Rng, TensorStore, store_read, store_write
 from spp.adapters import ADAPTERS
 from spp.cli import _build_net, _bundles_to_store, _load_layers, main
 
-from helpers import rand_matrix
+from helpers import peak_transient_bytes, rand_matrix
 
 
 def write_weights(path, layers, meta=None):
@@ -248,6 +250,100 @@ def test_malformed_adapter_meta_exits_2_naming_the_key(tmp_path, capsys, command
     assert f"adapter meta {key!r}" in capsys.readouterr().err
 
 
+def _set_meta(path, **changes):
+    st = store_read(path)
+    st.set_meta({**st.meta(), **changes})
+    store_write(st, path)
+
+
+def _argv(command, model, tmp_path):
+    """argv running ``command`` on ``model``, with a data store for train."""
+    out = str(tmp_path / "out.spp")
+    if command == "train":
+        return ["train", model, make_data(tmp_path), out, "--steps", "1"]
+    return {
+        "prune": ["prune", model, out, "--pattern", "2:4"],
+        "attach": ["attach", model, out, "--r", "2"],
+        "merge": ["merge", model, out],
+        "verify": ["verify", model],
+    }[command]
+
+
+@pytest.mark.parametrize("command,changes,named", [
+    ("verify", {"pattern": 5}, "meta 'pattern'"),
+    ("verify", {"pattern": "unstructured", "ratio": None}, "meta 'ratio'"),
+    ("train", {"net": [1]}, "meta 'net'"),
+    ("train", {"net": {"layers": "abc"}}, "net meta 'layers'"),
+    ("train", {"net": {"layers": [{"name": "a"}, {"name": "a"}]}}, "net meta 'layers'"),
+    ("merge", {"adapter": "spp"}, "meta 'adapter'"),
+    ("verify", {"adapter": {"kind": "spp", "r": "2"}}, "adapter meta 'r'"),
+    ("verify", {"adapter": {"kind": ["spp"]}}, "adapter meta 'kind'"),
+])
+def test_malformed_meta_exits_2_naming_the_key(tmp_path, capsys, command, changes, named):
+    attached = attached_store(tmp_path, r=2)
+    _set_meta(attached, **changes)
+    assert main(_argv(command, attached, tmp_path)) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_meta_that_is_not_an_object_exits_2(tmp_path, capsys):
+    attached = attached_store(tmp_path)
+    st = store_read(attached)
+    st.set_meta([1])
+    store_write(st, attached)
+    assert main(["verify", attached]) == 2
+    assert "meta '__meta__'" in capsys.readouterr().err
+
+
+_JSON = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers() | hst.floats() | hst.text(max_size=6),
+    lambda kids: hst.lists(kids, max_size=3) | hst.dictionaries(hst.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+# Values that parse, so that the checks past the type checks run too.
+_PLAUSIBLE = hst.sampled_from([
+    "2:4", "1:2", "3:4", "0:4", "unstructured", "dense", "a", "b", "relu", "identity",
+    "mse", "cross_entropy", "spp", "lora", 0.5, 0.75, 1.5, 2, 4, 0, -1,
+    [{"name": "a"}], [{"name": "b"}, {"name": "a"}], [{"name": "b", "activation": "relu"}],
+    {"kind": "lora", "r": 2}, {"kind": "spp"}, {},
+])
+_META_KEYS = [
+    ("pattern",), ("ratio",), ("net",), ("net", "layers"), ("net", "loss"),
+    ("net", "layers", 0, "name"), ("net", "layers", 0, "activation"),
+    ("adapter",), ("adapter", "kind"), ("adapter", "r"), ("adapter", "s"), ("adapter", "p"),
+]
+
+
+@pytest.fixture(scope="module")
+def meta_case_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("meta")
+    attached = attached_store(tmp, r=2)
+    _set_meta(attached, net={"loss": "mse", "layers": [{"name": "a", "activation": "relu"},
+                                                       {"name": "b"}]})
+    make_data(tmp)
+    return tmp
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    command=hst.sampled_from(["prune", "attach", "train", "merge", "verify"]),
+    key=hst.sampled_from(_META_KEYS),
+    value=_PLAUSIBLE | _JSON,
+)
+def test_any_meta_value_exits_0_1_or_2(meta_case_dir, command, key, value):
+    store = store_read(meta_case_dir / "attached.spp")
+    meta = store.meta()
+    parent = meta
+    for part in key[:-1]:
+        parent = parent[part]
+    parent[key[-1]] = value
+    store.set_meta(meta)
+    case = str(meta_case_dir / "case.spp")
+    store_write(store, case)
+    with np.errstate(all="ignore"):
+        assert main(_argv(command, case, meta_case_dir)) in (0, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -339,6 +435,38 @@ def test_train_missing_data_tensors(tmp_path, capsys):
     bad = write_weights(tmp_path / "bad.spp", {"x": rand_matrix(rng, 4, 8)})
     assert main(["train", attached, bad, str(tmp_path / "t.spp"), "--steps", "1"]) == 2
     assert "'y'" in capsys.readouterr().err
+
+
+def test_train_exits_3_when_a_frozen_weight_changes(tmp_path, capsys, monkeypatch):
+    attached = attached_store(tmp_path)
+    data = make_data(tmp_path)
+    forward = spp.training._FORWARDS[spp.SppAdapter]
+
+    def forward_writing_the_weight(x, layer, adapter, **kw):
+        layer.weight[layer.mask.mask] *= 2.0  # in place; zeros stay zero
+        return forward(x, layer, adapter, **kw)
+
+    monkeypatch.setitem(spp.training._FORWARDS, spp.SppAdapter, forward_writing_the_weight)
+    out = tmp_path / "t.spp"
+    assert main(["train", attached, data, str(out), "--steps", "2"]) == 3
+    assert "frozen base weight 'a' changed" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".run.csv").exists()
+
+
+def test_train_holds_no_copy_of_the_frozen_weights(tmp_path, capsys):
+    m = 256
+    dense = make_dense(tmp_path, shapes={"a": (m, m), "b": (m, m)})
+    pruned, attached = str(tmp_path / "pruned.spp"), str(tmp_path / "attached.spp")
+    assert main(["prune", dense, pruned, "--pattern", "2:4"]) == 0
+    assert main(["attach", pruned, attached, "--r", "4"]) == 0
+    data = make_data(tmp_path, n=m, m=m, rows=32)
+    out = str(tmp_path / "t.spp")
+    # With no steps the run holds the two stores it read and nothing else
+    # of weight size, yet still checks the frozen weights before and after.
+    # A copy of them would add 2 * m * m * 8 bytes.
+    held = os.path.getsize(attached) + os.path.getsize(data)
+    argv = ["train", attached, data, out, "--steps", "0"]
+    assert peak_transient_bytes(main, argv) < held + m * m * 8
 
 
 def test_build_net_honors_meta_topology(tmp_path):

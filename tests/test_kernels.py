@@ -9,6 +9,7 @@ kept entries whose weight is zero.
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +40,11 @@ from spp import (
     spp_backward,
     spp_forward_naive,
 )
+from spp.pruning import SlotLayout
 
 from helpers import (
     matmul_oracle,
+    peak_transient_bytes,
     rand_matrix,
     spp_backward_dense,
     spp_forward_dense,
@@ -114,7 +117,23 @@ def test_slot_layout_orders_kept_entries():
     w = np.arange(1.0, 13.0).reshape(3, 4) * mask.mask
     values = slots.values(w)
     assert values.tolist() == [2.0, 0.0, 9.0, 4.0, 0.0, 10.0, 0.0, 0.0, 11.0, 0.0]
-    assert values[slots.t2r].tolist() == [[9.0, 2.0, 11.0, 4.0], [0.0, 10.0, 0.0, 0.0]]
+    assert slots.values_t(w).tolist() == [[9.0, 2.0, 11.0, 4.0], [0.0, 10.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("pattern", [NofM(2, 4), Unstructured(0.75)])
+def test_slot_layout_holds_three_index_arrays_and_the_padded_slots(pattern):
+    rng = Rng(500)
+    m, n = 256, 192
+    mask = build_mask(rand_matrix(rng, m, n), pattern)
+    keep = mask.mask
+    k, k_t, nnz = keep.sum(axis=1).max(), keep.sum(axis=0).max(), keep.sum()
+    item = np.dtype(np.intp).itemsize
+    # idx and pos (K, m), idx_t (Kt, n), and the indices of padded slots.
+    budget = (2 * k * m + k_t * n + (k * m - nnz) + (k_t * n - nnz)) * item
+    slots = SlotLayout.of(mask)
+    assert sum(getattr(slots, f.name).nbytes for f in fields(slots)) <= budget
+    # The build holds the layout and at most two lists of the kept entries.
+    assert peak_transient_bytes(SlotLayout.of, mask) <= budget + 2 * nnz * item
 
 
 def _spp_case(rng, layer, r, s, p, b, zero_beta=False):
