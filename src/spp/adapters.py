@@ -39,7 +39,9 @@ Each adapter class declares its ``kind`` ("spp", "lora"), keyed in
 ``ADAPTERS``, and its trainable ``factors``: attribute names in constructor
 and optimizer order, each with a ``d_<factor>`` gradient from the kind's
 backward and a ``<name>.<kind>.<factor>`` store key.  The rank ``r`` is read
-off the factors; ``s`` and ``p`` are keyword-only.
+off the factors; ``s`` and ``p`` are keyword-only.  Both kinds' forwards
+check their inputs and draw or pin dropout in one helper, and keep one
+``AdapterCache`` for their backward, which checks its inputs in another.
 """
 
 import warnings
@@ -103,6 +105,70 @@ def dropout_apply(
     u = rng.doubles(x.size).reshape(x.shape)
     mask = DropoutMask(keep=u >= p, scale=1.0 / (1.0 - p))
     return mask.apply(x), mask
+
+
+# ---------------------------------------------------------------------------
+# what the forward and backward of both kinds share
+
+
+def _check_adapter_layer(layer: PrunedLayer, adapter: "SppAdapter | LoraAdapter") -> None:
+    m, n = layer.shape
+    if adapter.m != m or adapter.n != n:
+        raise ShapeError(
+            f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
+        )
+
+
+@dataclass
+class AdapterCache:
+    """Everything a kind's backward needs from a training-mode forward.
+
+    ``u`` is the low-rank branch's drop(x) @ A.T, shape (b, r); None for SPP.
+    """
+
+    x_dropped: np.ndarray
+    dropout: DropoutMask
+    layer: PrunedLayer
+    adapter: "SppAdapter | LoraAdapter"
+    u: np.ndarray | None = None
+
+
+def _forward_inputs(
+    x: np.ndarray,
+    layer: PrunedLayer,
+    adapter: "SppAdapter | LoraAdapter",
+    rng: Rng | None,
+    training: bool,
+    dropout_mask: DropoutMask | None,
+) -> tuple[np.ndarray, AdapterCache]:
+    """Check a forward's inputs; returns (x as a matrix, its cache).
+
+    The cache holds the pinned ``dropout_mask`` if one is given, else a
+    realization drawn at the adapter's rate.
+    """
+    x = as_matrix(x, "x")
+    _check_adapter_layer(layer, adapter)
+    if x.shape[1] != layer.shape[1]:
+        raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
+    if dropout_mask is None:
+        x_dropped, dropout_mask = dropout_apply(x, adapter.p, rng, training)
+    else:
+        x_dropped = dropout_mask.apply(x)
+    return x, AdapterCache(x_dropped, dropout_mask, layer, adapter)
+
+
+def _backward_inputs(cache: AdapterCache | None, d_y: np.ndarray) -> np.ndarray:
+    """Check a backward's inputs; returns d_y as a matrix.
+
+    Raises StateError when called without a training-mode cache.
+    """
+    if cache is None:
+        raise StateError("backward requires the cache from a training-mode forward")
+    d_y = as_matrix(d_y, "d_y")
+    out_shape = (cache.x_dropped.shape[0], cache.layer.shape[0])
+    if d_y.shape != out_shape:
+        raise ShapeError(f"d_y shape {d_y.shape} does not match forward output {out_shape}")
+    return d_y
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +241,6 @@ def spp_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> SppAdapter
     return SppAdapter(alpha=alpha, beta=beta, s=s, p=p)
 
 
-def _check_adapter_layer(layer: PrunedLayer, adapter: "SppAdapter | LoraAdapter") -> None:
-    m, n = layer.shape
-    if adapter.m != m or adapter.n != n:
-        raise ShapeError(
-            f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
-        )
-
-
 def _effective_at_slots(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter) -> None:
     """Turn W's slot values ``w`` (K, m) into W' = (w * alpha) * beta, in place.
 
@@ -236,16 +294,6 @@ def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
 
 
 @dataclass
-class SppCache:
-    """Everything spp_backward needs from a training-mode forward."""
-
-    x_dropped: np.ndarray
-    dropout: DropoutMask
-    layer: PrunedLayer
-    adapter: SppAdapter
-
-
-@dataclass
 class AdapterGrads:
     """Gradients from one backward pass through an adapted layer.
 
@@ -257,18 +305,6 @@ class AdapterGrads:
     d_x: np.ndarray | None
 
 
-def _resolve_dropout(
-    x: np.ndarray,
-    p: float,
-    rng: Rng | None,
-    training: bool,
-    dropout_mask: DropoutMask | None,
-) -> tuple[np.ndarray, DropoutMask]:
-    if dropout_mask is not None:
-        return dropout_mask.apply(x), dropout_mask
-    return dropout_apply(x, p, rng, training)
-
-
 def spp_forward_naive(
     x: np.ndarray,
     layer: PrunedLayer,
@@ -276,32 +312,26 @@ def spp_forward_naive(
     rng: Rng | None = None,
     training: bool = False,
     dropout_mask: DropoutMask | None = None,
-) -> tuple[np.ndarray, SppCache | None]:
+) -> tuple[np.ndarray, AdapterCache | None]:
     """The forward: y = x @ W.T + s * (drop(x) @ W'.T), on the kept entries.
 
     Bit-identical to the same formula with dense products and a
     materialized W'.  Returns (y, cache); the cache is None outside training
     mode.  Pass ``dropout_mask`` to pin the dropout realization.
     """
-    x = as_matrix(x, "x")
-    _check_adapter_layer(layer, adapter)
-    if x.shape[1] != layer.shape[1]:
-        raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
-    x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
+    x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask)
     slots = layer.mask.slots
-    w = slots.grid(slots.values(layer.weight))
+    w = slots.values(layer.weight)
     y = slot_matmul(x, slots.idx, w)
     _effective_at_slots(w, slots.idx, adapter)
-    branch = slot_matmul(x_dropped, slots.idx, w)
+    branch = slot_matmul(cache.x_dropped, slots.idx, w)
     branch *= adapter.s
     y += branch
-    if not training:
-        return y, None
-    return y, SppCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter)
+    return y, cache if training else None
 
 
 def spp_backward(
-    cache: SppCache | None, d_y: np.ndarray, *, input_grad: bool = True
+    cache: AdapterCache | None, d_y: np.ndarray, *, input_grad: bool = True
 ) -> AdapterGrads:
     """Gradients of the adapted layer given upstream d_y.
 
@@ -315,22 +345,15 @@ def spp_backward(
     skips d_x (None in the result), for a first layer, whose input needs no
     gradient.  Raises StateError when called without a training-mode cache.
     """
-    if cache is None:
-        raise StateError("backward requires the cache from a training-mode forward")
-    d_y = as_matrix(d_y, "d_y")
+    d_y = _backward_inputs(cache, d_y)
     layer, adapter = cache.layer, cache.adapter
     m, n = layer.shape
-    if d_y.shape != (cache.x_dropped.shape[0], m):
-        raise ShapeError(
-            f"d_y shape {d_y.shape} does not match forward output "
-            f"({cache.x_dropped.shape[0]}, {m})"
-        )
     slots = layer.mask.slots
     # Products are formed in place; IEEE products commute, so s * H * W
     # below is bit for bit the dense formulas' (s * H) * W.
     hw = sampled_matmul(d_y, cache.x_dropped, slots.idx)
     hw *= adapter.s
-    hw *= slots.grid(slots.values(layer.weight))
+    hw *= slots.values(layer.weight)
     # The sums run over the dense m x n layout, zeros included, so that they
     # pair up terms exactly as the dense formulas do.  Both scatter to the
     # same positions, so they share one buffer.
@@ -416,15 +439,6 @@ def lora_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> LoraAdapt
 
 
 @dataclass
-class LoraCache:
-    x_dropped: np.ndarray
-    dropout: DropoutMask
-    layer: PrunedLayer
-    adapter: LoraAdapter
-    u: np.ndarray  # drop(x) @ A.T, shape (b, r)
-
-
-@dataclass
 class LoraGrads:
     d_a: np.ndarray
     d_b: np.ndarray
@@ -438,37 +452,24 @@ def lora_forward(
     rng: Rng | None = None,
     training: bool = False,
     dropout_mask: DropoutMask | None = None,
-) -> tuple[np.ndarray, LoraCache | None]:
+) -> tuple[np.ndarray, AdapterCache | None]:
     """y = x @ W.T + s * drop(x) @ A.T @ B.T."""
-    x = as_matrix(x, "x")
-    _check_adapter_layer(layer, adapter)
-    if x.shape[1] != layer.shape[1]:
-        raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
-    x_dropped, mask = _resolve_dropout(x, adapter.p, rng, training, dropout_mask)
+    x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask)
     base = layer.apply(x)
-    u = matmul(x_dropped, adapter.a)
-    y = base + adapter.s * matmul(u, adapter.b)
-    if not training:
-        return y, None
-    return y, LoraCache(x_dropped=x_dropped, dropout=mask, layer=layer, adapter=adapter, u=u)
+    cache.u = matmul(cache.x_dropped, adapter.a)
+    y = base + adapter.s * matmul(cache.u, adapter.b)
+    return y, cache if training else None
 
 
 def lora_backward(
-    cache: LoraCache | None, d_y: np.ndarray, *, input_grad: bool = True
+    cache: AdapterCache | None, d_y: np.ndarray, *, input_grad: bool = True
 ) -> LoraGrads:
     """Gradients for the low-rank branch plus the input.
 
     ``input_grad=False`` skips d_x (None in the result), as in spp_backward.
     """
-    if cache is None:
-        raise StateError("backward requires the cache from a training-mode forward")
-    d_y = as_matrix(d_y, "d_y")
+    d_y = _backward_inputs(cache, d_y)
     layer, adapter = cache.layer, cache.adapter
-    if d_y.shape != (cache.x_dropped.shape[0], layer.shape[0]):
-        raise ShapeError(
-            f"d_y shape {d_y.shape} does not match forward output "
-            f"({cache.x_dropped.shape[0]}, {layer.shape[0]})"
-        )
     d_b = adapter.s * matmul(d_y.T, cache.u.T)
     d_u = adapter.s * matmul(d_y, adapter.b.T)
     d_a = matmul(d_u.T, cache.x_dropped.T)

@@ -30,7 +30,7 @@ from .adapters import (
     spp_init,
     spp_merge,
 )
-from .errors import PatternError, ShapeError, StoreFormatError, TrainingDiverged
+from .errors import PatternError, StoreFormatError, TrainingDiverged
 from .pruning import (
     NofM,
     PrunedLayer,
@@ -198,7 +198,8 @@ def _mask_pattern(meta: dict):
         raise UsageError(f"meta 'pattern' {label!r}: {exc}") from exc
 
 
-def _load_layers(store: TensorStore) -> list[LayerBundle]:
+def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], dict]:
+    """The store's layers and its checked meta (``_store_meta``)."""
     meta = _store_meta(store)
     pattern = _mask_pattern(meta)
     adapter_meta = meta.get("adapter") or {}
@@ -231,7 +232,7 @@ def _load_layers(store: TensorStore) -> list[LayerBundle]:
         bundles.append(LayerBundle(name=name, weight=weight, mask=mask, adapter=adapter))
     if not bundles:
         raise UsageError("store contains no layer matrices")
-    return bundles
+    return bundles, meta
 
 
 def _bundles_to_store(bundles: list[LayerBundle], meta: dict) -> TensorStore:
@@ -299,8 +300,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_attach(args) -> int:
-    store = _read_store(args.input)
-    bundles = _load_layers(store)
+    bundles, meta = _load_layers(_read_store(args.input))
     missing = [b.name for b in bundles if b.mask is None]
     if missing:
         raise UsageError(
@@ -335,7 +335,6 @@ def cmd_attach(args) -> int:
     total = sum(b.weight.size for b in bundles)
     per_mille = 1000.0 * trainable / total
 
-    meta = _store_meta(store)
     meta["adapter"] = {
         "kind": args.kind,
         "r": args.r,
@@ -379,8 +378,7 @@ def _build_net(bundles: list[LayerBundle], meta: dict) -> tuple[ToyNet, list[Lay
 
 
 def cmd_train(args) -> int:
-    store = _read_store(args.model)
-    bundles = _load_layers(store)
+    bundles, meta = _load_layers(_read_store(args.model))
     has_adapters = any(b.adapter is not None for b in bundles)
     if args.baseline_eq3 and has_adapters:
         raise UsageError("--baseline-eq3 expects a model without adapters")
@@ -395,7 +393,6 @@ def cmd_train(args) -> int:
             raise UsageError(f"data store is missing tensor {required!r}")
     x, y = data.get("x"), data.get("y")
 
-    meta = _store_meta(store)
     net, ordered = _build_net(bundles, meta)
     cfg = TrainConfig(
         steps=args.steps,
@@ -405,7 +402,6 @@ def cmd_train(args) -> int:
         warmup_ratio=args.warmup_ratio,
         weight_decay=args.weight_decay,
         seed=_default_seed(args.seed),
-        fixed_mask_baseline=args.baseline_eq3,
     )
 
     # A digest of each frozen weight, not a copy, which would be held for the
@@ -445,12 +441,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    store = _read_store(args.model)
-    bundles = _load_layers(store)
+    bundles, meta = _load_layers(_read_store(args.model))
     if all(b.adapter is None for b in bundles):
         raise UsageError("model has no adapters to merge")
 
-    meta = _store_meta(store)
     dense_output = False
     for b in bundles:
         if b.adapter is None:
@@ -496,8 +490,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    store = _read_store(args.model)
-    bundles = _load_layers(store)
+    bundles, _ = _load_layers(_read_store(args.model))
     all_ok = True
     for b in bundles:
         if b.mask is None:
@@ -547,7 +540,7 @@ def cmd_count_params(args) -> int:
             raise UsageError(f"{path}: expected keys 'blocks' and 'shapes'") from exc
     try:
         trainable, total, per_mille = count_trainable(shapes, blocks, args.r, extra)
-    except (PatternError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(f"trainable: {trainable}")
     print(f"total: {total}")
@@ -658,10 +651,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (StoreFormatError, PatternError, ShapeError, ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

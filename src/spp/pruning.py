@@ -206,20 +206,14 @@ class SlotLayout:
             pads_t=pads_t,
         )
 
-    def grid(self, flat: np.ndarray) -> np.ndarray:
-        """The (K, m) slot view of a flat per-slot array such as ``values``."""
-        return flat[: self.idx.size].reshape(self.idx.shape)
-
     def values(self, weight: np.ndarray) -> np.ndarray:
-        """The weight at every slot, flat, with one trailing 0.0.
+        """The weight at every slot, (K, m), 0.0 in padded slots.
 
-        Padded slots hold 0.0, and so does the trailing entry.  Read on each
-        call, so the values are always those of the weight as it is now.
+        Read on each call, so the values are always those of the weight as
+        it is now.
         """
-        out = np.empty(self.idx.size + 1, dtype=np.float64)
-        np.take(weight, self.pos.ravel(), mode="clip", out=out[:-1])
-        out[self.pads] = 0.0
-        out[-1] = 0.0
+        out = np.take(weight, self.pos, mode="clip")
+        out.ravel()[self.pads] = 0.0
         return out
 
     def values_t(self, weight: np.ndarray) -> np.ndarray:
@@ -276,7 +270,7 @@ class PrunedLayer:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``x @ W.T`` over the kept entries; bit-identical to the dense product."""
         slots = self.mask.slots
-        return slot_matmul(x, slots.idx, slots.grid(slots.values(self.weight)))
+        return slot_matmul(x, slots.idx, slots.values(self.weight))
 
     def apply_transpose(self, g: np.ndarray) -> np.ndarray:
         """``g @ W`` over the kept entries; bit-identical to the dense product."""

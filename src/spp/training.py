@@ -2,9 +2,10 @@
 
 The net model here is deliberately tiny: a stack of frozen pruned linear
 layers, each optionally carrying an adapter, with relu or identity between
-them and an MSE or cross-entropy head.  Training touches adapter parameters
-only; the fixed-mask baseline mode instead updates the weights themselves
-with the gradient masked, which is classical sparse retraining.
+them and an MSE or cross-entropy head.  Training a net with adapters
+touches adapter parameters only.  The fixed-mask baseline is training a net
+without adapters: that updates the weights themselves with the gradient
+masked, which is classical sparse retraining.
 
 All arithmetic is float64 through the deterministic kernels, and all
 randomness flows from one seeded stream, so two runs with the same config
@@ -216,7 +217,6 @@ class TrainConfig:
     warmup_ratio: float = 0.03
     weight_decay: float = 0.001
     seed: int = 0
-    fixed_mask_baseline: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -253,15 +253,17 @@ class RunRecord:
         return out
 
 
-def _trainable(net: ToyNet, grads, fixed_mask_baseline: bool):
+def _trainable(net: ToyNet, grads):
     """Yield (owner, attribute, gradient) for every tensor a step updates.
 
-    In adapter mode that is every adapter factor, in ``factors`` order, and
-    no weight; in baseline mode every weight, whose gradient is +0.0 off its
-    mask.  The optimizer keys its state by position in this sequence.
+    In a net with adapters that is every adapter factor, in ``factors``
+    order, and no weight; in a net without them every weight, whose gradient
+    is +0.0 off its mask.  The optimizer keys its state by position in this
+    sequence.
     """
+    retrain = not net.has_adapters()
     for nl, g in zip(net.layers, grads):
-        if fixed_mask_baseline:
+        if retrain:
             yield nl.layer, "weight", g
         elif nl.adapter is not None:
             for name in nl.adapter.factors:
@@ -269,23 +271,17 @@ def _trainable(net: ToyNet, grads, fixed_mask_baseline: bool):
 
 
 def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
-    """Optimize adapters (or, in baseline mode, the masked weights).
+    """Optimize the net's adapters, or its masked weights if it has none.
 
     Returns (net, RunRecord).  The net is modified in place; base weights are
-    never written in adapter mode.  Batches walk the dataset in order with
-    wraparound, so the run is a pure function of (net, data, cfg).
+    never written when it has adapters.  Batches walk the dataset in order
+    with wraparound, so the run is a pure function of (net, data, cfg).
     """
     x_all = as_matrix(data[0], "x")
     y_all = as_matrix(data[1], "y")
     if x_all.shape[0] != y_all.shape[0]:
         raise ShapeError(
             f"{x_all.shape[0]} inputs but {y_all.shape[0]} targets"
-        )
-    if net.has_adapters() and cfg.fixed_mask_baseline:
-        raise ValueError("fixed-mask baseline mode expects a net without adapters")
-    if not net.has_adapters() and not cfg.fixed_mask_baseline:
-        raise ValueError(
-            "net has no adapters; set fixed_mask_baseline to retrain masked weights"
         )
 
     rng = Rng(cfg.seed)
@@ -309,8 +305,7 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
 
         grads = net_backward(net, caches, d_pred)
 
-        trainable = _trainable(net, grads, cfg.fixed_mask_baseline)
-        for key, (owner, name, grad) in enumerate(trainable):
+        for key, (owner, name, grad) in enumerate(_trainable(net, grads)):
             param = getattr(owner, name)
             if cfg.optimizer == "sgd":
                 new = param - lr * grad

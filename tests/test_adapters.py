@@ -28,6 +28,9 @@ from spp import (
     verify_mask,
 )
 
+from spp.adapters import ADAPTERS
+from spp.training import _BACKWARDS, _FORWARDS
+
 from helpers import peak_transient_bytes, rand_matrix, spp_forward_dense
 
 
@@ -350,3 +353,27 @@ def test_shape_errors_surface():
     small = random_pruned(rng, 4, 4)
     with pytest.raises(ShapeError):
         spp_effective_weight(small, ad)
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_both_kinds_check_their_inputs(kind):
+    rng = Rng(56)
+    cls = ADAPTERS[kind]
+    forward, backward = _FORWARDS[cls], _BACKWARDS[cls]
+    init = {"spp": spp_init, "lora": lora_init}[kind]
+    layer = random_pruned(rng, 8, 12)
+    ad = init(8, 12, 2, 1.0, 0.0, rng)
+    x = rand_matrix(rng, 2, 12)
+    with pytest.raises(ShapeError, match="features"):
+        forward(x[:, :8], layer, ad)
+    with pytest.raises(ShapeError, match="does not fit"):
+        forward(x, random_pruned(rng, 4, 12), ad)
+    _, cache = forward(x, layer, ad)
+    assert cache is None
+    with pytest.raises(StateError):
+        backward(cache, np.ones((2, 8)))
+    _, cache = forward(x, layer, ad, training=True)
+    for bad in ((2, 12), (3, 8)):
+        with pytest.raises(ShapeError, match="d_y shape"):
+            backward(cache, np.ones(bad))
+    assert backward(cache, np.ones((2, 8))).d_x.shape == (2, 12)

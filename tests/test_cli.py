@@ -203,7 +203,7 @@ def test_attach_seed_determinism_and_env_fallback(tmp_path, monkeypatch):
 def test_adapter_table_round_trips_every_kind(tmp_path, kind):
     attached = attached_store(tmp_path, r=2, extra=("--kind", kind))
     st = store_read(attached)
-    bundles = _load_layers(st)
+    bundles, _ = _load_layers(st)
     # no factor tensor is mistaken for a layer
     assert [b.name for b in bundles] == ["a", "b"]
     cls = ADAPTERS[kind]
@@ -477,7 +477,7 @@ def test_build_net_honors_meta_topology(tmp_path):
         "loss": "mse",
         "layers": [{"name": "b", "activation": "relu"}, {"name": "a"}],
     }
-    bundles = _load_layers(st)
+    bundles, _ = _load_layers(st)
     net, ordered = _build_net(bundles, meta)
     assert [b.name for b in ordered] == ["b", "a"]
     assert net.layers[0].activation == "relu"

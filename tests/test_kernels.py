@@ -116,7 +116,7 @@ def test_slot_layout_orders_kept_entries():
     assert slots.idx_t.tolist() == [[2, 0, 2, 0], [0, 2, 0, 0]]
     w = np.arange(1.0, 13.0).reshape(3, 4) * mask.mask
     values = slots.values(w)
-    assert values.tolist() == [2.0, 0.0, 9.0, 4.0, 0.0, 10.0, 0.0, 0.0, 11.0, 0.0]
+    assert values.tolist() == [[2.0, 0.0, 9.0], [4.0, 0.0, 10.0], [0.0, 0.0, 11.0]]
     assert slots.values_t(w).tolist() == [[9.0, 2.0, 11.0, 4.0], [0.0, 10.0, 0.0, 0.0]]
 
 

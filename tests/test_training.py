@@ -234,19 +234,6 @@ def test_adapter_mode_keeps_adapterless_layers_frozen():
         assert np.any(ad.beta != 0.0), optimizer
 
 
-def test_train_mode_validation():
-    ts, _ = build_student(3)
-    with pytest.raises(ValueError):
-        train(
-            ts.student,
-            (ts.x_train, ts.y_train),
-            TrainConfig(steps=1, fixed_mask_baseline=True),
-        )
-    bare = make_teacher_student(3, 32, 32, NofM(2, 4), 128).student
-    with pytest.raises(ValueError):
-        train(bare, (ts.x_train, ts.y_train), TrainConfig(steps=1))
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow IS the test
 def test_train_divergence_raises_with_step():
     ts, _ = build_student(4)
@@ -275,9 +262,7 @@ def test_fixed_mask_baseline_preserves_zeros():
     for optimizer in ("sgd", "adamw"):
         ts = make_teacher_student(5, 32, 32, NofM(2, 4), 512)
         before = eval_loss(ts.student, ts.x_eval, ts.y_eval)
-        cfg = TrainConfig(
-            steps=60, optimizer=optimizer, fixed_mask_baseline=True, seed=5
-        )
+        cfg = TrainConfig(steps=60, optimizer=optimizer, seed=5)
         train(ts.student, (ts.x_train, ts.y_train), cfg)
         layer = ts.student.layers[0].layer
         assert verify_mask(layer).ok
