@@ -5,6 +5,11 @@ layer names; a pruned layer adds "<name>.mask" (uint8), an adapter adds each
 factor as "<name>.<kind>.<factor>" (e.g. "<name>.spp.alpha"), and run-level
 settings ride the "__meta__" JSON tensor.
 
+prune, attach, merge and verify hold one layer at a time: each checks the
+meta and the layer list from the store's index (``_index_layers``), then
+reads, transforms and writes one layer's weight and mask before the next
+(``_Layers.load``, ``_Stream``).  train loads the whole model.
+
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
 """
@@ -16,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,10 +132,11 @@ def _read_store(path) -> TensorStore:
 
 def _layer_names(store: TensorStore) -> list[str]:
     names = []
-    for name, arr in store.items():
+    for name in store.names():
         if name == META_NAME or name.endswith(_RESERVED_SUFFIXES):
             continue
-        if arr.dtype == np.float64 and arr.ndim == 2:
+        dtype, shape = store.spec(name)
+        if dtype == np.float64 and len(shape) == 2:
             names.append(name)
     return names
 
@@ -198,24 +205,43 @@ def _mask_pattern(meta: dict):
         raise UsageError(f"meta 'pattern' {label!r}: {exc}") from exc
 
 
-def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], dict]:
-    """The store's layers and its checked meta (``_store_meta``)."""
+@dataclass
+class _Layers:
+    """A store's layers as its index and small tensors give them.
+
+    Every check that needs no weight or mask has passed: the meta, its
+    pattern, the layer list and the adapters, whose factors are read here.
+    ``load`` reads one layer's weight and mask, which the store then drops.
+    """
+
+    store: TensorStore
+    names: list[str]
+    meta: dict
+    pattern: Unstructured | NofM | None
+    masked: set[str]
+    adapters: dict[str, SppAdapter | LoraAdapter]
+
+    def load(self, name: str) -> LayerBundle:
+        weight = self.store.pop(name)
+        mask = None
+        if name in self.masked:
+            raw = self.store.pop(f"{name}.mask")
+            pattern = self.pattern
+            if pattern is None and raw.size:
+                zeros = raw.size - int(np.count_nonzero(raw))
+                pattern = Unstructured.matching(zeros, raw.size)
+            mask = SparseMask(raw, pattern)
+        return LayerBundle(name=name, weight=weight, mask=mask, adapter=self.adapters.get(name))
+
+
+def _index_layers(store: TensorStore) -> _Layers:
     meta = _store_meta(store)
     pattern = _mask_pattern(meta)
     adapter_meta = meta.get("adapter") or {}
     cls = ADAPTERS.get(adapter_meta.get("kind"))
-    bundles = []
-    for name in _layer_names(store):
-        weight = store.get(name)
-        mask = None
-        if f"{name}.mask" in store:
-            raw = store.get(f"{name}.mask")
-            pattern_here = pattern
-            if pattern is None and raw.size:
-                zeros = raw.size - int(np.count_nonzero(raw))
-                pattern_here = Unstructured.matching(zeros, raw.size)
-            mask = SparseMask(raw, pattern_here)
-        adapter = None
+    names = _layer_names(store)
+    adapters = {}
+    for name in names:
         keys = _factor_keys(name, cls) if cls is not None else ()
         if keys and keys[0] in store:
             adapter = cls(
@@ -229,24 +255,67 @@ def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], dict]:
                     f"layer {name!r}: adapter meta gives r = {r}, "
                     f"but its factors have rank {adapter.r}"
                 )
-        bundles.append(LayerBundle(name=name, weight=weight, mask=mask, adapter=adapter))
-    if not bundles:
+            adapters[name] = adapter
+    if not names:
         raise UsageError("store contains no layer matrices")
-    return bundles, meta
+    masked = {name for name in names if f"{name}.mask" in store}
+    return _Layers(store, names, meta, pattern, masked, adapters)
 
 
-def _bundles_to_store(bundles: list[LayerBundle], meta: dict) -> TensorStore:
-    out = TensorStore()
-    for b in bundles:
-        out.add(b.name, b.weight)
-        if b.mask is not None:
-            out.add(f"{b.name}.mask", b.mask.mask.view(np.uint8))
-    for b in bundles:
-        if b.adapter is not None:
-            for key, factor in zip(_factor_keys(b.name, b.adapter), b.adapter.factors):
-                out.add(key, getattr(b.adapter, factor))
-    out.set_meta(meta)
-    return out
+def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], dict]:
+    """The store's layers, all held at once, and its checked meta (``_store_meta``).
+
+    Each weight and mask is moved out of ``store`` into its bundle.
+    """
+    layers = _index_layers(store)
+    return [layers.load(name) for name in layers.names], layers.meta
+
+
+@dataclass
+class _Stream:
+    """An output store that is made one layer at a time while it is written.
+
+    ``layer(name)`` makes the bundle of each of ``names`` in turn; its weight
+    is written under the layer's name, then its mask, if it has one.  The
+    ``masks`` layers that have one are counted in advance, because the file
+    header gives the tensor count.  ``tail`` holds the small tensors that
+    follow the layers: adapter factors and the meta.  ``store_write`` takes
+    this as it takes a TensorStore, and each bundle is dropped once written.
+    """
+
+    names: list[str]
+    masks: int
+    layer: Callable[[str], LayerBundle]
+    tail: TensorStore
+
+    def __len__(self) -> int:
+        return len(self.names) + self.masks + len(self.tail)
+
+    def items(self):
+        for name in self.names:
+            b = self.layer(name)
+            yield name, b.weight
+            if b.mask is not None:
+                yield f"{name}.mask", b.mask.mask.view(np.uint8)
+            del b  # so the next layer is made without this one held
+        yield from self.tail.items()
+
+
+def _tail(adapters: dict, meta: dict) -> TensorStore:
+    """Each adapter's factors, by layer, then the meta."""
+    tail = TensorStore()
+    for name, adapter in adapters.items():
+        for key, factor in zip(_factor_keys(name, adapter), adapter.factors):
+            tail.add(key, getattr(adapter, factor))
+    tail.set_meta(meta)
+    return tail
+
+
+def _bundles_to_store(bundles: list[LayerBundle], meta: dict) -> _Stream:
+    by_name = {b.name: b for b in bundles}
+    adapters = {b.name: b.adapter for b in bundles if b.adapter is not None}
+    masks = sum(b.mask is not None for b in bundles)
+    return _Stream(list(by_name), masks, by_name.__getitem__, _tail(adapters, meta))
 
 
 # ---------------------------------------------------------------------------
@@ -265,59 +334,61 @@ def cmd_prune(args) -> int:
     names = _layer_names(store)
     if not names:
         raise UsageError("store contains no layer matrices")
-
-    bundles = []
-    lines = []
-    for name in names:
-        weight = store.get(name)
-        if args.metric == "wanda":
-            if name not in calib:
-                raise UsageError(f"calibration store has no activations for {name!r}")
-            stats = collect_calibration(calib.get(name))
-            scores = score_wanda(weight, stats)
-        else:
-            scores = score_magnitude(weight)
-        mask = build_mask(scores, pattern, row_wise=args.row_wise)
-        layer = apply_mask(weight, mask)
-        report = verify_mask(layer)
-        bundles.append(LayerBundle(name=name, weight=layer.weight, mask=mask, adapter=None))
-        lines.append(
-            f"{name}: {weight.shape[0]}x{weight.shape[1]} pattern={report.label} "
-            f"ratio={report.ratio:.4f} nnz={report.nnz}"
-        )
+    meta = _store_meta(store)
+    for name in names if calib is not None else ():
+        if name not in calib:
+            raise UsageError(f"calibration store has no activations for {name!r}")
 
     if isinstance(pattern, NofM):
         ratio = 1.0 - pattern.n_keep / pattern.m_group
     else:
         ratio = pattern.ratio
-    meta = _store_meta(store)
     meta.update({"pattern": pattern.label(), "ratio": ratio})
     meta.pop("adapter", None)
-    store_write(_bundles_to_store(bundles, meta), args.output)
+
+    lines = []
+
+    def prune(name):
+        weight = store.pop(name)
+        if calib is not None:
+            scores = score_wanda(weight, collect_calibration(calib.pop(name)))
+        else:
+            scores = score_magnitude(weight)
+        mask = build_mask(scores, pattern, row_wise=args.row_wise)
+        del scores  # one weight-sized array fewer while the layer is masked
+        layer = apply_mask(weight, mask)
+        report = verify_mask(layer)
+        lines.append(
+            f"{name}: {weight.shape[0]}x{weight.shape[1]} pattern={report.label} "
+            f"ratio={report.ratio:.4f} nnz={report.nnz}"
+        )
+        return LayerBundle(name=name, weight=layer.weight, mask=mask, adapter=None)
+
+    store_write(_Stream(names, len(names), prune, _tail({}, meta)), args.output)
     for line in lines:
         print(line)
     return 0
 
 
 def cmd_attach(args) -> int:
-    bundles, meta = _load_layers(_read_store(args.input))
-    missing = [b.name for b in bundles if b.mask is None]
+    layers = _index_layers(_read_store(args.input))
+    names = layers.names
+    missing = [name for name in names if name not in layers.masked]
     if missing:
         raise UsageError(
             f"store is not pruned (layers without masks: {', '.join(missing)})"
         )
-    if any(b.adapter is not None for b in bundles):
+    if layers.adapters:
         raise UsageError("store already carries adapters")
     if not (0.0 <= args.dropout < 1.0):
         raise UsageError(f"--dropout must lie in [0, 1), got {args.dropout}")
     if args.r < 1:
         raise UsageError(f"--r must be >= 1, got {args.r}")
 
+    shapes = {name: layers.store.spec(name)[1] for name in names}
     if args.kind == "spp":
         offenders = [
-            f"{b.name} ({b.weight.shape[0]}x{b.weight.shape[1]})"
-            for b in bundles
-            if b.weight.shape[0] % args.r != 0
+            f"{name} ({m}x{n})" for name, (m, n) in shapes.items() if m % args.r != 0
         ]
         if offenders:
             raise UsageError(
@@ -327,21 +398,22 @@ def cmd_attach(args) -> int:
 
     init = spp_init if args.kind == "spp" else lora_init
     rng = Rng(_default_seed(args.seed))
-    for b in bundles:
-        b.adapter = init(*b.weight.shape, args.r, args.scale, args.dropout, rng)
-    full = [b.name for b in bundles if args.kind == "spp" and args.r == b.weight.shape[0]]
+    adapters = {
+        name: init(*shapes[name], args.r, args.scale, args.dropout, rng) for name in names
+    }
+    full = [name for name in names if args.kind == "spp" and args.r == shapes[name][0]]
 
-    trainable = sum(getattr(b.adapter, f).size for b in bundles for f in b.adapter.factors)
-    total = sum(b.weight.size for b in bundles)
+    trainable = sum(getattr(a, f).size for a in adapters.values() for f in a.factors)
+    total = sum(m * n for m, n in shapes.values())
     per_mille = 1000.0 * trainable / total
 
-    meta["adapter"] = {
+    layers.meta["adapter"] = {
         "kind": args.kind,
         "r": args.r,
         "s": args.scale,
         "p": args.dropout,
     }
-    store_write(_bundles_to_store(bundles, meta), args.output)
+    store_write(_Stream(names, len(names), layers.load, _tail(adapters, layers.meta)), args.output)
     print(f"trainable parameters: {trainable}")
     print(f"frozen parameters in store: {total}")
     print(f"per-mille: {per_mille:.4f}")
@@ -440,77 +512,91 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _merged(b: LayerBundle, reprune: bool) -> LayerBundle:
+    """``b`` with its adapter, if any, folded into its weight; prints what changed."""
+    if b.adapter is None:
+        return b
+    before = int(np.count_nonzero(b.weight))
+    if isinstance(b.adapter, SppAdapter):
+        merged = spp_merge(b.pruned(), b.adapter)
+        report = verify_mask(merged)
+        if report.violations:
+            raise InternalInvariantError(
+                f"merge broke the mask of {b.name!r} at {report.violations[:3]}"
+            )
+        b.weight = merged.weight
+        after = report.nnz
+        print(f"{b.name}: merged multiplicative adapter, nnz {before} -> {after}")
+    else:
+        dense = lora_merge_dense(b.pruned(), b.adapter)
+        if reprune:
+            repruned = apply_mask(dense, b.mask)
+            b.weight = repruned.weight
+            after = int(np.count_nonzero(b.weight))
+            print(
+                f"{b.name}: low-rank merge repruned to original mask, "
+                f"nnz {before} -> {after}"
+            )
+        else:
+            b.weight = dense
+            b.mask = None
+            after = int(np.count_nonzero(dense))
+            print(
+                f"warning: {b.name}: low-rank merge densified the layer, "
+                f"nnz {before} -> {after}"
+            )
+    b.adapter = None
+    return b
+
+
 def cmd_merge(args) -> int:
-    bundles, meta = _load_layers(_read_store(args.model))
-    if all(b.adapter is None for b in bundles):
+    layers = _index_layers(_read_store(args.model))
+    if not layers.adapters:
         raise UsageError("model has no adapters to merge")
 
-    dense_output = False
-    for b in bundles:
-        if b.adapter is None:
-            continue
-        before = int(np.count_nonzero(b.weight))
-        if isinstance(b.adapter, SppAdapter):
-            merged = spp_merge(b.pruned(), b.adapter)
-            report = verify_mask(merged)
-            if report.violations:
-                raise InternalInvariantError(
-                    f"merge broke the mask of {b.name!r} at {report.violations[:3]}"
-                )
-            b.weight = merged.weight
-            after = report.nnz
-            print(f"{b.name}: merged multiplicative adapter, nnz {before} -> {after}")
-        else:
-            dense = lora_merge_dense(b.pruned(), b.adapter)
-            if args.reprune_with_original_mask:
-                repruned = apply_mask(dense, b.mask)
-                b.weight = repruned.weight
-                after = int(np.count_nonzero(b.weight))
-                print(
-                    f"{b.name}: low-rank merge repruned to original mask, "
-                    f"nnz {before} -> {after}"
-                )
-            else:
-                b.weight = dense
-                b.mask = None
-                dense_output = True
-                after = int(np.count_nonzero(dense))
-                print(
-                    f"warning: {b.name}: low-rank merge densified the layer, "
-                    f"nnz {before} -> {after}"
-                )
-        b.adapter = None
-
+    reprune = args.reprune_with_original_mask
+    densified = set() if reprune else {
+        name for name, adapter in layers.adapters.items() if not isinstance(adapter, SppAdapter)
+    }
+    meta = layers.meta
     meta.pop("adapter", None)
-    if dense_output:
+    if densified:
         meta.pop("pattern", None)
         meta.pop("ratio", None)
-    store_write(_bundles_to_store(bundles, meta), args.output)
+
+    def merge(name):
+        return _merged(layers.load(name), reprune)
+
+    masks = len(layers.masked - densified)
+    store_write(_Stream(layers.names, masks, merge, _tail({}, meta)), args.output)
     return 0
 
 
+def _verify_layer(b: LayerBundle) -> bool:
+    """Print the verification lines of one layer; returns whether it passed."""
+    if b.mask is None:
+        print(f"{b.name}: dense (no mask)")
+        return True
+    report = verify_mask(b.pruned())
+    status = "ok" if report.ok else "FAIL"
+    print(
+        f"{b.name}: pattern={report.label} ratio={report.ratio:.4f} "
+        f"nnz={report.nnz} {status}"
+    )
+    if report.violations:
+        shown = ", ".join(str(v) for v in report.violations[:5])
+        more = len(report.violations) - 5
+        tail = f" (+{more} more)" if more > 0 else ""
+        print(f"  weight nonzero at masked positions: {shown}{tail}")
+    if not report.pattern_ok:
+        print(f"  mask does not satisfy pattern {report.label}")
+    return report.ok
+
+
 def cmd_verify(args) -> int:
-    bundles, _ = _load_layers(_read_store(args.model))
-    all_ok = True
-    for b in bundles:
-        if b.mask is None:
-            print(f"{b.name}: dense (no mask)")
-            continue
-        report = verify_mask(b.pruned())
-        status = "ok" if report.ok else "FAIL"
-        print(
-            f"{b.name}: pattern={report.label} ratio={report.ratio:.4f} "
-            f"nnz={report.nnz} {status}"
-        )
-        if report.violations:
-            shown = ", ".join(str(v) for v in report.violations[:5])
-            more = len(report.violations) - 5
-            tail = f" (+{more} more)" if more > 0 else ""
-            print(f"  weight nonzero at masked positions: {shown}{tail}")
-        if not report.pattern_ok:
-            print(f"  mask does not satisfy pattern {report.label}")
-        all_ok = all_ok and report.ok
-    return 0 if all_ok else 1
+    layers = _index_layers(_read_store(args.model))
+    passed = [_verify_layer(layers.load(name)) for name in layers.names]
+    return 0 if all(passed) else 1
 
 
 def cmd_count_params(args) -> int:

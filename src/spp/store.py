@@ -14,15 +14,21 @@ Layout, all integers little-endian:
 Entry order is preserved, names are unique.  JSON metadata travels inside the
 container as a reserved uint8 tensor named "__meta__" holding UTF-8 JSON, so
 a checkpoint is always exactly one file.  Writes go through a temp file and
-an atomic rename; readers never observe a half-written store.  Both directions
-stream one tensor at a time: a write sends each header and then the array's
-own buffer, a read fills a fresh array straight from the file, and neither
-holds a whole-file buffer.
+an atomic rename; readers never observe a half-written store.
+
+Both directions move one tensor at a time.  A read first indexes the file:
+it parses and checks every header and seeks over the payloads, so a damaged
+file is rejected, with a byte offset, before any payload is read.  A payload
+is read into a fresh array only when its tensor is asked for.  A write sends
+each header and then the array's own buffer, taking the arrays from
+``items()`` one at a time, so a store whose ``items()`` makes each array as
+it is asked for (or one read from a file) is written holding one tensor.
 """
 
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,37 +47,107 @@ _CODE_FOR_DTYPE = {
 _DTYPE_FOR_CODE = {1: np.dtype("<f8"), 2: np.dtype("<f4"), 3: np.dtype("u1")}
 
 
+def _stamp(path_or_fd) -> tuple:
+    """What identifies one version of a file: device, inode, size, mtime."""
+    st = os.stat(path_or_fd)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@dataclass(frozen=True)
+class _Payload:
+    """Where an indexed tensor's bytes are in its file."""
+
+    path: Path
+    stamp: tuple
+    name: str
+    offset: int
+    dtype: np.dtype
+    shape: tuple
+
+    def read(self) -> np.ndarray:
+        arr = np.empty(self.shape, dtype=self.dtype)
+        with open(self.path, "rb") as fh:
+            if _stamp(fh.fileno()) != self.stamp:
+                raise StoreFormatError(
+                    f"{self.path}: file changed since it was indexed, "
+                    f"before reading payload of tensor {self.name!r}",
+                    offset=self.offset,
+                )
+            fh.seek(self.offset)
+            if fh.readinto(_raw_bytes(arr)) != arr.nbytes:
+                raise StoreFormatError(
+                    f"{self.path}: file shrank while reading payload of tensor {self.name!r}",
+                    offset=self.offset,
+                )
+        return arr
+
+
+def _load(entry) -> np.ndarray:
+    return entry.read() if isinstance(entry, _Payload) else entry
+
+
+def _check_name(name: str, names) -> None:
+    if not name:
+        raise ValueError("tensor name must be non-empty")
+    if name in names:
+        raise ValueError(f"duplicate tensor name: {name!r}")
+
+
+def _checked(name: str, array) -> np.ndarray:
+    """``array`` as the C-contiguous array of a supported dtype that is stored."""
+    arr = np.asarray(array)
+    if arr.dtype not in _CODE_FOR_DTYPE:
+        raise ValueError(
+            f"unsupported dtype {arr.dtype} for tensor {name!r}; "
+            "use float64, float32, or uint8"
+        )
+    if arr.ndim < 1:
+        arr = arr.reshape(1)
+    return np.ascontiguousarray(arr)
+
+
 class TensorStore:
-    """Ordered mapping of unique tensor names to arrays."""
+    """Ordered mapping of unique tensor names to arrays.
+
+    A store read from a file holds its index until a tensor is asked for.
+    ``get`` reads the payload and keeps the array, so later changes to it
+    are what a write of the store sends.  ``pop`` reads it and keeps
+    nothing, so a caller that walks the store with ``pop`` holds one tensor
+    at a time.  ``items()`` reads each payload as it goes and keeps none.
+    """
 
     def __init__(self):
-        self._entries: dict[str, np.ndarray] = {}
+        self._entries: dict[str, np.ndarray | _Payload] = {}
 
     def add(self, name: str, array: np.ndarray) -> None:
-        if not name:
-            raise ValueError("tensor name must be non-empty")
-        if name in self._entries:
-            raise ValueError(f"duplicate tensor name: {name!r}")
-        arr = np.asarray(array)
-        if arr.dtype not in _CODE_FOR_DTYPE:
-            raise ValueError(
-                f"unsupported dtype {arr.dtype} for tensor {name!r}; "
-                "use float64, float32, or uint8"
-            )
-        if arr.ndim < 1:
-            arr = arr.reshape(1)
-        self._entries[name] = np.ascontiguousarray(arr)
+        _check_name(name, self._entries)
+        self._entries[name] = _checked(name, array)
 
-    def get(self, name: str) -> np.ndarray:
+    def _entry(self, name: str):
         if name not in self._entries:
             raise KeyError(f"no tensor named {name!r}")
         return self._entries[name]
+
+    def get(self, name: str) -> np.ndarray:
+        arr = self._entries[name] = _load(self._entry(name))
+        return arr
+
+    def pop(self, name: str) -> np.ndarray:
+        entry = self._entry(name)
+        del self._entries[name]
+        return _load(entry)
+
+    def spec(self, name: str) -> tuple[np.dtype, tuple]:
+        """The dtype and shape of a tensor, read from the index alone."""
+        entry = self._entry(name)
+        return entry.dtype, entry.shape
 
     def names(self) -> list[str]:
         return list(self._entries)
 
     def items(self):
-        return self._entries.items()
+        for name, entry in self._entries.items():
+            yield name, _load(entry)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -92,7 +168,7 @@ class TensorStore:
     def meta(self) -> dict:
         if META_NAME not in self._entries:
             return {}
-        raw = self._entries[META_NAME].tobytes()
+        raw = self.get(META_NAME).tobytes()
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -103,14 +179,15 @@ def atomic_write(path, chunks) -> None:
     """Write the bytes-like ``chunks`` to a temp file, then rename it to ``path``.
 
     Readers see the old file or the whole new one, never a partial write.  On
-    any failure the temp file is removed and ``path`` is left untouched.
+    any failure, including one raised while ``chunks`` makes its next chunk,
+    the temp file is removed and ``path`` is left untouched.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            # writelines drops each chunk before it asks for the next one.
+            fh.writelines(chunks)
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -123,10 +200,13 @@ def _raw_bytes(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1).view(np.uint8)
 
 
-def _encode(store: TensorStore):
+def _encode(store):
     """Yield the file in order: small headers as bytes, payloads as views."""
-    yield MAGIC + int(VERSION).to_bytes(4, "little") + len(store).to_bytes(4, "little")
+    count = len(store)
+    yield MAGIC + int(VERSION).to_bytes(4, "little") + count.to_bytes(4, "little")
+    written = 0
     for name, arr in store.items():
+        arr = _checked(name, arr)
         encoded = name.encode("utf-8")
         yield b"".join([
             len(encoded).to_bytes(4, "little"),
@@ -136,24 +216,37 @@ def _encode(store: TensorStore):
             _CODE_FOR_DTYPE[arr.dtype].to_bytes(1, "little"),
         ])
         yield _raw_bytes(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
+        del arr  # so the next array is made without this one still held
+        written += 1
+    if written != count:
+        raise ValueError(f"store declared {count} tensors but gave {written}")
 
 
 def store_write(store: TensorStore, path) -> None:
-    """Serialize and atomically replace ``path``, streaming one tensor at a time."""
+    """Serialize ``store`` and atomically replace ``path``, one tensor at a time.
+
+    ``store`` is a TensorStore, or any object whose ``len()`` is its tensor
+    count and whose ``items()`` yields (name, array) pairs in file order, so
+    arrays can be made as they are written.  Each array is checked as
+    ``TensorStore.add`` checks it.
+    """
     atomic_write(path, _encode(store))
 
 
 def store_read(path) -> TensorStore:
-    """Parse a store file; raises StoreFormatError with a byte offset on damage.
+    """Index a store file; raises StoreFormatError with a byte offset on damage.
 
-    Each payload's length is checked against the file size before its array
-    is allocated, and the bytes are read straight into that array.
+    Every header is parsed and checked, and every payload is checked to fit
+    in the file, before this returns; no payload is read until its tensor
+    is asked for (see TensorStore).
     """
+    path = Path(os.path.abspath(path))
     with open(path, "rb") as fh:
-        return _decode(fh, os.fstat(fh.fileno()).st_size)
+        return _index(fh, path, _stamp(fh.fileno()))
 
 
-def _decode(fh, size: int) -> TensorStore:
+def _index(fh, path: Path, stamp: tuple) -> TensorStore:
+    size = stamp[2]
     pos = 0
 
     def reserve(count: int, what: str) -> None:
@@ -177,6 +270,7 @@ def _decode(fh, size: int) -> TensorStore:
     count = int.from_bytes(take(4, "tensor count"), "little")
 
     store = TensorStore()
+    entries = store._entries
     for index in range(count):
         name_len = int.from_bytes(take(4, f"name length of tensor {index}"), "little")
         raw_name = take(name_len, f"name of tensor {index}")
@@ -202,20 +296,21 @@ def _decode(fh, size: int) -> TensorStore:
             n_items *= dim
         start = pos
         reserve(n_items * dtype.itemsize, f"payload of tensor {name!r}")
+        # A payload that fits in the file is small enough for NumPy, so only
+        # the rank, or the other dimensions of an empty shape, can be
+        # unusable; a zero-size array of the same rank tries both for free.
         try:
-            arr = np.empty(dims, dtype=dtype)
+            np.empty(dims[:-1] + (0,) if n_items else dims, dtype=dtype)
         except ValueError as exc:
             raise StoreFormatError(
                 f"tensor {name!r} has unusable shape {dims}", offset=start
             ) from exc
-        if fh.readinto(_raw_bytes(arr)) != arr.nbytes:
-            raise StoreFormatError(
-                f"file shrank while reading payload of tensor {name!r}", offset=start
-            )
         try:
-            store.add(name, arr)
+            _check_name(name, entries)
         except ValueError as exc:
             raise StoreFormatError(str(exc), offset=pos) from exc
+        entries[name] = _Payload(path, stamp, name, start, dtype, dims or (1,))
+        fh.seek(pos)
     if pos != size:
         raise StoreFormatError(
             f"{size - pos} trailing bytes after last tensor", offset=pos

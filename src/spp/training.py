@@ -177,11 +177,13 @@ def net_forward(
 def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
     """Backpropagate; returns one gradient record per layer (same order).
 
-    An adapter-less layer's record is d_w, the (m, n) weight gradient at the
-    kept entries and +0.0 elsewhere.  The first layer's input gradient is
-    never used, so it is not computed.
+    In a net without adapters, a layer's record is d_w, the (m, n) weight
+    gradient at the kept entries and +0.0 elsewhere.  In a net with adapters
+    the weights are frozen, so an adapter-less layer's record stays None.
+    The first layer's input gradient is never used, so it is not computed.
     """
     grads: list[AdapterGrads | LoraGrads | np.ndarray | None] = [None] * len(net.layers)
+    retrain = not net.has_adapters()
     g = d_pred
     for i in range(len(net.layers) - 1, -1, -1):
         nl = net.layers[i]
@@ -189,8 +191,9 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
         if nl.activation == "relu":
             g = g * (pre > 0.0)
         if nl.adapter is None:
-            slots = nl.layer.mask.slots
-            grads[i] = slots.scatter(sampled_matmul(g, cache, slots.idx))
+            if retrain:
+                slots = nl.layer.mask.slots
+                grads[i] = slots.scatter(sampled_matmul(g, cache, slots.idx))
             g = nl.layer.apply_transpose(g) if i > 0 else None
         else:
             grads[i] = _BACKWARDS[type(nl.adapter)](cache, g, input_grad=i > 0)

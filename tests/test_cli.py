@@ -131,6 +131,20 @@ def test_prune_wanda_needs_calibration(tmp_path, capsys):
     assert code == 2
 
 
+def test_prune_checks_the_meta_before_any_layer(tmp_path, capsys, monkeypatch):
+    dense = make_dense(tmp_path)
+    _set_meta(dense, ratio="half")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer was pruned before the meta was checked")
+
+    monkeypatch.setattr(spp.cli, "build_mask", refuse)
+    out = tmp_path / "out.spp"
+    assert main(["prune", dense, str(out), "--pattern", "2:4"]) == 2
+    assert "meta 'ratio'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # attach
 
@@ -652,6 +666,87 @@ def test_verify_flags_pattern_breach(tmp_path, capsys):
     assert main(["verify", path]) == 1
     out = capsys.readouterr().out
     assert "does not satisfy pattern 2:4" in out
+
+
+# ---------------------------------------------------------------------------
+# one layer at a time
+
+
+def test_streamed_commands_hold_a_few_layers_not_the_model(tmp_path, capsys):
+    # Eight 256x256 layers.  prune, attach, merge and verify each read,
+    # transform and write one layer at a time, so what they allocate stays
+    # within a few layers' bytes however many layers the store holds.
+    layer_bytes = 256 * 256 * 8
+    dense = make_dense(tmp_path, shapes={f"l{i}": (256, 256) for i in range(8)})
+    p = {k: str(tmp_path / f"{k}.spp") for k in ("pruned", "adapted", "merged")}
+    for argv in (["prune", dense, p["pruned"], "--pattern", "2:4"],
+                 ["attach", p["pruned"], p["adapted"], "--r", "16"],
+                 ["merge", p["adapted"], p["merged"]],
+                 ["verify", p["merged"]]):
+        codes = []
+        peak = peak_transient_bytes(lambda: codes.append(main(argv)))
+        assert codes == [0], argv
+        assert peak < 5 * layer_bytes, (argv[0], peak / layer_bytes)
+    # The control: the store holds eight layers' worth, and the same measure
+    # sees them all when the store is loaded whole.
+    assert os.path.getsize(p["merged"]) > 8 * layer_bytes
+    assert peak_transient_bytes(_load_layers, store_read(p["merged"])) > 8 * layer_bytes
+
+
+def _with_bad_last_layer(tmp_path, fault):
+    """An attached store of three layers whose last one is damaged; the
+    damage passes the index and shows only when that layer is read."""
+    shapes = {name: (64, 64) for name in "abc"}  # payloads past the write buffer
+    attached = attached_store(tmp_path, r=2, shapes=shapes)
+    st = store_read(attached)
+    if fault == "weight":
+        w = st.get("c")
+        w[0, np.flatnonzero(w[0])[0]] = np.nan
+    else:
+        st.get("c.mask")[1, 2] = 2
+    return st
+
+
+@pytest.mark.parametrize("command,fault,message", [
+    ("attach", "mask", "mask entries must be exactly 0 or 1"),
+    ("merge", "mask", "mask entries must be exactly 0 or 1"),
+    ("verify", "mask", "mask entries must be exactly 0 or 1"),
+    ("merge", "weight", "weight contains non-finite entries"),
+    ("verify", "weight", "weight contains non-finite entries"),
+])
+def test_a_failure_mid_stream_publishes_nothing(tmp_path, capsys, monkeypatch,
+                                                command, fault, message):
+    st = _with_bad_last_layer(tmp_path, fault)
+    if command == "attach":  # attach reads a pruned store
+        for key in [k for k in st.names() if ".spp." in k]:
+            st.pop(key)
+        meta = st.meta()
+        del meta["adapter"]
+        st.set_meta(meta)
+    model = str(tmp_path / "model.spp")
+    store_write(st, model)
+    del st
+    capsys.readouterr()
+
+    streamed = []  # bytes in the temp file as each layer's mask is read
+    sparse_mask = spp.cli.SparseMask
+
+    def noting(*args):
+        streamed.append(sum(f.stat().st_size for f in tmp_path.glob("*.tmp")))
+        return sparse_mask(*args)
+
+    monkeypatch.setattr(spp.cli, "SparseMask", noting)
+    out = tmp_path / "out.spp"
+    argv = {"attach": ["attach", model, str(out), "--r", "2"],
+            "merge": ["merge", model, str(out)],
+            "verify": ["verify", model]}[command]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert len(streamed) == 3
+    if command != "verify":
+        assert streamed[-1] > 2 * 64 * 64 * 8  # layers a and b were written
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 # ---------------------------------------------------------------------------

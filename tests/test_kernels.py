@@ -235,12 +235,16 @@ def test_first_layer_input_gradient_is_skipped():
         pred, caches = net_forward(net, x, training=True)
         grads = net_backward(net, caches, pred)
         if first is None:
-            d_w = grads[0]
-            assert d_w.shape == (8, 8)
-            assert not d_w[layer.mask.mask == 0.0].any()
+            assert grads[0] is None  # frozen: a net with adapters trains no weight
         else:
             assert grads[0].d_x is None
         assert grads[1].d_x is not None
+
+    net = ToyNet([NetLayer(layer, None, "relu"), NetLayer(layer)])
+    pred, caches = net_forward(net, x, training=True)
+    d_w = net_backward(net, caches, pred)[0]
+    assert d_w.shape == (8, 8)
+    assert not d_w[layer.mask.mask == 0.0].any()
 
 
 def test_training_does_not_import_scipy():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -232,6 +233,35 @@ def test_adapter_mode_keeps_adapterless_layers_frozen():
         train(net, data, TrainConfig(steps=10, optimizer=optimizer, batch_size=16, seed=7))
         assert [nl.layer.weight.tobytes() for nl in net.layers] == before, optimizer
         assert np.any(ad.beta != 0.0), optimizer
+
+
+# sha256 of the run CSV, alpha and beta of the run below, as written before
+# the frozen layer's unused weight gradient was dropped.
+FROZEN_LAYER_RUN_SHA256 = "84f8a0aa3939282b552a0ca3bcb4b90e189aee46e57654c9ee7a53c884400859"
+
+
+def test_adapter_mode_computes_no_weight_gradient(monkeypatch):
+    import spp.training
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return sampled_matmul(*args, **kwargs)
+
+    sampled_matmul = spp.training.sampled_matmul
+    monkeypatch.setattr(spp.training, "sampled_matmul", counting)
+    rng = Rng(21)
+    w0, w1 = rand_matrix(rng, 16, 12), rand_matrix(rng, 8, 16)
+    hidden = apply_mask(w0, build_mask(score_magnitude(w0), NofM(2, 4)))
+    out = apply_mask(w1, build_mask(score_magnitude(w1), NofM(2, 4)))
+    ad = spp_init(8, 16, 4, 1.0, 0.05, rng)
+    net = ToyNet([NetLayer(hidden, activation="relu"), NetLayer(out, adapter=ad)])
+    data = (rand_matrix(rng, 64, 12), rand_matrix(rng, 64, 8))
+    _, rec = train(net, data, TrainConfig(steps=12, batch_size=16, seed=21))
+    assert calls == []
+    run = rec.to_csv().encode() + ad.alpha.tobytes() + ad.beta.tobytes()
+    assert hashlib.sha256(run).hexdigest() == FROZEN_LAYER_RUN_SHA256
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow IS the test
