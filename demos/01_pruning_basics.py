@@ -36,8 +36,8 @@ print("row-wise keeps per row:", rw.mask.sum(axis=1).astype(int).tolist())
 # calibration rows are activations; their column norms reweight |w|.
 acts = rng.uniform(-1.0, 1.0, 32, 8)
 acts[:, 3] *= 25.0  # make feature 3 dominate
-stats = collect_calibration(acts)
-wanda_mask = build_mask(score_wanda(w, stats), NofM(2, 4))
+col_norms = collect_calibration(acts)
+wanda_mask = build_mask(score_wanda(w, col_norms), NofM(2, 4))
 col3_kept_mag = int(mask.mask[:, 3].sum())
 col3_kept_wanda = int(wanda_mask.mask[:, 3].sum())
 print(f"column 3 survivors: magnitude={col3_kept_mag} wanda={col3_kept_wanda}")

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .numerics import as_matrix, matmul, sampled_matmul, slot_matmul
 from .pruning import (
-    CalibrationStats,
     MaskReport,
     NofM,
     PrunedLayer,

@@ -38,10 +38,10 @@ exactly the failure mode the multiplicative form avoids.
 Each adapter class declares its ``kind`` ("spp", "lora"), keyed in
 ``ADAPTERS``, and its trainable ``factors``: attribute names in constructor
 and optimizer order, each with a ``d_<factor>`` gradient from the kind's
-backward and a ``<name>.<kind>.<factor>`` store key.  The rank ``r`` is read
-off the factors; ``s`` and ``p`` are keyword-only.  Both kinds' forwards
-check their inputs and draw or pin dropout in one helper, and keep one
-``AdapterCache`` for their backward, which checks its inputs in another.
+backward and a ``<name>.<kind>.<factor>`` store key.  Their shared base holds
+the keyword-only ``s`` and ``p`` and reads r, m and n off the factors.  Both
+kinds' forwards check their inputs and draw or pin dropout in one helper, and
+keep one ``AdapterCache`` for their backward, which checks its inputs in another.
 """
 
 import warnings
@@ -111,7 +111,34 @@ def dropout_apply(
 # what the forward and backward of both kinds share
 
 
-def _check_adapter_layer(layer: PrunedLayer, adapter: "SppAdapter | LoraAdapter") -> None:
+@dataclass
+class _Adapter:
+    """``factors`` (the first (r, n), the second with m rows), branch scale, dropout rate."""
+
+    _: KW_ONLY
+    s: float = 1.0
+    p: float = 0.05
+
+    def __post_init__(self):
+        for factor in self.factors:
+            setattr(self, factor, as_matrix(getattr(self, factor), factor))
+        if not (0.0 <= self.p < 1.0):
+            raise ValueError(f"dropout rate must lie in [0, 1), got {self.p}")
+
+    @property
+    def r(self) -> int:
+        return getattr(self, self.factors[0]).shape[0]
+
+    @property
+    def m(self) -> int:
+        return getattr(self, self.factors[1]).shape[0]
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self.factors[0]).shape[1]
+
+
+def _check_adapter_layer(layer: PrunedLayer, adapter: _Adapter) -> None:
     m, n = layer.shape
     if adapter.m != m or adapter.n != n:
         raise ShapeError(
@@ -129,14 +156,14 @@ class AdapterCache:
     x_dropped: np.ndarray
     dropout: DropoutMask
     layer: PrunedLayer
-    adapter: "SppAdapter | LoraAdapter"
+    adapter: _Adapter
     u: np.ndarray | None = None
 
 
 def _forward_inputs(
     x: np.ndarray,
     layer: PrunedLayer,
-    adapter: "SppAdapter | LoraAdapter",
+    adapter: _Adapter,
     rng: Rng | None,
     training: bool,
     dropout_mask: DropoutMask | None,
@@ -176,12 +203,11 @@ def _backward_inputs(cache: AdapterCache | None, d_y: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SppAdapter:
+class SppAdapter(_Adapter):
     """Trainable multiplicative factors for one pruned layer.
 
-    alpha: (r, n) block factor, beta: (m, 1) row factor, s: branch scale,
-    p: adapter-branch dropout rate.  r, alpha's row count, must divide the
-    layer's row count m.
+    alpha: (r, n) block factor, beta: (m, 1) row factor.  r, alpha's row
+    count, must divide the layer's row count m.
     """
 
     kind = "spp"
@@ -189,19 +215,13 @@ class SppAdapter:
 
     alpha: np.ndarray
     beta: np.ndarray
-    _: KW_ONLY
-    s: float = 1.0
-    p: float = 0.05
 
     def __post_init__(self):
-        self.alpha = as_matrix(self.alpha, "alpha")
-        self.beta = as_matrix(self.beta, "beta")
+        super().__post_init__()
         if self.beta.shape[1] != 1:
             raise ShapeError(f"beta must be a column (m, 1), got {self.beta.shape}")
         if self.m % self.r != 0:
             raise PatternError(f"r = {self.r} does not divide m = {self.m}")
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError(f"dropout rate must lie in [0, 1), got {self.p}")
         if not np.any(self.alpha) and not np.any(self.beta):
             warnings.warn(
                 "adapter initialized with alpha and beta both all-zero: the "
@@ -210,18 +230,6 @@ class SppAdapter:
                 UserWarning,
                 stacklevel=2,
             )
-
-    @property
-    def r(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[1]
 
 
 def spp_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> SppAdapter:
@@ -393,7 +401,7 @@ def spp_merge(layer: PrunedLayer, adapter: SppAdapter) -> PrunedLayer:
 
 
 @dataclass
-class LoraAdapter:
+class LoraAdapter(_Adapter):
     """Additive low-rank factors: update s * B @ A with A (r, n), B (m, r)."""
 
     kind = "lora"
@@ -401,31 +409,13 @@ class LoraAdapter:
 
     a: np.ndarray
     b: np.ndarray
-    _: KW_ONLY
-    s: float = 1.0
-    p: float = 0.05
 
     def __post_init__(self):
-        self.a = as_matrix(self.a, "a")
-        self.b = as_matrix(self.b, "b")
+        super().__post_init__()
         if self.a.shape[0] != self.b.shape[1]:
             raise ShapeError(
                 f"rank mismatch: a is {self.a.shape}, b is {self.b.shape}"
             )
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError(f"dropout rate must lie in [0, 1), got {self.p}")
-
-    @property
-    def r(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[1]
 
 
 def lora_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> LoraAdapter:

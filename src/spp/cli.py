@@ -8,7 +8,7 @@ settings ride the "__meta__" JSON tensor.
 prune, attach, merge and verify hold one layer at a time: each checks the
 meta and the layer list from the store's index (``_index_layers``), then
 reads, transforms and writes one layer's weight and mask before the next
-(``_Layers.load``, ``_Stream``).  train loads the whole model.
+(``_Layers.load``, ``_Stream``).  train loads the whole model from that index.
 
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
@@ -138,6 +138,8 @@ def _layer_names(store: TensorStore) -> list[str]:
         dtype, shape = store.spec(name)
         if dtype == np.float64 and len(shape) == 2:
             names.append(name)
+    if not names:
+        raise UsageError("store contains no layer matrices")
     return names
 
 
@@ -256,19 +258,17 @@ def _index_layers(store: TensorStore) -> _Layers:
                     f"but its factors have rank {adapter.r}"
                 )
             adapters[name] = adapter
-    if not names:
-        raise UsageError("store contains no layer matrices")
     masked = {name for name in names if f"{name}.mask" in store}
     return _Layers(store, names, meta, pattern, masked, adapters)
 
 
-def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], dict]:
-    """The store's layers, all held at once, and its checked meta (``_store_meta``).
+def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], _Layers]:
+    """The store's layers, all held at once, and the index they came from.
 
     Each weight and mask is moved out of ``store`` into its bundle.
     """
     layers = _index_layers(store)
-    return [layers.load(name) for name in layers.names], layers.meta
+    return [layers.load(name) for name in layers.names], layers
 
 
 @dataclass
@@ -311,13 +311,6 @@ def _tail(adapters: dict, meta: dict) -> TensorStore:
     return tail
 
 
-def _bundles_to_store(bundles: list[LayerBundle], meta: dict) -> _Stream:
-    by_name = {b.name: b for b in bundles}
-    adapters = {b.name: b.adapter for b in bundles if b.adapter is not None}
-    masks = sum(b.mask is not None for b in bundles)
-    return _Stream(list(by_name), masks, by_name.__getitem__, _tail(adapters, meta))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -332,8 +325,6 @@ def cmd_prune(args) -> int:
 
     calib = _read_store(args.calib) if args.metric == "wanda" else None
     names = _layer_names(store)
-    if not names:
-        raise UsageError("store contains no layer matrices")
     meta = _store_meta(store)
     for name in names if calib is not None else ():
         if name not in calib:
@@ -450,11 +441,10 @@ def _build_net(bundles: list[LayerBundle], meta: dict) -> tuple[ToyNet, list[Lay
 
 
 def cmd_train(args) -> int:
-    bundles, meta = _load_layers(_read_store(args.model))
-    has_adapters = any(b.adapter is not None for b in bundles)
-    if args.baseline_eq3 and has_adapters:
+    bundles, layers = _load_layers(_read_store(args.model))
+    if args.baseline_eq3 and layers.adapters:
         raise UsageError("--baseline-eq3 expects a model without adapters")
-    if not args.baseline_eq3 and not has_adapters:
+    if not args.baseline_eq3 and not layers.adapters:
         raise UsageError(
             "model has no adapters; attach some or pass --baseline-eq3"
         )
@@ -465,7 +455,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"data store is missing tensor {required!r}")
     x, y = data.get("x"), data.get("y")
 
-    net, ordered = _build_net(bundles, meta)
+    net, ordered = _build_net(bundles, layers.meta)
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
@@ -501,7 +491,9 @@ def cmd_train(args) -> int:
     for nl, b in zip(net.layers, ordered):
         b.weight = nl.layer.weight
 
-    store_write(_bundles_to_store(bundles, meta), args.output)
+    by_name = {b.name: b for b in bundles}
+    tail = _tail(layers.adapters, layers.meta)
+    store_write(_Stream(layers.names, len(layers.masked), by_name.__getitem__, tail), args.output)
     run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))
     atomic_write(run_csv, [record.to_csv().encode("utf-8")])
     summary = record.summary()

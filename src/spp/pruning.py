@@ -5,8 +5,9 @@ kept); on disk it serializes as uint8 with the same bytes.  Masking is
 ``np.where`` on it, so a masked entry is always +0.0.  Two scoring
 rules are provided: plain magnitude, and activation-weighted magnitude where
 each column's score is scaled by the calibration norm of the matching input
-feature.  Tie-breaks everywhere are lexicographic by (row, col): the earliest
-index is kept, so mask construction is a pure function of the scores.
+feature (``collect_calibration`` returns those norms as one (1, n) row).
+Tie-breaks everywhere are lexicographic by (row, col): the earliest index is
+kept, so mask construction is a pure function of the scores.
 
 Unstructured masks are built by selection, not by sorting: ``np.partition``
 finds the cut (the n_zero-th lowest score) in linear time, every score below
@@ -278,24 +279,8 @@ class PrunedLayer:
         return slot_matmul(g, slots.idx_t, slots.values_t(self.weight))
 
 
-@dataclass
-class CalibrationStats:
-    """Per-input-feature activation norms from a calibration batch."""
-
-    col_norms: np.ndarray
-
-    def __post_init__(self):
-        self.col_norms = as_matrix(self.col_norms, "col_norms")
-        if self.col_norms.shape[0] != 1:
-            raise ShapeError(
-                f"col_norms must be a (1, n) row, got {self.col_norms.shape}"
-            )
-        if (self.col_norms < 0).any():
-            raise ValueError("col_norms must be non-negative")
-
-
-def collect_calibration(xs: np.ndarray) -> CalibrationStats:
-    """Column-wise L2 norms over a batch of layer inputs.
+def collect_calibration(xs: np.ndarray) -> np.ndarray:
+    """Column-wise L2 norms over a batch of layer inputs, as a (1, n) row.
 
     col_norms[j] = sqrt(sum_i xs[i][j]^2), accumulated in ascending row order.
     """
@@ -303,7 +288,7 @@ def collect_calibration(xs: np.ndarray) -> CalibrationStats:
     acc = np.zeros((1, xs.shape[1]), dtype=np.float64)
     for i in range(xs.shape[0]):
         acc += xs[i] * xs[i]
-    return CalibrationStats(np.sqrt(acc))
+    return np.sqrt(acc)
 
 
 def score_magnitude(w: np.ndarray) -> np.ndarray:
@@ -311,15 +296,20 @@ def score_magnitude(w: np.ndarray) -> np.ndarray:
     return np.abs(as_matrix(w, "weight"))
 
 
-def score_wanda(w: np.ndarray, stats: CalibrationStats) -> np.ndarray:
-    """Importance = |w| scaled per column by calibration activation norms."""
+def score_wanda(w: np.ndarray, col_norms: np.ndarray) -> np.ndarray:
+    """Importance = |w| scaled per column by the (1, n) calibration norms."""
     w = as_matrix(w, "weight")
-    if stats.col_norms.shape[1] != w.shape[1]:
+    col_norms = as_matrix(col_norms, "col_norms")
+    if col_norms.shape[0] != 1:
+        raise ShapeError(f"col_norms must be a (1, n) row, got {col_norms.shape}")
+    if (col_norms < 0).any():
+        raise ValueError("col_norms must be non-negative")
+    if col_norms.shape[1] != w.shape[1]:
         raise ShapeError(
-            f"calibration covers {stats.col_norms.shape[1]} input features, "
+            f"calibration covers {col_norms.shape[1]} input features, "
             f"weight has {w.shape[1]}"
         )
-    return np.abs(w) * stats.col_norms
+    return np.abs(w) * col_norms
 
 
 def build_mask(

@@ -166,13 +166,16 @@ class TensorStore:
         self.add(META_NAME, payload)
 
     def meta(self) -> dict:
-        if META_NAME not in self._entries:
+        entry = self._entries.get(META_NAME)
+        if entry is None:
             return {}
-        raw = self.get(META_NAME).tobytes()
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(self.get(META_NAME).tobytes().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreFormatError(f"invalid {META_NAME} JSON payload: {exc}") from exc
+            message = f"invalid {META_NAME} JSON payload: {exc}"
+            if isinstance(entry, _Payload):
+                raise StoreFormatError(f"{entry.path}: {message}", offset=entry.offset) from exc
+            raise StoreFormatError(message) from exc
 
 
 def atomic_write(path, chunks) -> None:
@@ -276,10 +279,13 @@ def _index(fh, path: Path, stamp: tuple) -> TensorStore:
         raw_name = take(name_len, f"name of tensor {index}")
         try:
             name = raw_name.decode("utf-8")
+            _check_name(name, entries)
         except UnicodeDecodeError as exc:
             raise StoreFormatError(
                 f"tensor {index} name is not valid UTF-8", offset=pos - name_len
             ) from exc
+        except ValueError as exc:
+            raise StoreFormatError(str(exc), offset=pos - name_len) from exc
         ndim = int.from_bytes(take(4, f"rank of tensor {name!r}"), "little")
         dims = tuple(
             int.from_bytes(take(8, f"dimension {d} of tensor {name!r}"), "little")
@@ -305,10 +311,6 @@ def _index(fh, path: Path, stamp: tuple) -> TensorStore:
             raise StoreFormatError(
                 f"tensor {name!r} has unusable shape {dims}", offset=start
             ) from exc
-        try:
-            _check_name(name, entries)
-        except ValueError as exc:
-            raise StoreFormatError(str(exc), offset=pos) from exc
         entries[name] = _Payload(path, stamp, name, start, dtype, dims or (1,))
         fh.seek(pos)
     if pos != size:

@@ -377,3 +377,24 @@ def test_both_kinds_check_their_inputs(kind):
         with pytest.raises(ShapeError, match="d_y shape"):
             backward(cache, np.ones(bad))
     assert backward(cache, np.ones((2, 8))).d_x.shape == (2, 12)
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_both_kinds_check_their_factors_and_rate(kind):
+    cls = ADAPTERS[kind]
+    init = {"spp": spp_init, "lora": lora_init}[kind]
+    ad = init(8, 12, 2, 1.0, 0.0, Rng(57))
+    factors = [getattr(ad, f) for f in cls.factors]
+    assert (ad.r, ad.m, ad.n) == (2, 8, 12)
+    for p in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="dropout rate"):
+            cls(*factors, p=p)
+    # An (8, 3) second factor is no beta column, and a b of rank 3 against a's 2.
+    with pytest.raises(ShapeError, match="must be a column|rank mismatch"):
+        cls(factors[0], np.ones((8, 3)))
+
+
+def test_dropout_mask_rejects_other_shapes():
+    _, mask = dropout_apply(np.ones((2, 4)), 0.5, Rng(58), training=True)
+    with pytest.raises(ShapeError, match="dropout mask shape"):
+        mask.apply(np.ones((2, 5)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 import spp
 from spp import Rng, TensorStore, store_read, store_write
 from spp.adapters import ADAPTERS
-from spp.cli import _build_net, _bundles_to_store, _load_layers, main
+from spp.cli import _build_net, _load_layers, _Stream, _tail, main
 
 from helpers import peak_transient_bytes, rand_matrix
 
@@ -217,7 +217,7 @@ def test_attach_seed_determinism_and_env_fallback(tmp_path, monkeypatch):
 def test_adapter_table_round_trips_every_kind(tmp_path, kind):
     attached = attached_store(tmp_path, r=2, extra=("--kind", kind))
     st = store_read(attached)
-    bundles, _ = _load_layers(st)
+    bundles, layers = _load_layers(st)
     # no factor tensor is mistaken for a layer
     assert [b.name for b in bundles] == ["a", "b"]
     cls = ADAPTERS[kind]
@@ -227,7 +227,9 @@ def test_adapter_table_round_trips_every_kind(tmp_path, kind):
             stored, loaded = st.get(f"{b.name}.{kind}.{f}"), getattr(b.adapter, f)
             assert loaded.shape == stored.shape and loaded.tobytes() == stored.tobytes()
     again = str(tmp_path / "again.spp")
-    store_write(_bundles_to_store(bundles, st.meta()), again)
+    by_name = {b.name: b for b in bundles}
+    tail = _tail(layers.adapters, layers.meta)
+    store_write(_Stream(layers.names, len(layers.masked), by_name.__getitem__, tail), again)
     assert open(again, "rb").read() == open(attached, "rb").read()
 
     net, _ = _build_net(bundles, st.meta())
@@ -609,6 +611,25 @@ def test_merge_refuses_weight_off_its_mask(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_merge_passes_a_layer_without_adapter_through(tmp_path, capsys):
+    attached = attached_store(tmp_path)
+    st = store_read(attached)
+    partial = TensorStore()
+    for name, arr in st.items():
+        if not name.startswith("b.spp."):
+            partial.add(name, arr)
+    one_adapter = str(tmp_path / "one.spp")
+    store_write(partial, one_adapter)
+    out = str(tmp_path / "m.spp")
+    capsys.readouterr()
+    assert main(["merge", one_adapter, out]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("a: merged multiplicative adapter")
+    merged = store_read(out)
+    for name in ("b", "b.mask"):
+        assert merged.get(name).tobytes() == st.get(name).tobytes()
+
+
 def test_merge_without_adapters(tmp_path, capsys):
     pruned = pruned_store(tmp_path)
     assert main(["merge", pruned, str(tmp_path / "m.spp")]) == 2
@@ -797,6 +818,54 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.spp"
     store_write(TensorStore(), empty)
     assert main(["prune", str(empty), "out.spp", "--pattern", "2:4"]) == 2
+
+
+def _no_layers(tmp_path):
+    return write_weights(tmp_path / "vector.spp", {"v": np.ones(3)})
+
+
+def _unequal_rows(tmp_path):
+    return write_weights(tmp_path / "data.spp", {"x": np.ones((4, 8)), "y": np.ones((3, 8))})
+
+
+NO_LAYERS = "store contains no layer matrices"
+
+# Each case: (argv, the stderr message after "error: ").
+EXIT_2_CASES = {
+    "prune-no-layers": lambda t: (
+        ["prune", _no_layers(t), str(t / "o.spp"), "--pattern", "2:4"], NO_LAYERS),
+    "attach-no-layers": lambda t: (
+        ["attach", _no_layers(t), str(t / "o.spp"), "--r", "2"], NO_LAYERS),
+    "merge-no-layers": lambda t: (["merge", _no_layers(t), str(t / "o.spp")], NO_LAYERS),
+    "verify-no-layers": lambda t: (["verify", _no_layers(t)], NO_LAYERS),
+    "bogus-pattern": lambda t: (
+        ["verify", write_weights(t / "w.spp", {"a": np.ones((2, 4))}, {"pattern": "bogus"})],
+        "meta 'pattern' 'bogus': pattern must be 'N:M' or 'unstructured', got 'bogus'"),
+    "r-zero": lambda t: (
+        ["attach", pruned_store(t), str(t / "o.spp"), "--r", "0"],
+        "--r must be >= 1, got 0"),
+    "train-unpruned": lambda t: (
+        ["train", make_dense(t), make_data(t), str(t / "o.spp"), "--steps", "1",
+         "--baseline-eq3"],
+        "layer 'a' has no mask"),
+    "train-unequal-rows": lambda t: (
+        ["train", attached_store(t), _unequal_rows(t), str(t / "o.spp"), "--steps", "1"],
+        "4 inputs but 3 targets"),
+    "count-params-missing-json": lambda t: (
+        ["count-params", "--arch", str(t / "missing.json"), "--r", "4"],
+        f"no such file: {t / 'missing.json'}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
+def test_input_errors_exit_2_with_their_message(tmp_path, capsys, case):
+    argv, message = EXIT_2_CASES[case](tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n"
+    assert out.out == ""
+    assert not (tmp_path / "o.spp").exists()
 
 
 def _run_python(*argv):

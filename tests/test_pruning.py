@@ -164,8 +164,7 @@ def test_score_magnitude():
 
 def test_collect_calibration_hand_example():
     xs = np.array([[3.0, 0.0], [4.0, 0.0]])
-    stats = collect_calibration(xs)
-    assert stats.col_norms.tolist() == [[5.0, 0.0]]
+    assert collect_calibration(xs).tolist() == [[5.0, 0.0]]
 
 
 def test_score_wanda_weights_columns():
@@ -174,6 +173,14 @@ def test_score_wanda_weights_columns():
     assert score_wanda(w, stats).tolist() == [[5.0, 0.0]]
     with pytest.raises(ShapeError):
         score_wanda(np.ones((1, 3)), stats)
+
+
+def test_score_wanda_checks_the_norms():
+    w = np.ones((1, 2))
+    with pytest.raises(ShapeError, match=r"\(1, n\) row"):
+        score_wanda(w, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="non-negative"):
+        score_wanda(w, np.array([[1.0, -1.0]]))
 
 
 def test_wanda_with_equal_norms_matches_magnitude():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spp import StoreFormatError, TensorStore, store_read, store_write
+from spp.cli import main
 
 
 def roundtrip(store, tmp_path):
@@ -202,3 +203,48 @@ def test_impossible_empty_shape_is_a_format_error(tmp_path):
     with pytest.raises(StoreFormatError) as err:
         store_read(path)
     assert err.value.offset == len(header)
+
+
+def store_bytes(*tensors) -> bytes:
+    """A file of (name, dtype code) tensors, each (2, 2) with a 32-byte payload."""
+    out = b"SPPT" + (1).to_bytes(4, "little") + len(tensors).to_bytes(4, "little")
+    for name, code in tensors:
+        out += header_for(name, (2, 2), code)[12:] + bytes(32)
+    return out
+
+
+@pytest.mark.parametrize("tensors, offset, message", [
+    ([(b"\xff", 1)], 16, "tensor 0 name is not valid UTF-8"),
+    ([(b"w", 9)], 37, "tensor 'w' has unknown dtype code 9"),
+    ([(b"w", 1), (b"w", 1)], 74, "duplicate tensor name: 'w'"),
+    ([(b"w", 1), (b"", 1)], 74, "tensor name must be non-empty"),
+], ids=["not-utf8", "unknown-dtype", "duplicate-name", "empty-name"])
+def test_bad_header_rejected_at_its_offset(tmp_path, capsys, tensors, offset, message):
+    path = tmp_path / "bad.sppt"
+    path.write_bytes(store_bytes(*tensors))
+    with pytest.raises(StoreFormatError) as err:
+        store_read(path)
+    assert err.value.offset == offset
+    assert str(err.value) == f"{message} (at byte offset {offset})"
+    assert main(["verify", str(path)]) == 2
+    stderr = capsys.readouterr().err
+    assert str(path) in stderr and f"(at byte offset {offset})" in stderr
+
+
+def test_malformed_meta_names_file_and_offset(tmp_path, capsys):
+    store = TensorStore()
+    store.add("w", np.ones((2, 2)))
+    store.add("__meta__", np.frombuffer(b"{not json", dtype=np.uint8))
+    path = tmp_path / "meta.sppt"
+    store_write(store, path)
+    with pytest.raises(StoreFormatError) as err:
+        store_read(path).meta()
+    assert err.value.offset == 95  # after the 70 bytes of "w" and the meta's header
+    assert str(path) in str(err.value)
+    assert main(["verify", str(path)]) == 2
+    stderr = capsys.readouterr().err
+    assert "invalid __meta__ JSON payload" in stderr
+    assert str(path) in stderr and "(at byte offset 95)" in stderr
+    with pytest.raises(StoreFormatError) as err:
+        store.meta()  # held in memory: no file, so no offset
+    assert err.value.offset is None
