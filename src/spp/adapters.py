@@ -238,11 +238,10 @@ def spp_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> SppAdapter
     Zero beta makes the adapter branch vanish, so a freshly attached model
     computes exactly what the pruned base computes.  Alpha is drawn row-major
     from the given stream, so init is reproducible from the seed alone.
+    ``SppAdapter`` rejects an r that does not divide m.
     """
-    if m < 1 or n < 1:
-        raise ShapeError(f"layer dimensions must be positive, got {m}x{n}")
-    if r < 1 or m % r != 0:
-        raise PatternError(f"r must divide m: got r = {r}, m = {m}")
+    if m < 1 or n < 1 or r < 1:
+        raise ShapeError(f"dimensions must be positive, got m={m} n={n} r={r}")
     bound = 1.0 / np.sqrt(n)
     alpha = rng.uniform(-bound, bound, r, n)
     beta = np.zeros((m, 1), dtype=np.float64)

@@ -5,10 +5,11 @@ layer names; a pruned layer adds "<name>.mask" (uint8), an adapter adds each
 factor as "<name>.<kind>.<factor>" (e.g. "<name>.spp.alpha"), and run-level
 settings ride the "__meta__" JSON tensor.
 
-prune, attach, merge and verify hold one layer at a time: each checks the
-meta and the layer list from the store's index (``_index_layers``), then
-reads, transforms and writes one layer's weight and mask before the next
-(``_Layers.load``, ``_Stream``).  train loads the whole model from that index.
+A layer is its weight and its mask (or None).  prune, attach, merge and
+verify hold one layer at a time: each checks the meta and the layer list
+from the store's index (``_index_layers``), then reads, transforms and
+writes one layer's weight and mask before the next (``_Layers.load``,
+``_output``).  train loads the whole model from that index (``_load_layers``).
 
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
@@ -21,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,7 +51,7 @@ from .pruning import (
     verify_mask,
 )
 from .rng import Rng
-from .store import META_NAME, TensorStore, atomic_write, store_read, store_write
+from .store import META_NAME, TensorStore, atomic_write, encode_meta, store_read, store_write
 from .training import (
     NetLayer,
     TrainConfig,
@@ -94,19 +94,13 @@ class InternalInvariantError(Exception):
     """A should-be-impossible state; maps to exit code 3."""
 
 
-@dataclass
-class LayerBundle:
-    """One layer as loaded from a store."""
-
-    name: str
-    weight: np.ndarray
-    mask: SparseMask | None
-    adapter: SppAdapter | LoraAdapter | None
-
-    def pruned(self) -> PrunedLayer:
-        if self.mask is None:
-            raise UsageError(f"layer {self.name!r} has no mask")
-        return PrunedLayer(self.weight, self.mask)
+def _pruned(name: str, weight: np.ndarray, mask: SparseMask | None) -> PrunedLayer:
+    if mask is None:
+        raise UsageError(f"layer {name!r} has no mask")
+    try:
+        return PrunedLayer(weight, mask)
+    except ValueError as exc:
+        raise UsageError(f"layer {name!r}: {exc}") from exc
 
 
 def _default_seed(value):
@@ -213,7 +207,8 @@ class _Layers:
 
     Every check that needs no weight or mask has passed: the meta, its
     pattern, the layer list and the adapters, whose factors are read here.
-    ``load`` reads one layer's weight and mask, which the store then drops.
+    ``load`` reads one layer's weight and mask (or None), which the store
+    then drops.
     """
 
     store: TensorStore
@@ -223,17 +218,19 @@ class _Layers:
     masked: set[str]
     adapters: dict[str, SppAdapter | LoraAdapter]
 
-    def load(self, name: str) -> LayerBundle:
+    def load(self, name: str) -> tuple[np.ndarray, SparseMask | None]:
         weight = self.store.pop(name)
-        mask = None
-        if name in self.masked:
-            raw = self.store.pop(f"{name}.mask")
-            pattern = self.pattern
-            if pattern is None and raw.size:
-                zeros = raw.size - int(np.count_nonzero(raw))
-                pattern = Unstructured.matching(zeros, raw.size)
-            mask = SparseMask(raw, pattern)
-        return LayerBundle(name=name, weight=weight, mask=mask, adapter=self.adapters.get(name))
+        if name not in self.masked:
+            return weight, None
+        raw = self.store.pop(f"{name}.mask")
+        pattern = self.pattern
+        if pattern is None and raw.size:
+            zeros = raw.size - int(np.count_nonzero(raw))
+            pattern = Unstructured.matching(zeros, raw.size)
+        try:
+            return weight, SparseMask(raw, pattern)
+        except ValueError as exc:
+            raise UsageError(f"layer {name!r}: {exc}") from exc
 
 
 def _index_layers(store: TensorStore) -> _Layers:
@@ -262,53 +259,51 @@ def _index_layers(store: TensorStore) -> _Layers:
     return _Layers(store, names, meta, pattern, masked, adapters)
 
 
-def _load_layers(store: TensorStore) -> tuple[list[LayerBundle], _Layers]:
-    """The store's layers, all held at once, and the index they came from.
+def _load_layers(layers: _Layers):
+    """Every layer, held at once, and the ToyNet the meta's topology makes of them.
 
-    Each weight and mask is moved out of ``store`` into its bundle.
+    The net takes the topology's layers in its order, or every layer in
+    store order if it names none.  Also returns ``layer(name)``, which gives
+    a layer's weight and mask, read off the net for the layers in it, so
+    what training changed is what it gives.
     """
-    layers = _index_layers(store)
-    return [layers.load(name) for name in layers.names], layers
+    loaded = {name: layers.load(name) for name in layers.names}
+    topology = layers.meta.get("net", {})
+    entries = topology.get("layers") or [{"name": name} for name in layers.names]
+    for entry in entries:
+        name = entry["name"]
+        if name not in loaded:
+            raise UsageError(f"net topology names unknown layer {name!r}")
+        loaded[name] = NetLayer(
+            layer=_pruned(name, *loaded[name]),
+            adapter=layers.adapters.get(name),
+            activation=entry.get("activation", "identity"),
+        )
+    net = ToyNet([loaded[entry["name"]] for entry in entries], loss=topology.get("loss", "mse"))
+
+    def layer(name: str) -> tuple[np.ndarray, SparseMask | None]:
+        held = loaded[name]
+        return (held.layer.weight, held.layer.mask) if isinstance(held, NetLayer) else held
+
+    return net, layer
 
 
-@dataclass
-class _Stream:
-    """An output store that is made one layer at a time while it is written.
+def _output(names: list[str], layer, adapters: dict, meta: dict):
+    """The (name, array) pairs of an output store, each layer made as it is written.
 
-    ``layer(name)`` makes the bundle of each of ``names`` in turn; its weight
-    is written under the layer's name, then its mask, if it has one.  The
-    ``masks`` layers that have one are counted in advance, because the file
-    header gives the tensor count.  ``tail`` holds the small tensors that
-    follow the layers: adapter factors and the meta.  ``store_write`` takes
-    this as it takes a TensorStore, and each bundle is dropped once written.
+    ``layer(name)`` gives the weight and mask (or None) of each of ``names``
+    in turn; then come each adapter's factors, by layer, and last the meta.
     """
-
-    names: list[str]
-    masks: int
-    layer: Callable[[str], LayerBundle]
-    tail: TensorStore
-
-    def __len__(self) -> int:
-        return len(self.names) + self.masks + len(self.tail)
-
-    def items(self):
-        for name in self.names:
-            b = self.layer(name)
-            yield name, b.weight
-            if b.mask is not None:
-                yield f"{name}.mask", b.mask.mask.view(np.uint8)
-            del b  # so the next layer is made without this one held
-        yield from self.tail.items()
-
-
-def _tail(adapters: dict, meta: dict) -> TensorStore:
-    """Each adapter's factors, by layer, then the meta."""
-    tail = TensorStore()
+    for name in names:
+        weight, mask = layer(name)
+        yield name, weight
+        if mask is not None:
+            yield f"{name}.mask", mask.mask.view(np.uint8)
+        del weight, mask  # so the next layer is made without this one held
     for name, adapter in adapters.items():
         for key, factor in zip(_factor_keys(name, adapter), adapter.factors):
-            tail.add(key, getattr(adapter, factor))
-    tail.set_meta(meta)
-    return tail
+            yield key, getattr(adapter, factor)
+    yield META_NAME, encode_meta(meta)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +348,9 @@ def cmd_prune(args) -> int:
             f"{name}: {weight.shape[0]}x{weight.shape[1]} pattern={report.label} "
             f"ratio={report.ratio:.4f} nnz={report.nnz}"
         )
-        return LayerBundle(name=name, weight=layer.weight, mask=mask, adapter=None)
+        return layer.weight, mask
 
-    store_write(_Stream(names, len(names), prune, _tail({}, meta)), args.output)
+    store_write(_output(names, prune, {}, meta), args.output)
     for line in lines:
         print(line)
     return 0
@@ -404,7 +399,7 @@ def cmd_attach(args) -> int:
         "s": args.scale,
         "p": args.dropout,
     }
-    store_write(_Stream(names, len(names), layers.load, _tail(adapters, layers.meta)), args.output)
+    store_write(_output(names, layers.load, adapters, layers.meta), args.output)
     print(f"trainable parameters: {trainable}")
     print(f"frozen parameters in store: {total}")
     print(f"per-mille: {per_mille:.4f}")
@@ -413,35 +408,8 @@ def cmd_attach(args) -> int:
     return 0
 
 
-def _build_net(bundles: list[LayerBundle], meta: dict) -> tuple[ToyNet, list[LayerBundle]]:
-    """Assemble a ToyNet; also returns the bundles in net layer order."""
-    topology = meta.get("net", {})
-    loss = topology.get("loss", "mse")
-    spec_by_name = {
-        entry["name"]: entry.get("activation", "identity")
-        for entry in topology.get("layers", [])
-    }
-    order = [e["name"] for e in topology.get("layers", [])] or [b.name for b in bundles]
-    by_name = {b.name: b for b in bundles}
-    layers = []
-    ordered = []
-    for name in order:
-        if name not in by_name:
-            raise UsageError(f"net topology names unknown layer {name!r}")
-        b = by_name[name]
-        ordered.append(b)
-        layers.append(
-            NetLayer(
-                layer=b.pruned(),
-                adapter=b.adapter,
-                activation=spec_by_name.get(name, "identity"),
-            )
-        )
-    return ToyNet(layers, loss=loss), ordered
-
-
 def cmd_train(args) -> int:
-    bundles, layers = _load_layers(_read_store(args.model))
+    layers = _index_layers(_read_store(args.model))
     if args.baseline_eq3 and layers.adapters:
         raise UsageError("--baseline-eq3 expects a model without adapters")
     if not args.baseline_eq3 and not layers.adapters:
@@ -455,7 +423,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"data store is missing tensor {required!r}")
     x, y = data.get("x"), data.get("y")
 
-    net, ordered = _build_net(bundles, layers.meta)
+    net, layer = _load_layers(layers)
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
@@ -468,10 +436,10 @@ def cmd_train(args) -> int:
 
     # A digest of each frozen weight, not a copy, which would be held for the
     # whole run.  sha256 reads the array's buffer in place: 1.7 ms per 2 MiB.
-    frozen_before = None
-    if not args.baseline_eq3:
-        frozen_before = [hashlib.sha256(nl.layer.weight).digest() for nl in net.layers]
+    def digests():
+        return {name: hashlib.sha256(layer(name)[0]).digest() for name in layers.names}
 
+    frozen_before = None if args.baseline_eq3 else digests()
     try:
         _, record = train(net, (x, y), cfg)
     except TrainingDiverged as exc:
@@ -479,66 +447,46 @@ def cmd_train(args) -> int:
         return 1
 
     if frozen_before is not None:
-        for nl, b, before in zip(net.layers, ordered, frozen_before):
-            if hashlib.sha256(nl.layer.weight).digest() != before:
-                raise InternalInvariantError(
-                    f"frozen base weight {b.name!r} changed during adapter training"
-                )
+        changed = [name for name, d in digests().items() if d != frozen_before[name]]
+        if changed:
+            raise InternalInvariantError(
+                f"frozen base weight {changed[0]!r} changed during adapter training"
+            )
 
-    # Training replaces the factors of the bundles' own adapter objects, but
-    # in baseline mode the weights of the net's PrunedLayer copies: push
-    # those back.
-    for nl, b in zip(net.layers, ordered):
-        b.weight = nl.layer.weight
-
-    by_name = {b.name: b for b in bundles}
-    tail = _tail(layers.adapters, layers.meta)
-    store_write(_Stream(layers.names, len(layers.masked), by_name.__getitem__, tail), args.output)
+    store_write(_output(layers.names, layer, layers.adapters, layers.meta), args.output)
     run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))
     atomic_write(run_csv, [record.to_csv().encode("utf-8")])
     summary = record.summary()
     summary["nnz_before_merge"] = int(
-        sum(np.count_nonzero(b.weight) for b in bundles)
+        sum(np.count_nonzero(layer(name)[0]) for name in layers.names)
     )
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
-def _merged(b: LayerBundle, reprune: bool) -> LayerBundle:
-    """``b`` with its adapter, if any, folded into its weight; prints what changed."""
-    if b.adapter is None:
-        return b
-    before = int(np.count_nonzero(b.weight))
-    if isinstance(b.adapter, SppAdapter):
-        merged = spp_merge(b.pruned(), b.adapter)
+def _merged(name: str, weight: np.ndarray, mask: SparseMask | None, adapter, reprune: bool):
+    """The layer with ``adapter``, if any, folded into its weight; prints what changed."""
+    if adapter is None:
+        return weight, mask
+    before = int(np.count_nonzero(weight))
+    if isinstance(adapter, SppAdapter):
+        merged = spp_merge(_pruned(name, weight, mask), adapter)
         report = verify_mask(merged)
         if report.violations:
             raise InternalInvariantError(
-                f"merge broke the mask of {b.name!r} at {report.violations[:3]}"
+                f"merge broke the mask of {name!r} at {report.violations[:3]}"
             )
-        b.weight = merged.weight
-        after = report.nnz
-        print(f"{b.name}: merged multiplicative adapter, nnz {before} -> {after}")
-    else:
-        dense = lora_merge_dense(b.pruned(), b.adapter)
-        if reprune:
-            repruned = apply_mask(dense, b.mask)
-            b.weight = repruned.weight
-            after = int(np.count_nonzero(b.weight))
-            print(
-                f"{b.name}: low-rank merge repruned to original mask, "
-                f"nnz {before} -> {after}"
-            )
-        else:
-            b.weight = dense
-            b.mask = None
-            after = int(np.count_nonzero(dense))
-            print(
-                f"warning: {b.name}: low-rank merge densified the layer, "
-                f"nnz {before} -> {after}"
-            )
-    b.adapter = None
-    return b
+        print(f"{name}: merged multiplicative adapter, nnz {before} -> {report.nnz}")
+        return merged.weight, mask
+    dense = lora_merge_dense(_pruned(name, weight, mask), adapter)
+    if reprune:
+        weight = apply_mask(dense, mask).weight
+        after = int(np.count_nonzero(weight))
+        print(f"{name}: low-rank merge repruned to original mask, nnz {before} -> {after}")
+        return weight, mask
+    after = int(np.count_nonzero(dense))
+    print(f"warning: {name}: low-rank merge densified the layer, nnz {before} -> {after}")
+    return dense, None
 
 
 def cmd_merge(args) -> int:
@@ -547,9 +495,10 @@ def cmd_merge(args) -> int:
         raise UsageError("model has no adapters to merge")
 
     reprune = args.reprune_with_original_mask
-    densified = set() if reprune else {
-        name for name, adapter in layers.adapters.items() if not isinstance(adapter, SppAdapter)
-    }
+    # A low-rank merge without the reprune makes its layers dense.
+    densified = not reprune and any(
+        not isinstance(adapter, SppAdapter) for adapter in layers.adapters.values()
+    )
     meta = layers.meta
     meta.pop("adapter", None)
     if densified:
@@ -557,22 +506,21 @@ def cmd_merge(args) -> int:
         meta.pop("ratio", None)
 
     def merge(name):
-        return _merged(layers.load(name), reprune)
+        return _merged(name, *layers.load(name), layers.adapters.get(name), reprune)
 
-    masks = len(layers.masked - densified)
-    store_write(_Stream(layers.names, masks, merge, _tail({}, meta)), args.output)
+    store_write(_output(layers.names, merge, {}, meta), args.output)
     return 0
 
 
-def _verify_layer(b: LayerBundle) -> bool:
+def _verify_layer(name: str, weight: np.ndarray, mask: SparseMask | None) -> bool:
     """Print the verification lines of one layer; returns whether it passed."""
-    if b.mask is None:
-        print(f"{b.name}: dense (no mask)")
+    if mask is None:
+        print(f"{name}: dense (no mask)")
         return True
-    report = verify_mask(b.pruned())
+    report = verify_mask(_pruned(name, weight, mask))
     status = "ok" if report.ok else "FAIL"
     print(
-        f"{b.name}: pattern={report.label} ratio={report.ratio:.4f} "
+        f"{name}: pattern={report.label} ratio={report.ratio:.4f} "
         f"nnz={report.nnz} {status}"
     )
     if report.violations:
@@ -587,7 +535,7 @@ def _verify_layer(b: LayerBundle) -> bool:
 
 def cmd_verify(args) -> int:
     layers = _index_layers(_read_store(args.model))
-    passed = [_verify_layer(layers.load(name)) for name in layers.names]
+    passed = [_verify_layer(name, *layers.load(name)) for name in layers.names]
     return 0 if all(passed) else 1
 
 

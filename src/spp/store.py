@@ -19,12 +19,14 @@ an atomic rename; readers never observe a half-written store.
 Both directions move one tensor at a time.  A read first indexes the file:
 it parses and checks every header and seeks over the payloads, so a damaged
 file is rejected, with a byte offset, before any payload is read.  A payload
-is read into a fresh array only when its tensor is asked for.  A write sends
-each header and then the array's own buffer, taking the arrays from
-``items()`` one at a time, so a store whose ``items()`` makes each array as
-it is asked for (or one read from a file) is written holding one tensor.
+is read into a fresh array only when its tensor is asked for.  A write takes
+(name, array) pairs one at a time and sends each header and then the array's
+own buffer, so pairs made as they are asked for (or a store read from a
+file) are written holding one tensor.  The writer counts the tensors as it
+goes and fills in the header's count last.
 """
 
+import contextlib
 import json
 import os
 import tempfile
@@ -152,18 +154,12 @@ class TensorStore:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     # -- JSON sidecar riding as the reserved uint8 tensor ------------------
 
     def set_meta(self, meta: dict) -> None:
-        payload = np.frombuffer(
-            json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-        ).copy()
         self._entries.pop(META_NAME, None)
         # Meta always sits last so rewriting it never reorders tensors.
-        self.add(META_NAME, payload)
+        self.add(META_NAME, encode_meta(meta))
 
     def meta(self) -> dict:
         entry = self._entries.get(META_NAME)
@@ -178,19 +174,24 @@ class TensorStore:
             raise StoreFormatError(message) from exc
 
 
-def atomic_write(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` to a temp file, then rename it to ``path``.
+def encode_meta(meta: dict) -> np.ndarray:
+    """``meta`` as the uint8 tensor stored under META_NAME."""
+    return np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8).copy()
 
-    Readers see the old file or the whole new one, never a partial write.  On
-    any failure, including one raised while ``chunks`` makes its next chunk,
-    the temp file is removed and ``path`` is left untouched.
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file that atomically replaces ``path`` when the block succeeds.
+
+    It is a temp file beside ``path``, renamed over it at the end, so readers
+    see the old file or the whole new one, never a partial write.  On any
+    failure in the block the temp file is removed and ``path`` is untouched.
     """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            # writelines drops each chunk before it asks for the next one.
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -198,42 +199,48 @@ def atomic_write(path, chunks) -> None:
         raise
 
 
+def atomic_write(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path`` through a temp file and rename.
+
+    A failure raised while ``chunks`` makes its next chunk also leaves ``path``
+    untouched.
+    """
+    with _replacing(path) as fh:
+        fh.writelines(chunks)  # drops each chunk before it asks for the next one
+
+
 def _raw_bytes(arr: np.ndarray) -> np.ndarray:
     """The payload of a C-contiguous array as a flat uint8 view (no copy)."""
     return arr.reshape(-1).view(np.uint8)
 
 
-def _encode(store):
-    """Yield the file in order: small headers as bytes, payloads as views."""
-    count = len(store)
-    yield MAGIC + int(VERSION).to_bytes(4, "little") + count.to_bytes(4, "little")
-    written = 0
-    for name, arr in store.items():
-        arr = _checked(name, arr)
-        encoded = name.encode("utf-8")
-        yield b"".join([
-            len(encoded).to_bytes(4, "little"),
-            encoded,
-            int(arr.ndim).to_bytes(4, "little"),
-            *(int(dim).to_bytes(8, "little") for dim in arr.shape),
-            _CODE_FOR_DTYPE[arr.dtype].to_bytes(1, "little"),
-        ])
-        yield _raw_bytes(arr.astype(arr.dtype.newbyteorder("<"), copy=False))
-        del arr  # so the next array is made without this one still held
-        written += 1
-    if written != count:
-        raise ValueError(f"store declared {count} tensors but gave {written}")
+def store_write(store, path) -> None:
+    """Write ``store`` to ``path`` atomically, one tensor at a time.
 
-
-def store_write(store: TensorStore, path) -> None:
-    """Serialize ``store`` and atomically replace ``path``, one tensor at a time.
-
-    ``store`` is a TensorStore, or any object whose ``len()`` is its tensor
-    count and whose ``items()`` yields (name, array) pairs in file order, so
-    arrays can be made as they are written.  Each array is checked as
-    ``TensorStore.add`` checks it.
+    ``store`` is a TensorStore or any iterable of (name, array) pairs in file
+    order, so arrays can be made as they are written.  Each array is checked
+    as ``TensorStore.add`` checks it.  The tensors are counted as they are
+    written, and the count goes into the header last.
     """
-    atomic_write(path, _encode(store))
+    pairs = store.items() if isinstance(store, TensorStore) else store
+    with _replacing(path) as fh:
+        fh.write(MAGIC + VERSION.to_bytes(4, "little") + bytes(4))
+        count = 0
+        for name, arr in pairs:
+            arr = _checked(name, arr)
+            encoded = name.encode("utf-8")
+            fh.write(b"".join([
+                len(encoded).to_bytes(4, "little"),
+                encoded,
+                arr.ndim.to_bytes(4, "little"),
+                *(int(dim).to_bytes(8, "little") for dim in arr.shape),
+                _CODE_FOR_DTYPE[arr.dtype].to_bytes(1, "little"),
+            ]))
+            fh.write(_raw_bytes(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
+            del arr  # so the next array is made without this one still held
+            count += 1
+        fh.seek(len(MAGIC) + 4)
+        fh.write(count.to_bytes(4, "little"))
 
 
 def store_read(path) -> TensorStore:

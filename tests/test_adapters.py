@@ -111,10 +111,17 @@ def test_r_extremes_and_divisibility():
         ad = adapter_for(layer, rng, r=r, random_beta=True)
         w_eff = spp_effective_weight(layer, ad)
         assert w_eff.shape == layer.shape
-    with pytest.raises(PatternError):
+    # one check, one message, whether the adapter is drawn or built
+    with pytest.raises(PatternError) as drawn:
         spp_init(8, 8, 3, 1.0, 0.0, rng)
-    with pytest.raises(PatternError):
+    with pytest.raises(PatternError) as built:
         SppAdapter(alpha=np.ones((3, 8)), beta=np.zeros((8, 1)))
+    assert str(drawn.value) == str(built.value) == "r = 3 does not divide m = 8"
+    for m, n, r in ((0, 8, 1), (8, 0, 1), (8, 8, 0)):
+        probe = Rng(0)
+        with pytest.raises(ShapeError, match="dimensions must be positive"):
+            spp_init(m, n, r, 1.0, 0.0, probe)
+        assert probe.next_u64() == Rng(0).next_u64()  # rejected before any draw
     # r is alpha's row count; an old positional r must not land in s
     with pytest.raises(TypeError):
         SppAdapter(np.ones((2, 8)), np.ones((8, 1)), 2)

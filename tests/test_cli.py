@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 import spp
 from spp import Rng, TensorStore, store_read, store_write
 from spp.adapters import ADAPTERS
-from spp.cli import _build_net, _load_layers, _Stream, _tail, main
+from spp.cli import _index_layers, _load_layers, _output, main
 
 from helpers import peak_transient_bytes, rand_matrix
 
@@ -217,22 +217,20 @@ def test_attach_seed_determinism_and_env_fallback(tmp_path, monkeypatch):
 def test_adapter_table_round_trips_every_kind(tmp_path, kind):
     attached = attached_store(tmp_path, r=2, extra=("--kind", kind))
     st = store_read(attached)
-    bundles, layers = _load_layers(st)
+    layers = _index_layers(st)
     # no factor tensor is mistaken for a layer
-    assert [b.name for b in bundles] == ["a", "b"]
+    assert layers.names == ["a", "b"]
     cls = ADAPTERS[kind]
-    for b in bundles:
-        assert type(b.adapter) is cls and b.adapter.r == 2
+    for name, adapter in layers.adapters.items():
+        assert type(adapter) is cls and adapter.r == 2
         for f in cls.factors:
-            stored, loaded = st.get(f"{b.name}.{kind}.{f}"), getattr(b.adapter, f)
+            stored, loaded = st.get(f"{name}.{kind}.{f}"), getattr(adapter, f)
             assert loaded.shape == stored.shape and loaded.tobytes() == stored.tobytes()
+    net, layer = _load_layers(layers)
     again = str(tmp_path / "again.spp")
-    by_name = {b.name: b for b in bundles}
-    tail = _tail(layers.adapters, layers.meta)
-    store_write(_Stream(layers.names, len(layers.masked), by_name.__getitem__, tail), again)
+    store_write(_output(layers.names, layer, layers.adapters, layers.meta), again)
     assert open(again, "rb").read() == open(attached, "rb").read()
 
-    net, _ = _build_net(bundles, st.meta())
     pred, caches = spp.net_forward(net, rand_matrix(Rng(3), 4, 8), rng=Rng(4), training=True)
     grads = spp.net_backward(net, caches, np.ones_like(pred))
     for nl, g in zip(net.layers, grads):
@@ -485,22 +483,38 @@ def test_train_holds_no_copy_of_the_frozen_weights(tmp_path, capsys):
     assert peak_transient_bytes(main, argv) < held + m * m * 8
 
 
-def test_build_net_honors_meta_topology(tmp_path):
+def test_load_layers_honors_meta_topology(tmp_path):
     attached = attached_store(tmp_path)
-    st = store_read(attached)
-    meta = st.meta()
-    meta["net"] = {
-        "loss": "mse",
-        "layers": [{"name": "b", "activation": "relu"}, {"name": "a"}],
-    }
-    bundles, _ = _load_layers(st)
-    net, ordered = _build_net(bundles, meta)
-    assert [b.name for b in ordered] == ["b", "a"]
+    entries = [{"name": "b", "activation": "relu"}, {"name": "a"}]
+    layers = _index_layers(store_read(attached))
+    layers.meta["net"] = {"loss": "mse", "layers": entries}
+    net, layer = _load_layers(layers)
+    assert [nl.adapter for nl in net.layers] == [layers.adapters["b"], layers.adapters["a"]]
+    assert net.layers[0].layer.weight is layer("b")[0]
     assert net.layers[0].activation == "relu"
     assert net.layers[1].activation == "identity"
-    meta["net"]["layers"].append({"name": "ghost"})
+    layers = _index_layers(store_read(attached))
+    layers.meta["net"] = {"layers": [*entries, {"name": "ghost"}]}
     with pytest.raises(Exception, match="ghost"):
-        _build_net(bundles, meta)
+        _load_layers(layers)
+
+
+@pytest.mark.parametrize("baseline", [False, True])
+def test_train_writes_layers_outside_the_topology_unchanged(tmp_path, capsys, baseline):
+    model = pruned_store(tmp_path) if baseline else attached_store(tmp_path)
+    _set_meta(model, net={"layers": [{"name": "b"}]})
+    out = str(tmp_path / "t.spp")
+    argv = ["train", model, make_data(tmp_path), out, "--steps", "5", "--seed", "2"]
+    assert main(argv + ["--baseline-eq3"] * baseline) == 0
+    summary = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    st_in, st_out = store_read(model), store_read(out)
+    for key in ("a", "a.mask", "b.mask"):
+        assert st_out.get(key).tobytes() == st_in.get(key).tobytes()
+    # Only b trained: its retrained weight, or its adapter, is what is written.
+    trained = "b" if baseline else "b.spp.beta"
+    assert not np.array_equal(st_out.get(trained), st_in.get(trained))
+    nnz = sum(np.count_nonzero(st_out.get(name)) for name in "ab")
+    assert summary["nnz_before_merge"] == nnz > np.count_nonzero(st_out.get("b"))
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +725,8 @@ def test_streamed_commands_hold_a_few_layers_not_the_model(tmp_path, capsys):
     # The control: the store holds eight layers' worth, and the same measure
     # sees them all when the store is loaded whole.
     assert os.path.getsize(p["merged"]) > 8 * layer_bytes
-    assert peak_transient_bytes(_load_layers, store_read(p["merged"])) > 8 * layer_bytes
+    index = _index_layers(store_read(p["merged"]))
+    assert peak_transient_bytes(_load_layers, index) > 8 * layer_bytes
 
 
 def _with_bad_last_layer(tmp_path, fault):
@@ -762,7 +777,8 @@ def test_a_failure_mid_stream_publishes_nothing(tmp_path, capsys, monkeypatch,
             "merge": ["merge", model, str(out)],
             "verify": ["verify", model]}[command]
     assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "layer 'c'" in err
     assert len(streamed) == 3
     if command != "verify":
         assert streamed[-1] > 2 * 64 * 64 * 8  # layers a and b were written
@@ -851,6 +867,10 @@ EXIT_2_CASES = {
     "train-unequal-rows": lambda t: (
         ["train", attached_store(t), _unequal_rows(t), str(t / "o.spp"), "--steps", "1"],
         "4 inputs but 3 targets"),
+    "verify-mask-shape": lambda t: (
+        ["verify", write_weights(t / "w.spp", {"a": np.ones((8, 8)),
+                                               "a.mask": np.ones((4, 4), dtype=np.uint8)})],
+        "layer 'a': weight (8, 8) and mask (4, 4) differ"),
     "count-params-missing-json": lambda t: (
         ["count-params", "--arch", str(t / "missing.json"), "--r", "4"],
         f"no such file: {t / 'missing.json'}"),
