@@ -12,7 +12,6 @@ from .adapters import (
     AdapterGrads,
     DropoutMask,
     LoraAdapter,
-    LoraGrads,
     SppAdapter,
     dropout_apply,
     lora_backward,

@@ -37,15 +37,17 @@ exactly the failure mode the multiplicative form avoids.
 
 Each adapter class declares its ``kind`` ("spp", "lora"), keyed in
 ``ADAPTERS``, and its trainable ``factors``: attribute names in constructor
-and optimizer order, each with a ``d_<factor>`` gradient from the kind's
-backward and a ``<name>.<kind>.<factor>`` store key.  Their shared base holds
-the keyword-only ``s`` and ``p`` and reads r, m and n off the factors.  Both
-kinds' forwards check their inputs and draw or pin dropout in one helper, and
-keep one ``AdapterCache`` for their backward, which checks its inputs in another.
+and optimizer order, each with a ``d_<factor>`` in the ``AdapterGrads`` that
+both backwards return and a ``<name>.<kind>.<factor>`` store key.  Their
+shared base holds the keyword-only ``s`` and ``p``, reads r, m and n off the
+factors, and has the one ``init`` (``spp_init``, ``lora_init``).  Both kinds'
+forwards check their inputs and draw or pin dropout in one helper, and keep
+one ``AdapterCache`` for their backward, which checks its inputs in another.
 """
 
 import warnings
 from dataclasses import KW_ONLY, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,7 +115,7 @@ def dropout_apply(
 
 @dataclass
 class _Adapter:
-    """``factors`` (the first (r, n), the second with m rows), branch scale, dropout rate."""
+    """``factors`` (the first (r, n), the second (m, zero_cols or r)), scale, dropout rate."""
 
     _: KW_ONLY
     s: float = 1.0
@@ -136,6 +138,21 @@ class _Adapter:
     @property
     def n(self) -> int:
         return getattr(self, self.factors[0]).shape[1]
+
+    @classmethod
+    def init(cls, m: int, n: int, r: int, s: float, p: float, rng: Rng):
+        """Fresh adapter: the first factor uniform in [-1/sqrt(n), 1/sqrt(n)), the second zero.
+
+        A zero second factor makes the adapter branch vanish, so a freshly
+        attached model computes exactly what the pruned base computes.  The
+        first factor is drawn row-major from the given stream, so init is
+        reproducible from the seed alone.
+        """
+        if m < 1 or n < 1 or r < 1:
+            raise ShapeError(f"dimensions must be positive, got m={m} n={n} r={r}")
+        bound = 1.0 / np.sqrt(n)
+        values = (rng.uniform(-bound, bound, r, n), np.zeros((m, cls.zero_cols or r)))
+        return cls(**dict(zip(cls.factors, values)), s=s, p=p)
 
 
 def _check_adapter_layer(layer: PrunedLayer, adapter: _Adapter) -> None:
@@ -212,6 +229,7 @@ class SppAdapter(_Adapter):
 
     kind = "spp"
     factors = ("alpha", "beta")
+    zero_cols = 1
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -232,20 +250,7 @@ class SppAdapter(_Adapter):
             )
 
 
-def spp_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> SppAdapter:
-    """Fresh adapter: beta = 0, alpha uniform in [-1/sqrt(n), 1/sqrt(n)).
-
-    Zero beta makes the adapter branch vanish, so a freshly attached model
-    computes exactly what the pruned base computes.  Alpha is drawn row-major
-    from the given stream, so init is reproducible from the seed alone.
-    ``SppAdapter`` rejects an r that does not divide m.
-    """
-    if m < 1 or n < 1 or r < 1:
-        raise ShapeError(f"dimensions must be positive, got m={m} n={n} r={r}")
-    bound = 1.0 / np.sqrt(n)
-    alpha = rng.uniform(-bound, bound, r, n)
-    beta = np.zeros((m, 1), dtype=np.float64)
-    return SppAdapter(alpha=alpha, beta=beta, s=s, p=p)
+spp_init = SppAdapter.init  # beta = 0; ``SppAdapter`` rejects an r that does not divide m
 
 
 def _effective_at_slots(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter) -> None:
@@ -300,16 +305,11 @@ def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
     return w_eff.reshape(m, n)
 
 
-@dataclass
-class AdapterGrads:
-    """Gradients from one backward pass through an adapted layer.
+class AdapterGrads(SimpleNamespace):
+    """One backward's ``d_<factor>`` for each of the kind's ``factors``, and ``d_x``.
 
     ``d_x`` is None when the backward was asked not to compute it.
     """
-
-    d_alpha: np.ndarray
-    d_beta: np.ndarray
-    d_x: np.ndarray | None
 
 
 def spp_forward_naive(
@@ -405,6 +405,7 @@ class LoraAdapter(_Adapter):
 
     kind = "lora"
     factors = ("a", "b")
+    zero_cols = None  # b is (m, r)
 
     a: np.ndarray
     b: np.ndarray
@@ -417,21 +418,7 @@ class LoraAdapter(_Adapter):
             )
 
 
-def lora_init(m: int, n: int, r: int, s: float, p: float, rng: Rng) -> LoraAdapter:
-    """A uniform in [-1/sqrt(n), 1/sqrt(n)), B zero, so the branch starts silent."""
-    if m < 1 or n < 1 or r < 1:
-        raise ShapeError(f"dimensions must be positive, got m={m} n={n} r={r}")
-    bound = 1.0 / np.sqrt(n)
-    a = rng.uniform(-bound, bound, r, n)
-    b = np.zeros((m, r), dtype=np.float64)
-    return LoraAdapter(a=a, b=b, s=s, p=p)
-
-
-@dataclass
-class LoraGrads:
-    d_a: np.ndarray
-    d_b: np.ndarray
-    d_x: np.ndarray | None
+lora_init = LoraAdapter.init  # b = 0
 
 
 def lora_forward(
@@ -452,7 +439,7 @@ def lora_forward(
 
 def lora_backward(
     cache: AdapterCache | None, d_y: np.ndarray, *, input_grad: bool = True
-) -> LoraGrads:
+) -> AdapterGrads:
     """Gradients for the low-rank branch plus the input.
 
     ``input_grad=False`` skips d_x (None in the result), as in spp_backward.
@@ -465,7 +452,7 @@ def lora_backward(
     d_x = None
     if input_grad:
         d_x = layer.apply_transpose(d_y) + cache.dropout.apply(matmul(d_u, adapter.a.T))
-    return LoraGrads(d_a=d_a, d_b=d_b, d_x=d_x)
+    return AdapterGrads(d_a=d_a, d_b=d_b, d_x=d_x)
 
 
 def lora_merge_dense(layer: PrunedLayer, adapter: LoraAdapter) -> np.ndarray:

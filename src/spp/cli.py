@@ -31,9 +31,7 @@ from .adapters import (
     ADAPTERS,
     LoraAdapter,
     SppAdapter,
-    lora_init,
     lora_merge_dense,
-    spp_init,
     spp_merge,
 )
 from .errors import PatternError, StoreFormatError, TrainingDiverged
@@ -325,11 +323,7 @@ def cmd_prune(args) -> int:
         if name not in calib:
             raise UsageError(f"calibration store has no activations for {name!r}")
 
-    if isinstance(pattern, NofM):
-        ratio = 1.0 - pattern.n_keep / pattern.m_group
-    else:
-        ratio = pattern.ratio
-    meta.update({"pattern": pattern.label(), "ratio": ratio})
+    meta.update({"pattern": pattern.label(), "ratio": pattern.ratio})
     meta.pop("adapter", None)
 
     lines = []
@@ -382,7 +376,7 @@ def cmd_attach(args) -> int:
                 + ", ".join(offenders)
             )
 
-    init = spp_init if args.kind == "spp" else lora_init
+    init = ADAPTERS[args.kind].init
     rng = Rng(_default_seed(args.seed))
     adapters = {
         name: init(*shapes[name], args.r, args.scale, args.dropout, rng) for name in names
@@ -540,30 +534,27 @@ def cmd_verify(args) -> int:
 
 
 def cmd_count_params(args) -> int:
+    path = Path(args.arch)
     if args.arch in ARCH_PRESETS:
-        preset = ARCH_PRESETS[args.arch]
-        shapes = preset["shapes"]
-        blocks = preset["blocks"]
-        extra = preset["extra_params"]
+        desc = ARCH_PRESETS[args.arch]
+    elif not path.suffix == ".json":
+        raise UsageError(
+            f"--arch must be one of {sorted(ARCH_PRESETS)} or a .json file, "
+            f"got {args.arch!r}"
+        )
     else:
-        path = Path(args.arch)
-        if not path.suffix == ".json":
-            raise UsageError(
-                f"--arch must be one of {sorted(ARCH_PRESETS)} or a .json file, "
-                f"got {args.arch!r}"
-            )
         try:
             desc = json.loads(path.read_text())
         except FileNotFoundError as exc:
             raise UsageError(f"no such file: {path}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"{path}: invalid JSON: {exc}") from exc
-        try:
-            shapes = [tuple(int(v) for v in pair) for pair in desc["shapes"]]
-            blocks = int(desc["blocks"])
-            extra = int(desc.get("extra_params", 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{path}: expected keys 'blocks' and 'shapes'") from exc
+    try:
+        shapes = [tuple(int(v) for v in pair) for pair in desc["shapes"]]
+        blocks = int(desc["blocks"])
+        extra = int(desc.get("extra_params", 0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: expected keys 'blocks' and 'shapes'") from exc
     try:
         trainable, total, per_mille = count_trainable(shapes, blocks, args.r, extra)
     except ValueError as exc:
@@ -602,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="row blocks (or low-rank width)")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--dropout", type=float, default=0.05)
-    p.add_argument("--kind", choices=("spp", "lora"), default="spp")
+    p.add_argument("--kind", choices=tuple(ADAPTERS), default="spp")
     p.add_argument("--seed", type=int, default=None, help="defaults to $SPP_SEED, then 0")
     p.set_defaults(func=cmd_attach)
 

@@ -78,6 +78,19 @@ class NofM:
                 f"got {self.n_keep}:{self.m_group}"
             )
 
+    @property
+    def ratio(self) -> float:
+        """The zero fraction of every group."""
+        return 1.0 - self.n_keep / self.m_group
+
+    def groups(self, cols: int) -> int:
+        """Groups per row of ``cols`` columns; PatternError unless m_group divides cols."""
+        if cols % self.m_group != 0:
+            raise PatternError(
+                f"{self.label()} needs cols divisible by {self.m_group}, got {cols}"
+            )
+        return cols // self.m_group
+
     def label(self) -> str:
         return f"{self.n_keep}:{self.m_group}"
 
@@ -121,11 +134,7 @@ class SparseMask:
             mask = mask != 0
         self.mask = np.ascontiguousarray(mask)
         if isinstance(self.pattern, NofM):
-            if self.mask.shape[1] % self.pattern.m_group != 0:
-                raise PatternError(
-                    f"{self.pattern.label()} needs cols divisible by "
-                    f"{self.pattern.m_group}, got {self.mask.shape[1]}"
-                )
+            self.pattern.groups(self.mask.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -327,12 +336,7 @@ def build_mask(
     scores = as_matrix(scores, "scores")
     rows, cols = scores.shape
     if isinstance(pattern, NofM):
-        if cols % pattern.m_group != 0:
-            raise PatternError(
-                f"{pattern.label()} needs cols divisible by {pattern.m_group}, "
-                f"got {cols}"
-            )
-        groups = scores.reshape(rows, cols // pattern.m_group, pattern.m_group)
+        groups = scores.reshape(rows, pattern.groups(cols), pattern.m_group)
         # Stable sort of negated scores: ties stay in ascending column order,
         # so the earliest column wins a tie.
         order = np.argsort(-groups, axis=2, kind="stable")
@@ -340,11 +344,9 @@ def build_mask(
         np.put_along_axis(mask3, order[:, :, : pattern.n_keep], True, axis=2)
         return SparseMask(mask3.reshape(rows, cols), pattern)
 
-    if row_wise:
-        return SparseMask(_zero_lowest(scores, int(pattern.ratio * cols)), pattern)
-    flat = scores.reshape(1, rows * cols)
-    mask = _zero_lowest(flat, int(pattern.ratio * flat.size))
-    return SparseMask(mask.reshape(rows, cols), pattern)
+    ranked = scores if row_wise else scores.reshape(1, rows * cols)
+    keep = _zero_lowest(ranked, int(pattern.ratio * ranked.shape[1]))
+    return SparseMask(keep.reshape(rows, cols), pattern)
 
 
 def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:
@@ -370,10 +372,9 @@ def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:
 
 def apply_mask(w: np.ndarray, mask: SparseMask) -> PrunedLayer:
     """Zero the masked-out entries of ``w``."""
-    w = as_matrix(w, "weight")
-    if w.shape != mask.shape:
-        raise ShapeError(f"weight {w.shape} and mask {mask.shape} differ")
-    return PrunedLayer(np.where(mask.mask, w, 0.0), mask)
+    layer = PrunedLayer(w, mask)  # checks w and its shape
+    layer.weight = np.where(mask.mask, layer.weight, 0.0)
+    return layer
 
 
 @dataclass
@@ -409,11 +410,11 @@ def verify_mask(layer: PrunedLayer) -> MaskReport:
 
     rows, cols = keep.shape
     if isinstance(pattern, NofM):
-        groups = keep.reshape(rows, cols // pattern.m_group, pattern.m_group)
+        groups = keep.reshape(rows, pattern.groups(cols), pattern.m_group)
         # Adding the m column slices is several times faster than a reduce
         # over a short last axis.  The counts must be integers: bool + bool
         # is a logical or.
-        group_sums = np.zeros((rows, cols // pattern.m_group), dtype=np.intp)
+        group_sums = np.zeros(groups.shape[:2], dtype=np.intp)
         for k in range(pattern.m_group):
             group_sums += groups[:, :, k]
         pattern_ok = bool((group_sums == pattern.n_keep).all())

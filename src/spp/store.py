@@ -218,15 +218,18 @@ def store_write(store, path) -> None:
     """Write ``store`` to ``path`` atomically, one tensor at a time.
 
     ``store`` is a TensorStore or any iterable of (name, array) pairs in file
-    order, so arrays can be made as they are written.  Each array is checked
-    as ``TensorStore.add`` checks it.  The tensors are counted as they are
-    written, and the count goes into the header last.
+    order, so arrays can be made as they are written.  Each name and array is
+    checked as ``TensorStore.add`` checks them, so a duplicate or empty name
+    raises ValueError and nothing is published.  The tensors are counted as
+    they are written, and the count goes into the header last.
     """
     pairs = store.items() if isinstance(store, TensorStore) else store
     with _replacing(path) as fh:
         fh.write(MAGIC + VERSION.to_bytes(4, "little") + bytes(4))
-        count = 0
+        written = set()
         for name, arr in pairs:
+            _check_name(name, written)
+            written.add(name)
             arr = _checked(name, arr)
             encoded = name.encode("utf-8")
             fh.write(b"".join([
@@ -238,9 +241,8 @@ def store_write(store, path) -> None:
             ]))
             fh.write(_raw_bytes(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
             del arr  # so the next array is made without this one still held
-            count += 1
         fh.seek(len(MAGIC) + 4)
-        fh.write(count.to_bytes(4, "little"))
+        fh.write(len(written).to_bytes(4, "little"))
 
 
 def store_read(path) -> TensorStore:

@@ -20,7 +20,6 @@ import numpy as np
 from .adapters import (
     AdapterGrads,
     LoraAdapter,
-    LoraGrads,
     SppAdapter,
     lora_backward,
     lora_forward,
@@ -33,9 +32,11 @@ from .pruning import PrunedLayer, SparseMask, Unstructured, apply_mask, build_ma
 from .rng import Rng
 
 _ACTIVATIONS = ("identity", "relu")
-_LOSSES = ("mse", "cross_entropy")
-_OPTIMIZERS = ("sgd", "adamw")
 _DEFAULT_LR = {"sgd": 1e-2, "adamw": 1e-3}
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+_EVAL_SAMPLES = 256  # held-out rows of the teacher-student task
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +75,6 @@ def adamw_step(
     state: AdamState | None,
     lr: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> tuple[np.ndarray, AdamState]:
     """One decoupled-weight-decay Adam update; returns (new param, new state).
 
@@ -88,11 +86,11 @@ def adamw_step(
     if state is None:
         state = AdamState(m=np.zeros_like(param), v=np.zeros_like(param), t=0)
     t = state.t + 1
-    m = beta1 * state.m + (1.0 - beta1) * grad
-    v = beta2 * state.v + (1.0 - beta2) * (grad * grad)
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    new_param = param - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * param
+    m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grad
+    v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * (grad * grad)
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    new_param = param - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS) - lr * weight_decay * param
     return new_param, AdamState(m=m, v=v, t=t)
 
 
@@ -121,8 +119,8 @@ class ToyNet:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("net needs at least one layer")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"loss must be one of {_LOSSES}, got {self.loss!r}")
+        if self.loss not in _LOSS_FNS:
+            raise ValueError(f"loss must be one of {tuple(_LOSS_FNS)}, got {self.loss!r}")
 
     def has_adapters(self) -> bool:
         return any(nl.adapter is not None for nl in self.layers)
@@ -182,7 +180,7 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
     the weights are frozen, so an adapter-less layer's record stays None.
     The first layer's input gradient is never used, so it is not computed.
     """
-    grads: list[AdapterGrads | LoraGrads | np.ndarray | None] = [None] * len(net.layers)
+    grads: list[AdapterGrads | np.ndarray | None] = [None] * len(net.layers)
     retrain = not net.has_adapters()
     g = d_pred
     for i in range(len(net.layers) - 1, -1, -1):
@@ -224,9 +222,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.optimizer not in _OPTIMIZERS:
+        if self.optimizer not in _DEFAULT_LR:
             raise ValueError(
-                f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}"
+                f"optimizer must be one of {tuple(_DEFAULT_LR)}, got {self.optimizer!r}"
             )
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -343,7 +341,6 @@ def make_teacher_student(
     n: int,
     pattern,
     samples: int,
-    eval_samples: int = 256,
 ) -> TeacherStudent:
     """Dense random teacher, magnitude-pruned student copy, correlated data.
 
@@ -351,15 +348,15 @@ def make_teacher_student(
     are correlated; under correlated inputs the magnitude-pruned copy is not
     the best masked approximation of the teacher, which is what leaves the
     student measurable headroom to recover.  Targets are the teacher's exact
-    outputs and the objective is MSE.
+    outputs and the objective is MSE.  ``_EVAL_SAMPLES`` rows follow for eval.
     """
-    if samples < 1 or eval_samples < 1:
-        raise ValueError("need at least one train and one eval sample")
+    if samples < 1:
+        raise ValueError("need at least one train sample")
     rng = Rng(seed)
     bound = 1.0 / math.sqrt(n)
     teacher_w = rng.uniform(-bound, bound, m, n)
     mix = rng.uniform(-bound, bound, n, n)
-    z = rng.uniform(-1.0, 1.0, samples + eval_samples, n)
+    z = rng.uniform(-1.0, 1.0, samples + _EVAL_SAMPLES, n)
     x = matmul(z, mix)
     y = matmul(x, teacher_w)
 

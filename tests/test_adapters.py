@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spp import (
     LoraAdapter,
@@ -83,17 +85,35 @@ def test_merge_hand_example():
     assert merged.mask is layer.mask
 
 
-def test_effective_weight_preserves_zeros_exactly():
-    rng = Rng(41)
-    for _ in range(30):
-        layer = random_pruned(rng, 8, 8)
-        ad = adapter_for(layer, rng, r=4, random_beta=True)
-        w_eff = spp_effective_weight(layer, ad)
-        merged = spp_merge(layer, ad)
-        zero_at = layer.mask.mask == 0.0
-        assert np.all(w_eff[zero_at] == 0.0)
-        assert np.all(merged.weight[zero_at] == 0.0)
-        assert np.count_nonzero(merged.weight) == np.count_nonzero(layer.weight)
+@st.composite
+def _merge_cases(draw):
+    """A pattern, a layer shape it fits, an r dividing m, an s and a seed."""
+    m = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        m_group = draw(st.integers(2, 4))
+        pattern = NofM(draw(st.integers(1, m_group - 1)), m_group)
+        n = m_group * draw(st.integers(1, 3))
+    else:
+        pattern = Unstructured(draw(st.floats(0.0, 0.9)))
+        n = draw(st.integers(1, 8))
+    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    s = draw(st.floats(-4.0, 4.0))
+    return m, n, pattern, r, s, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_merge_cases())
+def test_effective_weight_preserves_zeros_exactly(case):
+    m, n, pattern, r, s, seed = case
+    rng = Rng(seed)
+    layer = random_pruned(rng, m, n, pattern)
+    ad = adapter_for(layer, rng, r=r, s=s, random_beta=True)
+    w_eff = spp_effective_weight(layer, ad)
+    merged = spp_merge(layer, ad)
+    zero_at = ~layer.mask.mask
+    assert np.all(w_eff[zero_at] == 0.0)
+    assert np.all(merged.weight[zero_at] == 0.0)
+    assert np.count_nonzero(merged.weight) == np.count_nonzero(layer.weight)
 
 
 def test_merge_of_untrained_adapter_is_identity():
@@ -117,11 +137,12 @@ def test_r_extremes_and_divisibility():
     with pytest.raises(PatternError) as built:
         SppAdapter(alpha=np.ones((3, 8)), beta=np.zeros((8, 1)))
     assert str(drawn.value) == str(built.value) == "r = 3 does not divide m = 8"
-    for m, n, r in ((0, 8, 1), (8, 0, 1), (8, 8, 0)):
-        probe = Rng(0)
-        with pytest.raises(ShapeError, match="dimensions must be positive"):
-            spp_init(m, n, r, 1.0, 0.0, probe)
-        assert probe.next_u64() == Rng(0).next_u64()  # rejected before any draw
+    for init in (spp_init, lora_init):
+        for m, n, r in ((0, 8, 1), (8, 0, 1), (8, 8, 0)):
+            probe = Rng(0)
+            with pytest.raises(ShapeError, match="dimensions must be positive"):
+                init(m, n, r, 1.0, 0.0, probe)
+            assert probe.next_u64() == Rng(0).next_u64()  # rejected before any draw
     # r is alpha's row count; an old positional r must not land in s
     with pytest.raises(TypeError):
         SppAdapter(np.ones((2, 8)), np.ones((8, 1)), 2)
@@ -399,6 +420,29 @@ def test_both_kinds_check_their_factors_and_rate(kind):
     # An (8, 3) second factor is no beta column, and a b of rank 3 against a's 2.
     with pytest.raises(ShapeError, match="must be a column|rank mismatch"):
         cls(factors[0], np.ones((8, 3)))
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_each_kind_returns_a_gradient_per_factor_and_d_x(kind):
+    rng = Rng(59)
+    cls = ADAPTERS[kind]
+    layer = random_pruned(rng, 8, 12)
+    ad = cls.init(8, 12, 2, 1.0, 0.0, rng)
+    _, cache = _FORWARDS[cls](rand_matrix(rng, 3, 12), layer, ad, training=True)
+    for input_grad in (True, False):
+        grads = _BACKWARDS[cls](cache, rand_matrix(rng, 3, 8), input_grad=input_grad)
+        assert set(vars(grads)) == {"d_x"} | {f"d_{f}" for f in cls.factors}
+        for f in cls.factors:
+            assert getattr(grads, f"d_{f}").shape == getattr(ad, f).shape
+        assert (grads.d_x is None) is not input_grad
+
+
+def test_both_inits_draw_the_same_first_factor_from_one_seed():
+    spp = spp_init(8, 12, 4, 1.0, 0.05, Rng(60))
+    lora = lora_init(8, 12, 4, 1.0, 0.05, Rng(60))
+    assert spp.alpha.tobytes() == lora.a.tobytes()
+    assert spp.beta.shape == (8, 1) and lora.b.shape == (8, 4)
+    assert not spp.beta.any() and not lora.b.any()
 
 
 def test_dropout_mask_rejects_other_shapes():

@@ -85,3 +85,17 @@ def test_a_stream_array_is_checked_like_an_added_one(tmp_path):
         store_write([("a", np.ones(2)), ("ints", np.ones(2, dtype=np.int32))],
                     tmp_path / "out.sppt")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("second, message", [
+    ("a", "duplicate tensor name: 'a'"),
+    ("", "tensor name must be non-empty"),
+], ids=["duplicate", "empty"])
+def test_a_stream_name_is_checked_like_an_added_one(tmp_path, second, message):
+    path = tmp_path / "out.sppt"
+    store_write([("old", np.ones(3))], path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=message):
+        store_write([("a", np.ones(2)), (second, np.zeros(2))], path)
+    assert path.read_bytes() == before  # nothing was published
+    assert os.listdir(tmp_path) == ["out.sppt"]
