@@ -23,6 +23,7 @@ from .adapters import (
     spp_forward_naive,
     spp_init,
     spp_merge,
+    spp_merge_kept,
 )
 from .errors import (
     PatternError,
@@ -42,13 +43,14 @@ from .pruning import (
     apply_mask,
     build_mask,
     collect_calibration,
+    mask_report,
     parse_pattern,
     score_magnitude,
     score_wanda,
     verify_mask,
 )
 from .rng import Rng, splitmix64
-from .store import META_NAME, TensorStore, store_read, store_write
+from .store import META_NAME, Kept, TensorStore, store_read, store_write
 from .training import (
     AdamState,
     NetLayer,

@@ -155,8 +155,8 @@ class _Adapter:
         return cls(**dict(zip(cls.factors, values)), s=s, p=p)
 
 
-def _check_adapter_layer(layer: PrunedLayer, adapter: _Adapter) -> None:
-    m, n = layer.shape
+def _check_adapter_layer(shape: tuple[int, int], adapter: _Adapter) -> None:
+    m, n = shape
     if adapter.m != m or adapter.n != n:
         raise ShapeError(
             f"adapter ({adapter.m}x{adapter.n}) does not fit layer ({m}x{n})"
@@ -191,7 +191,7 @@ def _forward_inputs(
     realization drawn at the adapter's rate.
     """
     x = as_matrix(x, "x")
-    _check_adapter_layer(layer, adapter)
+    _check_adapter_layer(layer.shape, adapter)
     if x.shape[1] != layer.shape[1]:
         raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
     if dropout_mask is None:
@@ -297,7 +297,7 @@ def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
     so the only m x n buffer is the result.  Zeros of the frozen weight are
     zeros of the result by construction.
     """
-    _check_adapter_layer(layer, adapter)
+    _check_adapter_layer(layer.shape, adapter)
     m, n = layer.shape
     block = m // adapter.r
     w_eff = layer.weight.reshape(adapter.r, block, n) * adapter.alpha[:, None, :]
@@ -395,6 +395,28 @@ def spp_merge(layer: PrunedLayer, adapter: SppAdapter) -> PrunedLayer:
     return PrunedLayer(merged, layer.mask)
 
 
+def spp_merge_kept(values: np.ndarray, keep: np.ndarray, adapter: SppAdapter) -> np.ndarray:
+    """``spp_merge`` at the kept entries alone, for a weight held as its kept values.
+
+    ``values`` are W's entries where the (m, n) bool ``keep`` is True,
+    row-major, and so is the result: W + s * W' there, from the same
+    products in the same order as ``spp_merge``, so each entry is bit for
+    bit the merged weight's.  No m x n array is made.
+    """
+    m, n = keep.shape
+    _check_adapter_layer((m, n), adapter)
+    flat = np.flatnonzero(keep)
+    rows = flat // n
+    # alpha[row // block, col] sits at row // block * n + col = flat - (row - row // block) * n.
+    merged = values * np.take(adapter.alpha, flat - (rows - rows // (m // adapter.r)) * n)
+    merged *= np.take(adapter.beta, rows)
+    merged *= adapter.s
+    merged += values
+    if not np.isfinite(merged).all():
+        raise ValueError("weight contains non-finite entries")
+    return merged
+
+
 # ---------------------------------------------------------------------------
 # additive low-rank adapter (the densifying baseline)
 
@@ -457,7 +479,7 @@ def lora_backward(
 
 def lora_merge_dense(layer: PrunedLayer, adapter: LoraAdapter) -> np.ndarray:
     """Fold the low-rank update in: W + s * B @ A.  Generically dense."""
-    _check_adapter_layer(layer, adapter)
+    _check_adapter_layer(layer.shape, adapter)
     return layer.weight + adapter.s * matmul(adapter.b, adapter.a.T)
 
 

@@ -11,6 +11,17 @@ from the store's index (``_index_layers``), then reads, transforms and
 writes one layer's weight and mask before the next (``_Layers.load``,
 ``_output``).  train loads the whole model from that index (``_load_layers``).
 
+A pruned layer's weight is held as a ``Kept``, its values where the mask
+keeps them, whenever its store holds it that way (see ``spp.store``), and
+every layer whose weight is +0.0 wherever its mask is 0 is written that way.
+prune, attach, merge and verify work on those values and never make the
+dense weight: prune gathers the kept entries of the unmasked weight, attach
+passes them through, an SPP merge forms W + s * W' at the kept positions
+alone, and verify counts nnz on the values and checks the pattern on the
+mask.  A kept layer cannot hold a weight off its mask, so verify finds
+violations only in layers stored raw, which is how any weight that breaks
+its mask is written.  train and a low-rank merge work on the dense weight.
+
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
 """
@@ -33,6 +44,7 @@ from .adapters import (
     SppAdapter,
     lora_merge_dense,
     spp_merge,
+    spp_merge_kept,
 )
 from .errors import PatternError, StoreFormatError, TrainingDiverged
 from .pruning import (
@@ -43,13 +55,14 @@ from .pruning import (
     apply_mask,
     build_mask,
     collect_calibration,
+    mask_report,
     parse_pattern,
     score_magnitude,
     score_wanda,
     verify_mask,
 )
 from .rng import Rng
-from .store import META_NAME, TensorStore, atomic_write, encode_meta, store_read, store_write
+from .store import META_NAME, Kept, TensorStore, atomic_write, encode_meta, store_read, store_write
 from .training import (
     NetLayer,
     TrainConfig,
@@ -99,6 +112,13 @@ def _pruned(name: str, weight: np.ndarray, mask: SparseMask | None) -> PrunedLay
         return PrunedLayer(weight, mask)
     except ValueError as exc:
         raise UsageError(f"layer {name!r}: {exc}") from exc
+
+
+def _finite(name: str, weight: Kept) -> np.ndarray:
+    """A kept layer's values, checked as ``_pruned`` checks a dense weight."""
+    if not np.isfinite(weight.values).all():
+        raise UsageError(f"layer {name!r}: weight contains non-finite entries")
+    return weight.values
 
 
 def _default_seed(value):
@@ -206,7 +226,8 @@ class _Layers:
     Every check that needs no weight or mask has passed: the meta, its
     pattern, the layer list and the adapters, whose factors are read here.
     ``load`` reads one layer's weight and mask (or None), which the store
-    then drops.
+    then drops.  The weight is a ``Kept`` if the store holds it kept, unless
+    ``dense`` asks for the (m, n) array.
     """
 
     store: TensorStore
@@ -216,11 +237,15 @@ class _Layers:
     masked: set[str]
     adapters: dict[str, SppAdapter | LoraAdapter]
 
-    def load(self, name: str) -> tuple[np.ndarray, SparseMask | None]:
-        weight = self.store.pop(name)
-        if name not in self.masked:
-            return weight, None
-        raw = self.store.pop(f"{name}.mask")
+    def load(self, name: str, dense: bool = False) -> tuple[np.ndarray | Kept, SparseMask | None]:
+        weight = None if dense else self.store.pop_kept(name)
+        if weight is not None:
+            raw = weight.keep  # bool, from a packed mask
+        else:
+            weight = self.store.pop(name)
+            if name not in self.masked:
+                return weight, None
+            raw = self.store.pop(f"{name}.mask")
         pattern = self.pattern
         if pattern is None and raw.size:
             zeros = raw.size - int(np.count_nonzero(raw))
@@ -265,7 +290,7 @@ def _load_layers(layers: _Layers):
     a layer's weight and mask, read off the net for the layers in it, so
     what training changed is what it gives.
     """
-    loaded = {name: layers.load(name) for name in layers.names}
+    loaded = {name: layers.load(name, dense=True) for name in layers.names}
     topology = layers.meta.get("net", {})
     entries = topology.get("layers") or [{"name": name} for name in layers.names]
     for entry in entries:
@@ -291,11 +316,14 @@ def _output(names: list[str], layer, adapters: dict, meta: dict):
 
     ``layer(name)`` gives the weight and mask (or None) of each of ``names``
     in turn; then come each adapter's factors, by layer, and last the meta.
+    A masked dense weight goes out as a ``Kept`` if that loses nothing.
     """
     for name in names:
         weight, mask = layer(name)
+        if mask is not None and not isinstance(weight, Kept):
+            weight = Kept.of(weight, mask.mask) or weight
         yield name, weight
-        if mask is not None:
+        if mask is not None and not isinstance(weight, Kept):
             yield f"{name}.mask", mask.mask.view(np.uint8)
         del weight, mask  # so the next layer is made without this one held
     for name, adapter in adapters.items():
@@ -336,13 +364,13 @@ def cmd_prune(args) -> int:
             scores = score_magnitude(weight)
         mask = build_mask(scores, pattern, row_wise=args.row_wise)
         del scores  # one weight-sized array fewer while the layer is masked
-        layer = apply_mask(weight, mask)
-        report = verify_mask(layer)
+        kept = Kept(np.compress(mask.mask.reshape(-1), weight.reshape(-1)), mask.mask)
+        report = mask_report(mask, int(np.count_nonzero(kept.values)))
         lines.append(
             f"{name}: {weight.shape[0]}x{weight.shape[1]} pattern={report.label} "
             f"ratio={report.ratio:.4f} nnz={report.nnz}"
         )
-        return layer.weight, mask
+        return kept, mask
 
     store_write(_output(names, prune, {}, meta), args.output)
     for line in lines:
@@ -458,10 +486,18 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _merged(name: str, weight: np.ndarray, mask: SparseMask | None, adapter, reprune: bool):
+def _merged(name: str, weight, mask: SparseMask | None, adapter, reprune: bool):
     """The layer with ``adapter``, if any, folded into its weight; prints what changed."""
     if adapter is None:
         return weight, mask
+    if isinstance(adapter, SppAdapter) and isinstance(weight, Kept):
+        values = _finite(name, weight)
+        merged = spp_merge_kept(values, mask.mask, adapter)
+        print(f"{name}: merged multiplicative adapter, nnz {np.count_nonzero(values)} "
+              f"-> {np.count_nonzero(merged)}")
+        return Kept(merged, mask.mask), mask
+    if isinstance(weight, Kept):
+        weight = weight.dense()
     before = int(np.count_nonzero(weight))
     if isinstance(adapter, SppAdapter):
         merged = spp_merge(_pruned(name, weight, mask), adapter)
@@ -506,12 +542,15 @@ def cmd_merge(args) -> int:
     return 0
 
 
-def _verify_layer(name: str, weight: np.ndarray, mask: SparseMask | None) -> bool:
+def _verify_layer(name: str, weight, mask: SparseMask | None) -> bool:
     """Print the verification lines of one layer; returns whether it passed."""
     if mask is None:
         print(f"{name}: dense (no mask)")
         return True
-    report = verify_mask(_pruned(name, weight, mask))
+    if isinstance(weight, Kept):
+        report = mask_report(mask, int(np.count_nonzero(_finite(name, weight))))
+    else:
+        report = verify_mask(_pruned(name, weight, mask))
     status = "ok" if report.ok else "FAIL"
     print(
         f"{name}: pattern={report.label} ratio={report.ratio:.4f} "

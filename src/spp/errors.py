@@ -27,11 +27,11 @@ class StateError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during training."""
+    """Loss became non-finite at ``step``; ``last_good_step`` is the one before."""
 
-    def __init__(self, step: int, last_good_step: int):
-        super().__init__(
-            f"non-finite loss at step {step}; last good step was {last_good_step}"
-        )
+    def __init__(self, step: int):
         self.step = step
-        self.last_good_step = last_good_step
+        self.last_good_step = step - 1
+        super().__init__(
+            f"non-finite loss at step {step}; last good step was {self.last_good_step}"
+        )

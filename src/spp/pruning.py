@@ -399,14 +399,22 @@ def verify_mask(layer: PrunedLayer) -> MaskReport:
     satisfy its declared pattern.
     """
     keep = layer.mask.mask
-    pattern = layer.mask.pattern
     bad = ~keep & (layer.weight != 0.0)
     # argwhere scans the whole matrix even when nothing is set; any() is cheap.
     violations = [(int(r), int(c)) for r, c in np.argwhere(bad)] if bad.any() else []
+    return mask_report(layer.mask, int(np.count_nonzero(layer.weight)), violations)
 
+
+def mask_report(mask: SparseMask, nnz: int, violations=()) -> MaskReport:
+    """The report on a weight with ``nnz`` nonzeros and ``violations`` under ``mask``.
+
+    Checks the mask against its declared pattern.  ``verify_mask`` finds a
+    dense weight's violations; a weight held as its kept values has none.
+    """
+    keep = mask.mask
+    pattern = mask.pattern
     total = keep.size
     zeros = total - int(np.count_nonzero(keep))
-    nnz = int(np.count_nonzero(layer.weight))
 
     rows, cols = keep.shape
     if isinstance(pattern, NofM):
@@ -425,7 +433,7 @@ def verify_mask(layer: PrunedLayer) -> MaskReport:
     return MaskReport(
         ok=(not violations) and pattern_ok,
         pattern_ok=pattern_ok,
-        violations=violations,
+        violations=list(violations),
         nnz=nnz,
         zeros=zeros,
         total=total,

@@ -3,13 +3,35 @@
 Layout, all integers little-endian:
 
     magic   4 bytes  b"SPPT"
-    version u32      currently 1
+    version u32      2 (version 1 is still read)
     count   u32      number of tensors
     then per tensor:
         name_len u32, name bytes (UTF-8),
         ndim u32, dims u64 each,
         dtype u8 (1 = float64, 2 = float32, 3 = uint8),
-        payload, row-major.
+        encoding u8 (version 2 only; 0 = raw, 1 = bits, 2 = kept),
+        kept count u64 (kept only),
+        payload.
+
+The encoding says how the payload holds the tensor:
+
+    raw   every entry, row-major (the only form in version 1).
+    bits  a uint8 0/1 tensor as ``np.packbits`` of its entries, row-major,
+          in ceil(size / 8) bytes; the unused low bits of the last byte
+          are zero.  Every uint8 "<name>.mask" whose entries are 0 or 1 is
+          written this way.
+    kept  a float64 "<name>" as its entries where "<name>.mask" is 1,
+          row-major: the kept count of them.  The weight it stands for is
+          +0.0 wherever the mask is 0, and "<name>.mask" must be in the file,
+          bits-encoded, with the same dims.  A pruned layer written as a
+          ``Kept`` takes this form; at 75% sparsity a 1024 x 1024 layer and
+          its mask take 2.1 MiB instead of the 9.0 MiB of a raw weight and
+          raw mask.
+
+Readers see none of this: ``get``, ``pop`` and ``items`` return the tensor
+as written (a kept tensor as its dense weight, a bits tensor as its uint8
+entries), and ``spec`` gives its dtype and dims.  ``pop_kept`` hands over a
+kept tensor as its values and mask without making the dense weight.
 
 Entry order is preserved, names are unique.  JSON metadata travels inside the
 container as a reserved uint8 tensor named "__meta__" holding UTF-8 JSON, so
@@ -18,19 +40,20 @@ an atomic rename; readers never observe a half-written store.
 
 Both directions move one tensor at a time.  A read first indexes the file:
 it parses and checks every header and seeks over the payloads, so a damaged
-file is rejected, with a byte offset, before any payload is read.  A payload
-is read into a fresh array only when its tensor is asked for.  A write takes
-(name, array) pairs one at a time and sends each header and then the array's
-own buffer, so pairs made as they are asked for (or a store read from a
-file) are written holding one tensor.  The writer counts the tensors as it
-goes and fills in the header's count last.
+file is rejected, with a byte offset, before any payload is read.  A kept
+tensor's count and its mask are checked against each other when it is read.
+A payload is read into a fresh array only when its tensor is asked for.  A
+write takes (name, array) pairs one at a time and sends each header and then
+the array's own buffer, so pairs made as they are asked for (or a store read
+from a file) are written holding one tensor.  The writer counts the tensors
+as it goes and fills in the header's count last.
 """
 
 import contextlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +61,9 @@ import numpy as np
 from .errors import StoreFormatError
 
 MAGIC = b"SPPT"
-VERSION = 1
+VERSION = 2
 META_NAME = "__meta__"
+RAW, BITS, KEPT = 0, 1, 2  # per-tensor encodings, version 2
 
 _CODE_FOR_DTYPE = {
     np.dtype("float64"): 1,
@@ -47,6 +71,8 @@ _CODE_FOR_DTYPE = {
     np.dtype("uint8"): 3,
 }
 _DTYPE_FOR_CODE = {1: np.dtype("<f8"), 2: np.dtype("<f4"), 3: np.dtype("u1")}
+# The one dtype each encoding other than raw holds.
+_DTYPE_FOR_ENCODING = {BITS: np.dtype("u1"), KEPT: np.dtype("<f8")}
 
 
 def _stamp(path_or_fd) -> tuple:
@@ -55,9 +81,58 @@ def _stamp(path_or_fd) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
+@dataclass(frozen=True, eq=False)
+class Kept:
+    """A float64 weight as its bool ``keep`` mask and its ``values`` where that is True.
+
+    ``values`` is 1-D and row-major over the kept positions; the weight is
+    +0.0 everywhere else.  Written as the pair ``(name, kept)``, it is the
+    two tensors "<name>" (kept encoding) and "<name>.mask" (bits).
+    """
+
+    values: np.ndarray
+    keep: np.ndarray
+
+    def __post_init__(self):
+        if self.values.dtype != np.float64 or self.values.ndim != 1 or self.keep.dtype != bool:
+            raise ValueError("kept values must be 1-D float64 with a bool keep mask")
+        if self.values.size != np.count_nonzero(self.keep):
+            raise ValueError(
+                f"{self.values.size} kept values for {np.count_nonzero(self.keep)} kept entries"
+            )
+
+    @classmethod
+    def of(cls, weight: np.ndarray, keep: np.ndarray) -> "Kept | None":
+        """``weight`` as its values where ``keep`` is True, if that loses nothing.
+
+        None unless ``weight`` is float64, of ``keep``'s shape, and +0.0, bit
+        for bit, wherever ``keep`` is False: a -0.0 or a nonzero there (a
+        weight that breaks its mask) can only be written raw.
+        """
+        if weight.dtype != np.float64 or weight.shape != keep.shape:
+            return None
+        # Not np.compress, which is 3-5x faster but also holds an index array
+        # the size of the values, and train writes with every layer held.
+        values = weight.reshape(-1)[keep.reshape(-1)]
+        # Every dropped entry is +0.0 exactly when none has a nonzero bit pattern.
+        if np.count_nonzero(weight.view(np.uint64)) != np.count_nonzero(values.view(np.uint64)):
+            return None
+        return cls(values, keep)
+
+    def dense(self) -> np.ndarray:
+        """The weight: ``values`` at the kept positions, +0.0 elsewhere."""
+        out = np.zeros(self.keep.shape)
+        np.place(out, self.keep, self.values)
+        return out
+
+
 @dataclass(frozen=True)
 class _Payload:
-    """Where an indexed tensor's bytes are in its file."""
+    """Where an indexed tensor's bytes are in its file, and how they hold it.
+
+    ``count`` is the number of entries the payload holds: all of them, or a
+    kept tensor's kept values.  ``mask`` is a kept tensor's "<name>.mask".
+    """
 
     path: Path
     stamp: tuple
@@ -65,9 +140,13 @@ class _Payload:
     offset: int
     dtype: np.dtype
     shape: tuple
+    encoding: int = RAW
+    count: int = 0
+    mask: "_Payload | None" = None
 
-    def read(self) -> np.ndarray:
-        arr = np.empty(self.shape, dtype=self.dtype)
+    def _fetch(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """A fresh array of ``shape`` read from the start of the payload."""
+        arr = np.empty(shape, dtype=dtype)
         with open(self.path, "rb") as fh:
             if _stamp(fh.fileno()) != self.stamp:
                 raise StoreFormatError(
@@ -82,6 +161,35 @@ class _Payload:
                     offset=self.offset,
                 )
         return arr
+
+    def read(self) -> np.ndarray:
+        if self.encoding == KEPT:
+            return self.read_kept().dense()
+        if self.encoding == RAW:
+            return self._fetch(self.shape, self.dtype)
+        size = self.count
+        packed = self._fetch(((size + 7) // 8,), self.dtype)
+        if size % 8 and packed[-1] & (0xFF >> size % 8):
+            raise StoreFormatError(
+                f"{self.path}: packed tensor {self.name!r} has nonzero padding bits",
+                offset=self.offset + packed.size - 1,
+            )
+        out = np.empty(self.shape, dtype=self.dtype)
+        out.reshape(-1)[:] = np.unpackbits(packed, count=size)
+        return out
+
+    def read_kept(self) -> Kept:
+        """A kept tensor's values and its mask, checked against each other."""
+        keep = self.mask.read().view(bool)
+        values = self._fetch((self.count,), self.dtype)
+        ones = int(np.count_nonzero(keep))
+        if ones != self.count:
+            raise StoreFormatError(
+                f"{self.path}: tensor {self.name!r} holds {self.count} kept values, "
+                f"but its mask keeps {ones} entries",
+                offset=self.offset,
+            )
+        return Kept(values, keep)
 
 
 def _load(entry) -> np.ndarray:
@@ -138,6 +246,19 @@ class TensorStore:
         entry = self._entry(name)
         del self._entries[name]
         return _load(entry)
+
+    def pop_kept(self, name: str) -> Kept | None:
+        """Pop a kept-encoded ``name`` and its mask as a ``Kept``.
+
+        Reads the kept values and the packed mask, never the dense weight.
+        Returns None, and pops nothing, for a tensor held any other way.
+        """
+        entry = self._entry(name)
+        if not (isinstance(entry, _Payload) and entry.mask is not None
+                and self._entries.get(entry.mask.name) is entry.mask):
+            return None
+        del self._entries[name], self._entries[entry.mask.name]
+        return entry.read_kept()
 
     def spec(self, name: str) -> tuple[np.dtype, tuple]:
         """The dtype and shape of a tensor, read from the index alone."""
@@ -214,33 +335,51 @@ def _raw_bytes(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1).view(np.uint8)
 
 
+def _encoded(name: str, value) -> list[tuple[str, int, tuple, np.ndarray]]:
+    """The (name, encoding, dims, payload) of each tensor that a written pair stands for."""
+    if isinstance(value, Kept):
+        keep = value.keep
+        return [(name, KEPT, keep.shape, np.ascontiguousarray(value.values)),
+                (f"{name}.mask", BITS, keep.shape, np.packbits(keep.reshape(-1)))]
+    arr = _checked(name, value)
+    if name.endswith(".mask") and arr.dtype == np.uint8 and not (arr > 1).any():
+        return [(name, BITS, arr.shape, np.packbits(arr.reshape(-1)))]
+    return [(name, RAW, arr.shape, arr)]
+
+
 def store_write(store, path) -> None:
     """Write ``store`` to ``path`` atomically, one tensor at a time.
 
     ``store`` is a TensorStore or any iterable of (name, array) pairs in file
-    order, so arrays can be made as they are written.  Each name and array is
-    checked as ``TensorStore.add`` checks them, so a duplicate or empty name
-    raises ValueError and nothing is published.  The tensors are counted as
-    they are written, and the count goes into the header last.
+    order, so arrays can be made as they are written.  The array of a pair
+    may be a ``Kept``, which writes "<name>" kept-encoded and then
+    "<name>.mask".  Each name and array is checked as ``TensorStore.add``
+    checks them, so a duplicate or empty name raises ValueError and nothing
+    is published.  The tensors are counted as they are written, and the
+    count goes into the header last.
     """
     pairs = store.items() if isinstance(store, TensorStore) else store
     with _replacing(path) as fh:
         fh.write(MAGIC + VERSION.to_bytes(4, "little") + bytes(4))
         written = set()
-        for name, arr in pairs:
-            _check_name(name, written)
-            written.add(name)
-            arr = _checked(name, arr)
-            encoded = name.encode("utf-8")
-            fh.write(b"".join([
-                len(encoded).to_bytes(4, "little"),
-                encoded,
-                arr.ndim.to_bytes(4, "little"),
-                *(int(dim).to_bytes(8, "little") for dim in arr.shape),
-                _CODE_FOR_DTYPE[arr.dtype].to_bytes(1, "little"),
-            ]))
-            fh.write(_raw_bytes(arr.astype(arr.dtype.newbyteorder("<"), copy=False)))
-            del arr  # so the next array is made without this one still held
+        for pair in pairs:
+            tensors = _encoded(*pair)
+            del pair
+            for name, encoding, dims, payload in tensors:
+                _check_name(name, written)
+                written.add(name)
+                encoded = name.encode("utf-8")
+                fh.write(b"".join([
+                    len(encoded).to_bytes(4, "little"),
+                    encoded,
+                    len(dims).to_bytes(4, "little"),
+                    *(int(dim).to_bytes(8, "little") for dim in dims),
+                    _CODE_FOR_DTYPE[payload.dtype].to_bytes(1, "little"),
+                    encoding.to_bytes(1, "little"),
+                    payload.size.to_bytes(8, "little") if encoding == KEPT else b"",
+                ]))
+                fh.write(_raw_bytes(payload.astype(payload.dtype.newbyteorder("<"), copy=False)))
+            del tensors, payload  # so the next array is made without this one still held
         fh.seek(len(MAGIC) + 4)
         fh.write(len(written).to_bytes(4, "little"))
 
@@ -248,9 +387,9 @@ def store_write(store, path) -> None:
 def store_read(path) -> TensorStore:
     """Index a store file; raises StoreFormatError with a byte offset on damage.
 
-    Every header is parsed and checked, and every payload is checked to fit
-    in the file, before this returns; no payload is read until its tensor
-    is asked for (see TensorStore).
+    Every header is parsed and checked, every payload is checked to fit in
+    the file, and every kept tensor to have its mask, before this returns;
+    no payload is read until its tensor is asked for (see TensorStore).
     """
     path = Path(os.path.abspath(path))
     with open(path, "rb") as fh:
@@ -274,17 +413,20 @@ def _index(fh, path: Path, stamp: tuple) -> TensorStore:
             raise StoreFormatError(f"file shrank while reading {what}", offset=pos - count)
         return chunk
 
+    def number(count: int, what: str) -> int:
+        return int.from_bytes(take(count, what), "little")
+
     if take(4, "magic") != MAGIC:
         raise StoreFormatError("bad magic, not a tensor store", offset=0)
-    version = int.from_bytes(take(4, "version"), "little")
-    if version != VERSION:
+    version = number(4, "version")
+    if version not in (1, VERSION):
         raise StoreFormatError(f"unsupported version {version}", offset=4)
-    count = int.from_bytes(take(4, "tensor count"), "little")
+    count = number(4, "tensor count")
 
     store = TensorStore()
     entries = store._entries
     for index in range(count):
-        name_len = int.from_bytes(take(4, f"name length of tensor {index}"), "little")
+        name_len = number(4, f"name length of tensor {index}")
         raw_name = take(name_len, f"name of tensor {index}")
         try:
             name = raw_name.decode("utf-8")
@@ -295,22 +437,37 @@ def _index(fh, path: Path, stamp: tuple) -> TensorStore:
             ) from exc
         except ValueError as exc:
             raise StoreFormatError(str(exc), offset=pos - name_len) from exc
-        ndim = int.from_bytes(take(4, f"rank of tensor {name!r}"), "little")
-        dims = tuple(
-            int.from_bytes(take(8, f"dimension {d} of tensor {name!r}"), "little")
-            for d in range(ndim)
-        )
-        code = int.from_bytes(take(1, f"dtype of tensor {name!r}"), "little")
+        ndim = number(4, f"rank of tensor {name!r}")
+        dims = tuple(number(8, f"dimension {d} of tensor {name!r}") for d in range(ndim))
+        code = number(1, f"dtype of tensor {name!r}")
         if code not in _DTYPE_FOR_CODE:
             raise StoreFormatError(
                 f"tensor {name!r} has unknown dtype code {code}", offset=pos - 1
             )
         dtype = _DTYPE_FOR_CODE[code]
+        encoding = number(1, f"encoding of tensor {name!r}") if version > 1 else RAW
+        if encoding not in (RAW, BITS, KEPT):
+            raise StoreFormatError(
+                f"tensor {name!r} has unknown encoding {encoding}", offset=pos - 1
+            )
+        if _DTYPE_FOR_ENCODING.get(encoding, dtype) != dtype:
+            raise StoreFormatError(
+                f"tensor {name!r} of dtype {dtype} cannot take encoding {encoding}",
+                offset=pos - 1,
+            )
         n_items = 1
         for dim in dims:
             n_items *= dim
+        held = n_items
+        if encoding == KEPT:
+            held = number(8, f"kept count of tensor {name!r}")
+            if held > n_items:
+                raise StoreFormatError(
+                    f"tensor {name!r} keeps {held} of its {n_items} entries", offset=pos - 8
+                )
         start = pos
-        reserve(n_items * dtype.itemsize, f"payload of tensor {name!r}")
+        stored = (n_items + 7) // 8 if encoding == BITS else held * dtype.itemsize
+        reserve(stored, f"payload of tensor {name!r}")
         # A payload that fits in the file is small enough for NumPy, so only
         # the rank, or the other dimensions of an empty shape, can be
         # unusable; a zero-size array of the same rank tries both for free.
@@ -320,10 +477,19 @@ def _index(fh, path: Path, stamp: tuple) -> TensorStore:
             raise StoreFormatError(
                 f"tensor {name!r} has unusable shape {dims}", offset=start
             ) from exc
-        entries[name] = _Payload(path, stamp, name, start, dtype, dims or (1,))
+        entries[name] = _Payload(path, stamp, name, start, dtype, dims or (1,), encoding, held)
         fh.seek(pos)
     if pos != size:
         raise StoreFormatError(
             f"{size - pos} trailing bytes after last tensor", offset=pos
         )
+    for name, entry in entries.items():
+        if entry.encoding == KEPT:
+            mask = entries.get(f"{name}.mask")
+            if mask is None or mask.encoding != BITS or mask.shape != entry.shape:
+                raise StoreFormatError(
+                    f"kept tensor {name!r} has no bit-packed mask of shape {entry.shape}",
+                    offset=entry.offset,
+                )
+            entries[name] = replace(entry, mask=mask)
     return store

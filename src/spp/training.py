@@ -301,7 +301,7 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
         pred, caches = net_forward(net, xb, rng=rng, training=True)
         loss, d_pred = loss_fn(pred, yb)
         if not math.isfinite(loss):
-            raise TrainingDiverged(step, step - 1)
+            raise TrainingDiverged(step)
         record.steps.append((step, lr, loss))
 
         grads = net_backward(net, caches, d_pred)

@@ -27,6 +27,7 @@ from spp import (
     spp_forward_naive,
     spp_init,
     spp_merge,
+    spp_merge_kept,
     verify_mask,
 )
 
@@ -114,6 +115,31 @@ def test_effective_weight_preserves_zeros_exactly(case):
     assert np.all(w_eff[zero_at] == 0.0)
     assert np.all(merged.weight[zero_at] == 0.0)
     assert np.count_nonzero(merged.weight) == np.count_nonzero(layer.weight)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(_merge_cases())
+def test_merge_on_kept_values_equals_the_dense_merge_bit_for_bit(case):
+    m, n, pattern, r, s, seed = case
+    rng = Rng(seed)
+    layer = random_pruned(rng, m, n, pattern)
+    keep = layer.mask.mask
+    if seed % 2 and keep.any():  # a kept weight of -0.0
+        layer.weight[np.unravel_index(np.flatnonzero(keep)[0], keep.shape)] = -0.0
+    ad = adapter_for(layer, rng, r=r, s=s, random_beta=True)
+    merged = spp_merge_kept(layer.weight[keep], keep, ad)
+    assert merged.tobytes() == spp_merge(layer, ad).weight[keep].tobytes()
+
+
+def test_merge_on_kept_values_checks_the_adapter_as_the_dense_merge_does():
+    rng = Rng(44)
+    layer = random_pruned(rng, 8, 8)
+    ad = adapter_for(random_pruned(rng, 8, 4), rng, r=2)
+    with pytest.raises(ShapeError) as dense:
+        spp_merge(layer, ad)
+    with pytest.raises(ShapeError) as kept:
+        spp_merge_kept(layer.weight[layer.mask.mask], layer.mask.mask, ad)
+    assert str(kept.value) == str(dense.value)
 
 
 def test_merge_of_untrained_adapter_is_identity():

@@ -7,6 +7,7 @@ import pytest
 
 from spp import StoreFormatError, TensorStore, store_read, store_write
 from spp.cli import main
+from spp.store import Kept
 
 
 def roundtrip(store, tmp_path):
@@ -51,7 +52,7 @@ def test_empty_store_is_bare_header(tmp_path):
     raw = path.read_bytes()
     assert len(raw) == 12
     assert raw[:4] == b"SPPT"
-    assert int.from_bytes(raw[4:8], "little") == 1
+    assert int.from_bytes(raw[4:8], "little") == 2
     assert int.from_bytes(raw[8:12], "little") == 0
 
 
@@ -144,9 +145,23 @@ def fixed_store():
     return store
 
 
-# sha256 of fixed_store() as written by the whole-file writer that preceded
-# the streaming one: the on-disk format must not move.
-FIXED_STORE_SHA256 = "a6a62253c929abe918414402acaf26cc88ccd60e9529b4e56f7a6e160da44f5f"
+# sha256 of fixed_store() as version 2 writes it: "w" raw (it is nonzero off
+# its mask), "w.mask" bit-packed, the rest raw.  The on-disk format must not
+# move.
+FIXED_STORE_SHA256 = "8031222672d4b71d3a133b94dd452ad67afb273504b345a651199190ce01cb11"
+
+# fixed_store() as version 1 wrote it (sha256 a6a62253...), which is still read.
+FIXED_STORE_V1 = bytes.fromhex(
+    "5350505401000000050000000100000077020000000300000000000000040000000000000001"
+    "000000000000e0bf000000000000d8bf000000000000d0bf000000000000c0bf000000000000"
+    "0000000000000000c03f000000000000d03f000000000000d83f000000000000e03f00000000"
+    "0000e43f000000000000e83f000000000000ec3f06000000772e6d61736b0200000003000000"
+    "000000000400000000000000030100010000010100010100000100000076010000000300000000"
+    "000000020000c03f000010c00000000005000000656d707479020000000000000000000000030000"
+    "000000000001080000005f5f6d6574615f5f010000002900000000000000037b227061747465726e"
+    "223a2022756e73747275637475726564222c2022726174696f223a20302e357d"
+)
+FIXED_STORE_V1_SHA256 = "a6a62253c929abe918414402acaf26cc88ccd60e9529b4e56f7a6e160da44f5f"
 
 
 def test_on_disk_bytes_are_pinned_and_reads_own_their_arrays(tmp_path):
@@ -159,6 +174,86 @@ def test_on_disk_bytes_are_pinned_and_reads_own_their_arrays(tmp_path):
         flags = got.flags
         assert flags.owndata and flags.aligned and flags.c_contiguous and flags.writeable
     assert back.meta() == {"pattern": "unstructured", "ratio": 0.5}
+
+
+def test_version_1_file_reads_to_the_same_arrays(tmp_path):
+    assert hashlib.sha256(FIXED_STORE_V1).hexdigest() == FIXED_STORE_V1_SHA256
+    path = tmp_path / "v1.sppt"
+    path.write_bytes(FIXED_STORE_V1)
+    back = store_read(path)
+    assert back.names() == fixed_store().names()
+    for name, arr in fixed_store().items():
+        assert back.spec(name) == (arr.dtype, arr.shape)
+        got = back.get(name)
+        assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes()
+        assert got.flags.owndata and got.flags.c_contiguous and got.flags.writeable
+    assert back.pop_kept("w") is None  # version 1 holds every tensor raw
+    # Rewritten, it is version 2 and decodes to the same arrays.
+    out = tmp_path / "v2.sppt"
+    store_write(back, out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_STORE_SHA256
+
+
+# Where a cut of FIXED_STORE_V1 is first reported: (offset, what was being
+# read), as version 1's reader reported it.  Each cut from that offset up to
+# the next is reported there.
+V1_CUTS = [
+    (0, "magic"), (4, "version"), (8, "tensor count"),
+    (12, "name length of tensor 0"), (16, "name of tensor 0"),
+    (17, "rank of tensor 'w'"), (21, "dimension 0 of tensor 'w'"),
+    (29, "dimension 1 of tensor 'w'"), (37, "dtype of tensor 'w'"),
+    (38, "payload of tensor 'w'"),
+    (134, "name length of tensor 1"), (138, "name of tensor 1"),
+    (144, "rank of tensor 'w.mask'"), (148, "dimension 0 of tensor 'w.mask'"),
+    (156, "dimension 1 of tensor 'w.mask'"), (164, "dtype of tensor 'w.mask'"),
+    (165, "payload of tensor 'w.mask'"),
+    (177, "name length of tensor 2"), (181, "name of tensor 2"),
+    (182, "rank of tensor 'v'"), (186, "dimension 0 of tensor 'v'"),
+    (194, "dtype of tensor 'v'"), (195, "payload of tensor 'v'"),
+    (207, "name length of tensor 3"), (211, "name of tensor 3"),
+    (216, "rank of tensor 'empty'"), (220, "dimension 0 of tensor 'empty'"),
+    (228, "dimension 1 of tensor 'empty'"), (236, "dtype of tensor 'empty'"),
+    (237, "name length of tensor 4"), (241, "name of tensor 4"),
+    (249, "rank of tensor '__meta__'"), (253, "dimension 0 of tensor '__meta__'"),
+    (261, "dtype of tensor '__meta__'"), (262, "payload of tensor '__meta__'"),
+]
+
+
+def test_version_1_damage_is_reported_at_the_same_offsets(tmp_path):
+    path = tmp_path / "cut.sppt"
+    for cut in range(len(FIXED_STORE_V1)):
+        path.write_bytes(FIXED_STORE_V1[:cut])
+        offset, what = [c for c in V1_CUTS if c[0] <= cut][-1]
+        with pytest.raises(StoreFormatError) as err:
+            store_read(path)
+        assert err.value.offset == offset, cut
+        assert str(err.value) == f"truncated while reading {what} (at byte offset {offset})"
+
+
+def test_a_kept_layer_is_its_values_then_its_packed_mask(tmp_path):
+    keep = np.array([[1, 0, 1], [0, 0, 1]], dtype=bool)
+    values = np.array([1.5, -0.0, 2.0])
+    path = tmp_path / "kept.sppt"
+    store_write([("w", Kept(values, keep))], path)
+    assert path.read_bytes() == b"".join([
+        b"SPPT", (2).to_bytes(4, "little"), (2).to_bytes(4, "little"),
+        # "w": rank 2, dims (2, 3), float64, kept, 3 values, then the values
+        (1).to_bytes(4, "little"), b"w", (2).to_bytes(4, "little"),
+        (2).to_bytes(8, "little"), (3).to_bytes(8, "little"), bytes([1, 2]),
+        (3).to_bytes(8, "little"), values.astype("<f8").tobytes(),
+        # "w.mask": the same dims, uint8, bits: 101 001 and two zero padding bits
+        (6).to_bytes(4, "little"), b"w.mask", (2).to_bytes(4, "little"),
+        (2).to_bytes(8, "little"), (3).to_bytes(8, "little"), bytes([3, 1]),
+        bytes([0b10100100]),
+    ])
+    back = store_read(path)
+    assert back.get("w").tobytes() == np.array([[1.5, 0.0, -0.0], [0.0, 0.0, 2.0]]).tobytes()
+    assert back.get("w.mask").tobytes() == keep.astype(np.uint8).tobytes()
+    assert back.pop_kept("w") is None  # get keeps the dense array it read
+    back = store_read(path)
+    kept = back.pop_kept("w")
+    assert kept.values.tobytes() == values.tobytes() and np.array_equal(kept.keep, keep)
+    assert back.names() == []
 
 
 def test_every_proper_prefix_is_rejected_with_offset(tmp_path):
@@ -239,12 +334,12 @@ def test_malformed_meta_names_file_and_offset(tmp_path, capsys):
     store_write(store, path)
     with pytest.raises(StoreFormatError) as err:
         store_read(path).meta()
-    assert err.value.offset == 95  # after the 70 bytes of "w" and the meta's header
+    assert err.value.offset == 97  # after the 71 bytes of "w" and the meta's header
     assert str(path) in str(err.value)
     assert main(["verify", str(path)]) == 2
     stderr = capsys.readouterr().err
     assert "invalid __meta__ JSON payload" in stderr
-    assert str(path) in stderr and "(at byte offset 95)" in stderr
+    assert str(path) in stderr and "(at byte offset 97)" in stderr
     with pytest.raises(StoreFormatError) as err:
         store.meta()  # held in memory: no file, so no offset
     assert err.value.offset is None
