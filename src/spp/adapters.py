@@ -16,7 +16,8 @@ against W or W' goes through the kernels in ``numerics`` on the layer's slot
 layout (``SparseMask.slots``): K * m * b multiply-adds instead of m * n * b,
 where K is the largest number of kept entries in a row, and bit-identical to
 the dense products (``numerics`` says why).  The forward gathers W's values
-at the slots once, computes the base term ``slot_matmul(x, idx, w)``, turns
+at the slots once, computes the base term ``slot_matmul(x, idx, w)`` (or
+takes it as ``base``, which training computes once per run), turns
 those values into W' in place, one slot row at a time, as
 (w * alpha[row // block, col]) * beta[row] (the same products in the same
 order as ``spp_effective_weight``, which stays as the dense reference and as
@@ -184,6 +185,7 @@ def _forward_inputs(
     rng: Rng | None,
     training: bool,
     dropout_mask: DropoutMask | None,
+    base: np.ndarray | None,
 ) -> tuple[np.ndarray, AdapterCache]:
     """Check a forward's inputs; returns (x as a matrix, its cache).
 
@@ -194,6 +196,9 @@ def _forward_inputs(
     _check_adapter_layer(layer.shape, adapter)
     if x.shape[1] != layer.shape[1]:
         raise ShapeError(f"input has {x.shape[1]} features, layer expects {layer.shape[1]}")
+    out = (x.shape[0], layer.shape[0])
+    if base is not None and base.shape != out:
+        raise ShapeError(f"base {base.shape} does not match the output {out}")
     if dropout_mask is None:
         x_dropped, dropout_mask = dropout_apply(x, adapter.p, rng, training)
     else:
@@ -319,21 +324,25 @@ def spp_forward_naive(
     rng: Rng | None = None,
     training: bool = False,
     dropout_mask: DropoutMask | None = None,
+    base: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdapterCache | None]:
     """The forward: y = x @ W.T + s * (drop(x) @ W'.T), on the kept entries.
 
     Bit-identical to the same formula with dense products and a
     materialized W'.  Returns (y, cache); the cache is None outside training
-    mode.  Pass ``dropout_mask`` to pin the dropout realization.
+    mode.  Pass ``dropout_mask`` to pin the dropout realization, and
+    ``base``, x @ W.T as ``PrunedLayer.apply`` gives it, to skip that
+    product; ``base`` is read, not written.
     """
-    x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask)
+    x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask, base)
     slots = layer.mask.slots
     w = slots.values(layer.weight)
-    y = slot_matmul(x, slots.idx, w)
+    if base is None:
+        base = slot_matmul(x, slots.idx, w)
     _effective_at_slots(w, slots.idx, adapter)
-    branch = slot_matmul(cache.x_dropped, slots.idx, w)
-    branch *= adapter.s
-    y += branch
+    y = slot_matmul(cache.x_dropped, slots.idx, w)
+    y *= adapter.s
+    y += base  # IEEE addition commutes: bit for bit base + branch
     return y, cache if training else None
 
 
@@ -450,10 +459,12 @@ def lora_forward(
     rng: Rng | None = None,
     training: bool = False,
     dropout_mask: DropoutMask | None = None,
+    base: np.ndarray | None = None,
 ) -> tuple[np.ndarray, AdapterCache | None]:
-    """y = x @ W.T + s * drop(x) @ A.T @ B.T."""
-    x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask)
-    base = layer.apply(x)
+    """y = x @ W.T + s * drop(x) @ A.T @ B.T; ``base`` as in ``spp_forward_naive``."""
+    x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask, base)
+    if base is None:
+        base = layer.apply(x)
     cache.u = matmul(cache.x_dropped, adapter.a)
     y = base + adapter.s * matmul(cache.u, adapter.b)
     return y, cache if training else None

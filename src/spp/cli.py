@@ -16,11 +16,12 @@ keeps them, whenever its store holds it that way (see ``spp.store``), and
 every layer whose weight is +0.0 wherever its mask is 0 is written that way.
 prune, attach, merge and verify work on those values and never make the
 dense weight: prune gathers the kept entries of the unmasked weight, attach
-passes them through, an SPP merge forms W + s * W' at the kept positions
-alone, and verify counts nnz on the values and checks the pattern on the
-mask.  A kept layer cannot hold a weight off its mask, so verify finds
-violations only in layers stored raw, which is how any weight that breaks
-its mask is written.  train and a low-rank merge work on the dense weight.
+checks that they are finite and passes them through, an SPP merge forms
+W + s * W' at the kept positions alone, and verify counts nnz on the values
+and checks the pattern on the mask.  A kept layer cannot hold a weight off
+its mask, so verify finds violations only in layers stored raw, which is how
+any weight that breaks its mask is written.  train and a low-rank merge work
+on the dense weight.
 
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
@@ -421,7 +422,16 @@ def cmd_attach(args) -> int:
         "s": args.scale,
         "p": args.dropout,
     }
-    store_write(_output(names, layers.load, adapters, layers.meta), args.output)
+
+    def attach(name):
+        weight, mask = layers.load(name)
+        if isinstance(weight, Kept):
+            _finite(name, weight)
+        else:
+            _pruned(name, weight, mask)
+        return weight, mask
+
+    store_write(_output(names, attach, adapters, layers.meta), args.output)
     print(f"trainable parameters: {trainable}")
     print(f"frozen parameters in store: {total}")
     print(f"per-mille: {per_mille:.4f}")

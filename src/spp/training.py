@@ -7,6 +7,15 @@ touches adapter parameters only.  The fixed-mask baseline is training a net
 without adapters: that updates the weights themselves with the gradient
 masked, which is classical sparse retraining.
 
+With adapters no weight changes, so the first layer's base product x @ W.T
+is the same for a row on every step that reads it.  ``train`` computes it
+once for the rows the run reads, a batch of rows at a time, and each step
+takes its batch's rows of it (``net_forward``'s ``base``).  Every row of the
+product depends on its own input row alone and is summed in the same order,
+so this is bit for bit what recomputing it every step gives.  It costs one
+(rows, m) array, the same order as the data ``train`` already holds.  A net
+without adapters recomputes it every step, since its weights move.
+
 All arithmetic is float64 through the deterministic kernels, and all
 randomness flows from one seeded stream, so two runs with the same config
 produce byte-identical logs and checkpoints.
@@ -153,22 +162,31 @@ _BACKWARDS = {SppAdapter: spp_backward, LoraAdapter: lora_backward}
 
 
 def net_forward(
-    net: ToyNet, x: np.ndarray, rng: Rng | None = None, training: bool = False
+    net: ToyNet,
+    x: np.ndarray,
+    rng: Rng | None = None,
+    training: bool = False,
+    base: np.ndarray | None = None,
 ):
-    """Run the stack; returns (prediction, per-layer caches)."""
+    """Run the stack; returns (prediction, per-layer caches).
+
+    ``base``, if given, is the first layer's x @ W.T, which that layer then
+    uses instead of computing it; no other layer sees it.
+    """
     cur = as_matrix(x, "x")
     caches = []
     for nl in net.layers:
         if nl.adapter is None:
-            pre = nl.layer.apply(cur)
+            pre = nl.layer.apply(cur) if base is None else base
             cache = cur if training else None
         else:
             pre, cache = _FORWARDS[type(nl.adapter)](
-                cur, nl.layer, nl.adapter, rng=rng, training=training
+                cur, nl.layer, nl.adapter, rng=rng, training=training, base=base
             )
         post = np.maximum(pre, 0.0) if nl.activation == "relu" else pre
         caches.append((cache, pre))
         cur = post
+        base = None
     return cur, caches
 
 
@@ -271,6 +289,21 @@ def _trainable(net: ToyNet, grads):
                 yield nl.adapter, name, getattr(g, f"d_{name}")
 
 
+def _first_layer_bases(net: ToyNet, x: np.ndarray, block: int) -> np.ndarray | None:
+    """The first layer's x @ W.T for every row of ``x``, ``block`` rows at a time.
+
+    Blocks keep the kernel's transients batch-sized.  None for no rows, or
+    in a net without adapters, whose weights move every step.
+    """
+    if not net.has_adapters() or x.shape[0] == 0:
+        return None
+    layer = net.layers[0].layer
+    out = np.empty((x.shape[0], layer.shape[0]))
+    for start in range(0, x.shape[0], block):
+        out[start : start + block] = layer.apply(x[start : start + block])
+    return out
+
+
 def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
     """Optimize the net's adapters, or its masked weights if it has none.
 
@@ -291,6 +324,8 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
     n_rows = x_all.shape[0]
     record = RunRecord()
     adam_states: dict = {}
+    bases = _first_layer_bases(net, x_all[: min(n_rows, cfg.steps * cfg.batch_size)],
+                               cfg.batch_size)
 
     for step in range(cfg.steps):
         lr = lr_schedule(step, cfg.steps, peak, cfg.warmup_ratio)
@@ -298,13 +333,15 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
         xb = x_all[take]
         yb = y_all[take]
 
-        pred, caches = net_forward(net, xb, rng=rng, training=True)
+        base = None if bases is None else bases[take]
+        pred, caches = net_forward(net, xb, rng=rng, training=True, base=base)
         loss, d_pred = loss_fn(pred, yb)
         if not math.isfinite(loss):
             raise TrainingDiverged(step)
         record.steps.append((step, lr, loss))
 
         grads = net_backward(net, caches, d_pred)
+        del pred, caches, d_pred  # not held while the next step draws its dropout
 
         for key, (owner, name, grad) in enumerate(_trainable(net, grads)):
             param = getattr(owner, name)

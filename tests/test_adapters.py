@@ -434,6 +434,26 @@ def test_both_kinds_check_their_inputs(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(ADAPTERS))
+def test_both_kinds_take_a_given_base_product_bit_for_bit(kind):
+    rng = Rng(57)
+    cls = ADAPTERS[kind]
+    layer = random_pruned(rng, 8, 12)
+    ad = cls.init(8, 12, 2, 1.0, 0.3, rng)
+    setattr(ad, cls.factors[1], rand_matrix(rng, *getattr(ad, cls.factors[1]).shape))
+    x = rand_matrix(rng, 5, 12)
+    base = layer.apply(x)
+    kept = base.copy()
+    y, cache = _FORWARDS[cls](x, layer, ad, rng=Rng(1), training=True)
+    y_given, cache_given = _FORWARDS[cls](x, layer, ad, rng=Rng(1), training=True, base=base)
+    assert y_given.tobytes() == y.tobytes()
+    assert cache_given.x_dropped.tobytes() == cache.x_dropped.tobytes()
+    assert base.tobytes() == kept.tobytes()  # read, not written
+    for bad in ((5, 12), (4, 8), (1, 8)):
+        with pytest.raises(ShapeError, match="base"):
+            _FORWARDS[cls](x, layer, ad, base=np.zeros(bad))
+
+
+@pytest.mark.parametrize("kind", sorted(ADAPTERS))
 def test_both_kinds_check_their_factors_and_rate(kind):
     cls = ADAPTERS[kind]
     init = {"spp": spp_init, "lora": lora_init}[kind]

@@ -13,6 +13,7 @@ import spp
 from spp import Rng, TensorStore, store_read, store_write
 from spp.adapters import ADAPTERS
 from spp.cli import _index_layers, _load_layers, _output, main
+from spp.store import META_NAME, Kept, encode_meta
 
 from helpers import peak_transient_bytes, rand_matrix
 
@@ -745,6 +746,7 @@ def _with_bad_last_layer(tmp_path, fault):
 
 @pytest.mark.parametrize("command,fault,message", [
     ("attach", "mask", "mask entries must be exactly 0 or 1"),
+    ("attach", "weight", "weight contains non-finite entries"),
     ("merge", "mask", "mask entries must be exactly 0 or 1"),
     ("verify", "mask", "mask entries must be exactly 0 or 1"),
     ("merge", "weight", "weight contains non-finite entries"),
@@ -782,6 +784,27 @@ def test_a_failure_mid_stream_publishes_nothing(tmp_path, capsys, monkeypatch,
     assert len(streamed) == 3
     if command != "verify":
         assert streamed[-1] > 64 * 64 * 8  # layers a and b were written, half of each kept
+    assert not out.exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("held", ["kept", "raw"])
+def test_attach_rejects_a_non_finite_weight(tmp_path, capsys, held, bad):
+    w = rand_matrix(Rng(5), 8, 8)
+    keep = np.abs(w) >= np.sort(np.abs(w), axis=1)[:, [4]]  # the four largest of each row
+    w[~keep] = 0.0
+    w[3, np.flatnonzero(keep[3])[1]] = bad
+    if held == "kept":
+        pairs = [("w", Kept(w[keep], keep))]
+    else:
+        pairs = [("w", w), ("w.mask", keep.view(np.uint8))]
+    model = str(tmp_path / "model.spp")
+    store_write([*pairs, (META_NAME, encode_meta({"pattern": "unstructured", "ratio": 0.5}))], model)
+    assert isinstance(store_read(model).pop_kept("w"), Kept) == (held == "kept")
+    out = tmp_path / "out.spp"
+    assert main(["attach", model, str(out), "--r", "2"]) == 2
+    assert "layer 'w': weight contains non-finite entries" in capsys.readouterr().err
     assert not out.exists()
     assert list(tmp_path.glob("*.tmp")) == []
 

@@ -25,6 +25,10 @@ def test_demo_exits_cleanly(demo, tmp_path):
     src = str(Path(spp.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    scratch = tmp_path / "tmp"  # the demo's temporary directory, which it must remove
+    scratch.mkdir()
+    env["TMPDIR"] = str(scratch)
     done = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                           timeout=300, env=env, cwd=tmp_path)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert list(scratch.iterdir()) == []

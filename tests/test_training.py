@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import spp.adapters
+import spp.pruning
 from spp import (
     NetLayer,
     NofM,
     PatternError,
     PrunedLayer,
     Rng,
+    RunRecord,
     ShapeError,
     SparseMask,
     ToyNet,
@@ -33,8 +38,10 @@ from spp import (
     train,
     verify_mask,
 )
+from spp.adapters import ADAPTERS
+from spp.training import _trainable
 
-from helpers import rand_matrix
+from helpers import peak_transient_bytes, rand_matrix
 
 LLAMA7B_SHAPES = [(4096, 4096)] * 4 + [(11008, 4096)] * 2 + [(4096, 11008)]
 LLAMA7B_EXTRA = 2 * 32000 * 4096 + 32 * 2 * 4096 + 4096
@@ -311,6 +318,134 @@ def test_run_record_csv_roundtrips():
     assert float(lr) == rec.steps[2][1]  # repr round-trips exactly
     assert float(loss) == rec.steps[2][2]
     assert rec.summary()["recorded_steps"] == 5
+
+
+# ---------------------------------------------------------------------------
+# the first layer's base product, computed once per run
+
+
+def train_recomputing(net, data, cfg):
+    """``train`` as it was before it reused the first layer's base product:
+    every step computes that product for its own batch."""
+    x_all, y_all = data
+    rng = Rng(cfg.seed)
+    record = RunRecord()
+    states = {}
+    for step in range(cfg.steps):
+        lr = lr_schedule(step, cfg.steps, cfg.resolved_lr(), cfg.warmup_ratio)
+        take = np.arange(step * cfg.batch_size, (step + 1) * cfg.batch_size) % x_all.shape[0]
+        xb = x_all[take]
+        yb = y_all[take]
+        pred, caches = net_forward(net, xb, rng=rng, training=True)
+        loss, d_pred = mse_loss(pred, yb)
+        record.steps.append((step, lr, loss))
+        grads = net_backward(net, caches, d_pred)
+        for key, (owner, name, grad) in enumerate(_trainable(net, grads)):
+            param = getattr(owner, name)
+            if cfg.optimizer == "sgd":
+                new = param - lr * grad
+            else:
+                new, states[key] = adamw_step(param, grad, states.get(key), lr, cfg.weight_decay)
+            setattr(owner, name, new)
+    return record
+
+
+def reuse_case(kind, topology, rows, n=12, hidden=16, out=8):
+    """A small 2:4 net and its data, the same on every call with the same arguments.
+
+    ``kind`` is an adapter kind, or None for a net without adapters.
+    """
+    rng = Rng(17)
+
+    def layer(m, k):
+        w = rand_matrix(rng, m, k)
+        return apply_mask(w, build_mask(score_magnitude(w), NofM(2, 4)))
+
+    def adapter(m, k):
+        return None if kind is None else ADAPTERS[kind].init(m, k, 2, 1.0, 0.1, rng)
+
+    if topology == "one layer":
+        layers = [NetLayer(layer(out, n), adapter(out, n))]
+    elif topology == "adapter-less first":
+        layers = [NetLayer(layer(hidden, n), activation="relu"),
+                  NetLayer(layer(out, hidden), adapter(out, hidden))]
+    else:  # "two relu layers"
+        layers = [NetLayer(layer(hidden, n), adapter(hidden, n), "relu"),
+                  NetLayer(layer(out, hidden), adapter(out, hidden), "relu")]
+    data = (rand_matrix(rng, rows, n), rand_matrix(rng, rows, out))
+    return ToyNet(layers), data
+
+
+def run_bytes(net, record):
+    """The run CSV and every trained tensor, as bytes."""
+    tensors = [getattr(a, f) for a in (nl.adapter for nl in net.layers) if a for f in a.factors]
+    return record.to_csv().encode() + b"".join(
+        t.tobytes() for t in tensors + [nl.layer.weight for nl in net.layers])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(sorted(ADAPTERS)),
+       topology=st.sampled_from(["one layer", "adapter-less first", "two relu layers"]),
+       rows=st.integers(1, 24), batch=st.integers(1, 10), steps=st.integers(0, 12),
+       optimizer=st.sampled_from(["adamw", "sgd"]))
+# 10 rows in batches of 4: the third batch wraps, rows 8, 9, 0, 1
+@example(kind="spp", topology="one layer", rows=10, batch=4, steps=7, optimizer="adamw")
+@example(kind="lora", topology="one layer", rows=10, batch=4, steps=7, optimizer="adamw")
+@example(kind="spp", topology="adapter-less first", rows=10, batch=4, steps=7, optimizer="adamw")
+@example(kind="lora", topology="adapter-less first", rows=10, batch=4, steps=7, optimizer="sgd")
+@example(kind="spp", topology="two relu layers", rows=10, batch=4, steps=7, optimizer="sgd")
+@example(kind="lora", topology="two relu layers", rows=10, batch=4, steps=7, optimizer="adamw")
+@example(kind="spp", topology="two relu layers", rows=24, batch=4, steps=6, optimizer="adamw")
+@example(kind="spp", topology="one layer", rows=24, batch=4, steps=3, optimizer="adamw")
+@example(kind="lora", topology="adapter-less first", rows=5, batch=3, steps=0, optimizer="adamw")
+def test_train_reusing_rows_matches_recomputing_every_step(kind, topology, rows, batch,
+                                                           steps, optimizer):
+    cfg = TrainConfig(steps=steps, optimizer=optimizer, batch_size=batch, seed=4)
+    net, data = reuse_case(kind, topology, rows)
+    _, record = train(net, data, cfg)
+    ref_net, ref_data = reuse_case(kind, topology, rows)
+    assert run_bytes(net, record) == run_bytes(ref_net, train_recomputing(ref_net, ref_data, cfg))
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+def test_retraining_recomputes_the_first_layer_every_step(optimizer):
+    # Without adapters the weights move every step, so a base product kept
+    # from an earlier step would be stale; 30 rows read 4 times over.
+    cfg = TrainConfig(steps=15, optimizer=optimizer, batch_size=8, seed=4)
+    net, data = reuse_case(None, "adapter-less first", 30)
+    _, record = train(net, data, cfg)
+    ref_net, ref_data = reuse_case(None, "adapter-less first", 30)
+    assert run_bytes(net, record) == run_bytes(ref_net, train_recomputing(ref_net, ref_data, cfg))
+
+
+def test_train_computes_the_first_layer_base_once_per_row(monkeypatch):
+    calls = []
+
+    def counting(kernel):
+        def wrapped(*args):
+            calls.append(args[0].shape[0])
+            return kernel(*args)
+        return wrapped
+
+    for module in (spp.adapters, spp.pruning):
+        monkeypatch.setattr(module, "slot_matmul", counting(module.slot_matmul))
+    cfg = TrainConfig(steps=20, batch_size=4, seed=4)
+    train(*reuse_case("spp", "one layer", 10), cfg)
+    # Three blocks cover the ten rows, then one branch product per step.
+    assert calls == [4, 4, 2] + [4] * 20
+    calls.clear()
+    train_recomputing(*reuse_case("spp", "one layer", 10), cfg)
+    assert calls == [4] * 40  # base and branch on every step
+
+
+def test_reusing_rows_holds_the_base_beside_batch_sized_buffers():
+    rows, m, batch = 512, 64, 16
+    cache = rows * m * 8
+    cfg = TrainConfig(steps=40, batch_size=batch, seed=4)  # 640 rows read
+    peaks = {fn: peak_transient_bytes(fn, *reuse_case("spp", "one layer", rows, n=m, out=m), cfg)
+             for fn in (train, train_recomputing)}
+    assert peaks[train] <= peaks[train_recomputing] + cache
+    assert peaks[train] >= cache  # the control: the measure sees the base
 
 
 # ---------------------------------------------------------------------------
