@@ -4,6 +4,7 @@ import numpy as np
 
 from spp import (
     NofM,
+    PrunedLayer,
     Rng,
     Unstructured,
     apply_mask,
@@ -42,7 +43,12 @@ col3_kept_mag = int(mask.mask[:, 3].sum())
 col3_kept_wanda = int(wanda_mask.mask[:, 3].sum())
 print(f"column 3 survivors: magnitude={col3_kept_mag} wanda={col3_kept_wanda}")
 
-# tampering with a masked position is caught, with coordinates
-layer.weight[tuple(np.argwhere(mask.mask == 0)[0])] = 1e-9
-bad = verify_mask(layer)
-print("after tampering: ok =", bad.ok, "violations =", bad.violations[:3])
+# a pruned layer holds only its kept values, so it cannot break its mask.
+# A dense weight that is nonzero at a masked position is refused, with the
+# coordinates; `spp verify` lists every such position of a raw store.
+tampered = layer.weight  # a fresh dense copy
+tampered[tuple(np.argwhere(mask.mask == 0)[0])] = 1e-9
+try:
+    PrunedLayer(tampered, mask)
+except ValueError as exc:
+    print("after tampering:", exc)

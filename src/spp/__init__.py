@@ -23,7 +23,6 @@ from .adapters import (
     spp_forward_naive,
     spp_init,
     spp_merge,
-    spp_merge_kept,
 )
 from .errors import (
     PatternError,
@@ -50,7 +49,7 @@ from .pruning import (
     verify_mask,
 )
 from .rng import Rng, splitmix64
-from .store import META_NAME, Kept, TensorStore, store_read, store_write
+from .store import META_NAME, TensorStore, store_read, store_write
 from .training import (
     AdamState,
     NetLayer,

@@ -11,26 +11,28 @@ and the layer output is  y = x @ W.T + s * (drop(x) @ W'.T)  with inverted
 dropout on the adapter branch only.  Because W' is W times something, every
 zero of W stays exactly zero, through training and through merging.
 
-There is one forward, and it computes on the sparsity.  Every product
-against W or W' goes through the kernels in ``numerics`` on the layer's slot
-layout (``SparseMask.slots``): K * m * b multiply-adds instead of m * n * b,
-where K is the largest number of kept entries in a row, and bit-identical to
-the dense products (``numerics`` says why).  The forward gathers W's values
-at the slots once, computes the base term ``slot_matmul(x, idx, w)`` (or
-takes it as ``base``, which training computes once per run), turns
-those values into W' in place, one slot row at a time, as
+A pruned layer holds W as its kept values (``PrunedLayer.values``), and
+everything here computes on them.  Every product against W or W' goes
+through the kernels in ``numerics`` on the layer's slot layout
+(``SparseMask.slots``): K * m * b multiply-adds instead of m * n * b, where
+K is the largest number of kept entries in a row, and bit-identical to the
+dense products (``numerics`` says why).  The forward gathers the kept values
+into the slots once, computes the base term ``slot_matmul(x, idx, w)`` (or
+takes it as ``base``, which training computes once per run), turns those
+values into W' in place, one slot row at a time, as
 (w * alpha[row // block, col]) * beta[row] (the same products in the same
-order as ``spp_effective_weight``, which stays as the dense reference and as
-the merge), and computes the branch with the same kernel.  It makes no
-m x n array; its largest transient is W's values in slot order.
+order as ``spp_effective_weight``, the dense reference), and computes the
+branch with the same kernel.  It makes no m x n array; its largest
+transient is W's values in slot order.
 
 The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``).
-d_beta and d_alpha scatter H * W, times alpha or beta, to m x n
-(``SlotLayout.scatter``, one buffer for both) and reduce it exactly as the
-dense formulas do, so they match them bit for bit; the products are formed
-in place.  d_x = G @ W + s * drop_backward(G @ W') gathers W at the
-transposed slots (``SlotLayout.values_t``) and turns those values into W'
-in place, with the same two products in the same order as the forward.
+d_beta and d_alpha scatter H * W, times alpha or beta, to m x n at the
+mask's kept positions (``SparseMask.scatter``, one buffer for both) and
+reduce it exactly as the dense formulas do, so they match them bit for bit;
+the products are formed in place.
+d_x = G @ W + s * drop_backward(G @ W') gathers the kept values into the
+transposed slots (``SlotLayout.values_t``) and turns them into W' in place,
+with the same two products in the same order as the forward.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -67,7 +69,7 @@ class DropoutMask:
     """Inverted-dropout realization: keep pattern and rescale factor.
 
     ``keep`` is a bool matrix over the input shape, or None for the identity
-    (eval mode or p = 0).  Kept entries are scaled by 1 / (1 - p) so the map
+    (eval mode or p = 0).  Survivors are scaled by 1 / (1 - p) so the map
     is mean-preserving; applying the same mask to a gradient is the exact
     adjoint, so backward reuses ``apply``.
     """
@@ -298,14 +300,16 @@ def _effective_at_transposed_slots(
 def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
     """Materialize W' = (W * alpha[i // (m/r), j]) * beta[i] as one m x n array.
 
-    One broadcast over the (r, m/r, n) block view of W, then beta in place,
-    so the only m x n buffer is the result.  Zeros of the frozen weight are
-    zeros of the result by construction.
+    The dense reference for the forward and the merge.  ``layer.weight`` is
+    a fresh array, scaled in place over its (r, m/r, n) block view, so it is
+    the only m x n buffer.  Zeros of the frozen weight are zeros of the
+    result by construction.
     """
     _check_adapter_layer(layer.shape, adapter)
     m, n = layer.shape
     block = m // adapter.r
-    w_eff = layer.weight.reshape(adapter.r, block, n) * adapter.alpha[:, None, :]
+    w_eff = layer.weight.reshape(adapter.r, block, n)
+    w_eff *= adapter.alpha[:, None, :]
     w_eff *= adapter.beta.reshape(adapter.r, block, 1)
     return w_eff.reshape(m, n)
 
@@ -336,7 +340,7 @@ def spp_forward_naive(
     """
     x, cache = _forward_inputs(x, layer, adapter, rng, training, dropout_mask, base)
     slots = layer.mask.slots
-    w = slots.values(layer.weight)
+    w = slots.values(layer.values)
     if base is None:
         base = slot_matmul(x, slots.idx, w)
     _effective_at_slots(w, slots.idx, adapter)
@@ -369,22 +373,25 @@ def spp_backward(
     # below is bit for bit the dense formulas' (s * H) * W.
     hw = sampled_matmul(d_y, cache.x_dropped, slots.idx)
     hw *= adapter.s
-    hw *= slots.values(layer.weight)
+    hw *= slots.values(layer.values)
     # The sums run over the dense m x n layout, zeros included, so that they
     # pair up terms exactly as the dense formulas do.  Both scatter to the
-    # same positions, so they share one buffer.
-    terms = adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx]
-    terms *= hw
-    dense = slots.scatter(terms)
-    del terms
+    # same positions, so they share one buffer.  The terms are held (m, K),
+    # slot t of row i at [i, t], so that their kept order is a view.
+    terms = np.empty(slots.idx.shape[::-1]).T
+    np.multiply(adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx], hw, out=terms)
+    hw *= adapter.beta[:, 0]  # before the m x n buffer, beside NumPy's 64 KiB ufunc buffer
+    dense = layer.mask.scatter(terms)
     d_beta = dense.sum(axis=1, keepdims=True)
-    hw *= adapter.beta[:, 0]
-    d_alpha = slots.scatter(hw, out=dense).reshape(adapter.r, m // adapter.r, n).sum(axis=1)
-    del hw, dense
+    terms[...] = hw
+    del hw
+    layer.mask.scatter(terms, out=dense)
+    d_alpha = dense.reshape(adapter.r, m // adapter.r, n).sum(axis=1)
+    del terms, dense
 
     d_x = None
     if input_grad:
-        w_t = slots.values_t(layer.weight)
+        w_t = slots.values_t(layer.values)
         d_x = slot_matmul(d_y, slots.idx_t, w_t)
         _effective_at_transposed_slots(w_t, slots.idx_t, adapter)
         d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w_t))
@@ -392,38 +399,25 @@ def spp_backward(
 
 
 def spp_merge(layer: PrunedLayer, adapter: SppAdapter) -> PrunedLayer:
-    """Fold the adapter into the weight: W + s * W', keeping the mask.
+    """Fold the adapter into the weight: W + s * W' at the kept entries, on the same mask.
 
-    At masked positions both terms are exact zeros, so the merged layer
-    satisfies the same mask; no re-pruning step exists or is needed.  W' is
-    scaled and added to in place, so the result is the only m x n buffer.
+    The same products in the same order as W + s * ``spp_effective_weight``,
+    so bit for bit that dense merge's kept entries; its masked entries are
+    exact zeros, so no re-pruning is needed.  ValueError if an entry overflows.
     """
-    merged = spp_effective_weight(layer, adapter)
-    merged *= adapter.s
-    merged += layer.weight
-    return PrunedLayer(merged, layer.mask)
-
-
-def spp_merge_kept(values: np.ndarray, keep: np.ndarray, adapter: SppAdapter) -> np.ndarray:
-    """``spp_merge`` at the kept entries alone, for a weight held as its kept values.
-
-    ``values`` are W's entries where the (m, n) bool ``keep`` is True,
-    row-major, and so is the result: W + s * W' there, from the same
-    products in the same order as ``spp_merge``, so each entry is bit for
-    bit the merged weight's.  No m x n array is made.
-    """
-    m, n = keep.shape
+    m, n = layer.shape
     _check_adapter_layer((m, n), adapter)
-    flat = np.flatnonzero(keep)
+    flat = layer.mask.positions
     rows = flat // n
     # alpha[row // block, col] sits at row // block * n + col = flat - (row - row // block) * n.
-    merged = values * np.take(adapter.alpha, flat - (rows - rows // (m // adapter.r)) * n)
-    merged *= np.take(adapter.beta, rows)
+    at = rows // (m // adapter.r) - rows
+    at *= n
+    at += flat
+    merged = layer.values * adapter.alpha.take(at)
+    merged *= adapter.beta.take(rows)
     merged *= adapter.s
-    merged += values
-    if not np.isfinite(merged).all():
-        raise ValueError("weight contains non-finite entries")
-    return merged
+    merged += layer.values
+    return PrunedLayer(merged, layer.mask)
 
 
 # ---------------------------------------------------------------------------

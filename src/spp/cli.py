@@ -5,33 +5,33 @@ layer names; a pruned layer adds "<name>.mask" (uint8), an adapter adds each
 factor as "<name>.<kind>.<factor>" (e.g. "<name>.spp.alpha"), and run-level
 settings ride the "__meta__" JSON tensor.
 
-A layer is its weight and its mask (or None).  prune, attach, merge and
-verify hold one layer at a time: each checks the meta and the layer list
-from the store's index (``_index_layers``), then reads, transforms and
-writes one layer's weight and mask before the next (``_Layers.load``,
-``_output``).  train loads the whole model from that index (``_load_layers``).
+A layer with a mask is a ``PrunedLayer``: its kept values, read as they are
+stored kept-encoded (see ``spp.store``) or gathered from a weight stored
+raw, beside its mask.  A layer without a mask is its dense weight.  Every
+command writes a pruned layer kept-encoded, and none makes its dense weight
+but a low-rank merge, which is dense by definition.  A raw weight that is
+nonzero where its mask drops the entry cannot become a layer: attach, train
+and merge refuse it as an input error that names the layer and the first
+such (row, col), and publish nothing.  verify reads the raw weight as it is
+stored and lists where it breaks its mask.
 
-A pruned layer's weight is held as a ``Kept``, its values where the mask
-keeps them, whenever its store holds it that way (see ``spp.store``), and
-every layer whose weight is +0.0 wherever its mask is 0 is written that way.
-prune, attach, merge and verify work on those values and never make the
-dense weight: prune gathers the kept entries of the unmasked weight, attach
-checks that they are finite and passes them through, an SPP merge forms
-W + s * W' at the kept positions alone, and verify counts nnz on the values
-and checks the pattern on the mask.  A kept layer cannot hold a weight off
-its mask, so verify finds violations only in layers stored raw, which is how
-any weight that breaks its mask is written.  train and a low-rank merge work
-on the dense weight.
+prune, attach, merge and verify hold one layer at a time: each checks the
+meta and the layer list from the store's index (``_index_layers``), then
+reads, transforms and writes one layer before the next (``_Layers.load``,
+``_output``).  train loads the whole model from that index
+(``_load_layers``).
 
 Exit codes: 0 success, 1 verification failure (or diverged training),
 2 usage or input errors, 3 breach of an internal invariant.
 """
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ from .adapters import (
     SppAdapter,
     lora_merge_dense,
     spp_merge,
-    spp_merge_kept,
 )
 from .errors import PatternError, StoreFormatError, TrainingDiverged
 from .pruning import (
@@ -57,13 +56,14 @@ from .pruning import (
     build_mask,
     collect_calibration,
     mask_report,
+    off_mask,
     parse_pattern,
     score_magnitude,
     score_wanda,
     verify_mask,
 )
 from .rng import Rng
-from .store import META_NAME, Kept, TensorStore, atomic_write, encode_meta, store_read, store_write
+from .store import META_NAME, TensorStore, atomic_write, encode_meta, store_read, store_write
 from .training import (
     NetLayer,
     TrainConfig,
@@ -106,20 +106,21 @@ class InternalInvariantError(Exception):
     """A should-be-impossible state; maps to exit code 3."""
 
 
-def _pruned(name: str, weight: np.ndarray, mask: SparseMask | None) -> PrunedLayer:
-    if mask is None:
-        raise UsageError(f"layer {name!r} has no mask")
+@contextlib.contextmanager
+def _layer_input(name: str):
+    """A ValueError in the block is an input error in layer ``name`` (exit 2)."""
     try:
-        return PrunedLayer(weight, mask)
+        yield
     except ValueError as exc:
         raise UsageError(f"layer {name!r}: {exc}") from exc
 
 
-def _finite(name: str, weight: Kept) -> np.ndarray:
-    """A kept layer's values, checked as ``_pruned`` checks a dense weight."""
-    if not np.isfinite(weight.values).all():
-        raise UsageError(f"layer {name!r}: weight contains non-finite entries")
-    return weight.values
+def _pruned(name: str, weight: np.ndarray, mask: SparseMask | None) -> PrunedLayer:
+    """Layer ``name`` of ``weight`` (kept values or a raw (m, n) array) and ``mask``, or exit 2."""
+    if mask is None:
+        raise UsageError(f"layer {name!r} has no mask")
+    with _layer_input(name):
+        return PrunedLayer(weight, mask)
 
 
 def _default_seed(value):
@@ -226,9 +227,8 @@ class _Layers:
 
     Every check that needs no weight or mask has passed: the meta, its
     pattern, the layer list and the adapters, whose factors are read here.
-    ``load`` reads one layer's weight and mask (or None), which the store
-    then drops.  The weight is a ``Kept`` if the store holds it kept, unless
-    ``dense`` asks for the (m, n) array.
+    ``load`` reads one layer's weight as it is stored, the kept values or a
+    raw (m, n) array, and its mask (or None), which the store then drops.
     """
 
     store: TensorStore
@@ -238,10 +238,10 @@ class _Layers:
     masked: set[str]
     adapters: dict[str, SppAdapter | LoraAdapter]
 
-    def load(self, name: str, dense: bool = False) -> tuple[np.ndarray | Kept, SparseMask | None]:
-        weight = None if dense else self.store.pop_kept(name)
-        if weight is not None:
-            raw = weight.keep  # bool, from a packed mask
+    def load(self, name: str) -> tuple[np.ndarray, SparseMask | None]:
+        kept = self.store.pop_kept(name)
+        if kept is not None:
+            weight, raw = kept  # raw is bool, from a packed mask
         else:
             weight = self.store.pop(name)
             if name not in self.masked:
@@ -251,10 +251,8 @@ class _Layers:
         if pattern is None and raw.size:
             zeros = raw.size - int(np.count_nonzero(raw))
             pattern = Unstructured.matching(zeros, raw.size)
-        try:
+        with _layer_input(name):
             return weight, SparseMask(raw, pattern)
-        except ValueError as exc:
-            raise UsageError(f"layer {name!r}: {exc}") from exc
 
 
 def _index_layers(store: TensorStore) -> _Layers:
@@ -287,46 +285,40 @@ def _load_layers(layers: _Layers):
     """Every layer, held at once, and the ToyNet the meta's topology makes of them.
 
     The net takes the topology's layers in its order, or every layer in
-    store order if it names none.  Also returns ``layer(name)``, which gives
-    a layer's weight and mask, read off the net for the layers in it, so
-    what training changed is what it gives.
+    store order if it names none.  Also returns the layers by name: a
+    PrunedLayer for each layer of the net and each layer with a mask, the
+    same one the net trains, and the dense weight of any other.
     """
-    loaded = {name: layers.load(name, dense=True) for name in layers.names}
     topology = layers.meta.get("net", {})
     entries = topology.get("layers") or [{"name": name} for name in layers.names]
-    for entry in entries:
-        name = entry["name"]
-        if name not in loaded:
-            raise UsageError(f"net topology names unknown layer {name!r}")
-        loaded[name] = NetLayer(
-            layer=_pruned(name, *loaded[name]),
-            adapter=layers.adapters.get(name),
-            activation=entry.get("activation", "identity"),
-        )
-    net = ToyNet([loaded[entry["name"]] for entry in entries], loss=topology.get("loss", "mse"))
-
-    def layer(name: str) -> tuple[np.ndarray, SparseMask | None]:
-        held = loaded[name]
-        return (held.layer.weight, held.layer.mask) if isinstance(held, NetLayer) else held
-
-    return net, layer
+    unknown = [entry["name"] for entry in entries if entry["name"] not in layers.names]
+    if unknown:
+        raise UsageError(f"net topology names unknown layer {unknown[0]!r}")
+    in_net = {entry["name"] for entry in entries}
+    held = {}
+    for name in layers.names:
+        weight, mask = layers.load(name)
+        held[name] = weight if mask is None and name not in in_net else _pruned(name, weight, mask)
+    net = ToyNet([NetLayer(layer=held[entry["name"]],
+                           adapter=layers.adapters.get(entry["name"]),
+                           activation=entry.get("activation", "identity"))
+                  for entry in entries], loss=topology.get("loss", "mse"))
+    return net, held
 
 
 def _output(names: list[str], layer, adapters: dict, meta: dict):
     """The (name, array) pairs of an output store, each layer made as it is written.
 
-    ``layer(name)`` gives the weight and mask (or None) of each of ``names``
-    in turn; then come each adapter's factors, by layer, and last the meta.
-    A masked dense weight goes out as a ``Kept`` if that loses nothing.
+    ``layer(name)`` gives each of ``names`` in turn: a PrunedLayer, written
+    kept-encoded with its mask, or a dense weight without one, written raw.
+    Then come each adapter's factors, by layer, and last the meta.
     """
     for name in names:
-        weight, mask = layer(name)
-        if mask is not None and not isinstance(weight, Kept):
-            weight = Kept.of(weight, mask.mask) or weight
-        yield name, weight
-        if mask is not None and not isinstance(weight, Kept):
-            yield f"{name}.mask", mask.mask.view(np.uint8)
-        del weight, mask  # so the next layer is made without this one held
+        held = layer(name)
+        if isinstance(held, PrunedLayer):
+            held = held.values, held.mask.mask
+        yield name, held
+        del held  # so the next layer is made without this one held
     for name, adapter in adapters.items():
         for key, factor in zip(_factor_keys(name, adapter), adapter.factors):
             yield key, getattr(adapter, factor)
@@ -365,13 +357,13 @@ def cmd_prune(args) -> int:
             scores = score_magnitude(weight)
         mask = build_mask(scores, pattern, row_wise=args.row_wise)
         del scores  # one weight-sized array fewer while the layer is masked
-        kept = Kept(np.compress(mask.mask.reshape(-1), weight.reshape(-1)), mask.mask)
-        report = mask_report(mask, int(np.count_nonzero(kept.values)))
+        layer = apply_mask(weight, mask)
+        report = verify_mask(layer)
         lines.append(
             f"{name}: {weight.shape[0]}x{weight.shape[1]} pattern={report.label} "
             f"ratio={report.ratio:.4f} nnz={report.nnz}"
         )
-        return kept, mask
+        return layer
 
     store_write(_output(names, prune, {}, meta), args.output)
     for line in lines:
@@ -391,6 +383,8 @@ def cmd_attach(args) -> int:
         raise UsageError("store already carries adapters")
     if not (0.0 <= args.dropout < 1.0):
         raise UsageError(f"--dropout must lie in [0, 1), got {args.dropout}")
+    if not math.isfinite(args.scale):
+        raise UsageError(f"--scale must be a finite number, got {args.scale}")
     if args.r < 1:
         raise UsageError(f"--r must be >= 1, got {args.r}")
 
@@ -424,12 +418,7 @@ def cmd_attach(args) -> int:
     }
 
     def attach(name):
-        weight, mask = layers.load(name)
-        if isinstance(weight, Kept):
-            _finite(name, weight)
-        else:
-            _pruned(name, weight, mask)
-        return weight, mask
+        return _pruned(name, *layers.load(name))
 
     store_write(_output(names, attach, adapters, layers.meta), args.output)
     print(f"trainable parameters: {trainable}")
@@ -455,7 +444,7 @@ def cmd_train(args) -> int:
             raise UsageError(f"data store is missing tensor {required!r}")
     x, y = data.get("x"), data.get("y")
 
-    net, layer = _load_layers(layers)
+    net, held = _load_layers(layers)
     cfg = TrainConfig(
         steps=args.steps,
         lr=args.lr,
@@ -469,7 +458,8 @@ def cmd_train(args) -> int:
     # A digest of each frozen weight, not a copy, which would be held for the
     # whole run.  sha256 reads the array's buffer in place: 1.7 ms per 2 MiB.
     def digests():
-        return {name: hashlib.sha256(layer(name)[0]).digest() for name in layers.names}
+        return {name: hashlib.sha256(layer.values).digest()
+                for name, layer in held.items() if isinstance(layer, PrunedLayer)}
 
     frozen_before = None if args.baseline_eq3 else digests()
     try:
@@ -485,48 +475,37 @@ def cmd_train(args) -> int:
                 f"frozen base weight {changed[0]!r} changed during adapter training"
             )
 
-    store_write(_output(layers.names, layer, layers.adapters, layers.meta), args.output)
+    store_write(_output(layers.names, held.get, layers.adapters, layers.meta), args.output)
     run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))
     atomic_write(run_csv, [record.to_csv().encode("utf-8")])
     summary = record.summary()
-    summary["nnz_before_merge"] = int(
-        sum(np.count_nonzero(layer(name)[0]) for name in layers.names)
-    )
+    summary["nnz_before_merge"] = int(sum(
+        np.count_nonzero(layer.values if isinstance(layer, PrunedLayer) else layer)
+        for layer in held.values()
+    ))
     print(json.dumps(summary, sort_keys=True))
     return 0
 
 
-def _merged(name: str, weight, mask: SparseMask | None, adapter, reprune: bool):
-    """The layer with ``adapter``, if any, folded into its weight; prints what changed."""
+def _merged(name: str, layer: PrunedLayer, adapter, reprune: bool):
+    """``layer`` with ``adapter``, if any, folded into its weight; prints what changed."""
     if adapter is None:
-        return weight, mask
-    if isinstance(adapter, SppAdapter) and isinstance(weight, Kept):
-        values = _finite(name, weight)
-        merged = spp_merge_kept(values, mask.mask, adapter)
-        print(f"{name}: merged multiplicative adapter, nnz {np.count_nonzero(values)} "
-              f"-> {np.count_nonzero(merged)}")
-        return Kept(merged, mask.mask), mask
-    if isinstance(weight, Kept):
-        weight = weight.dense()
-    before = int(np.count_nonzero(weight))
+        return layer
+    before = int(np.count_nonzero(layer.values))
     if isinstance(adapter, SppAdapter):
-        merged = spp_merge(_pruned(name, weight, mask), adapter)
-        report = verify_mask(merged)
-        if report.violations:
-            raise InternalInvariantError(
-                f"merge broke the mask of {name!r} at {report.violations[:3]}"
-            )
-        print(f"{name}: merged multiplicative adapter, nnz {before} -> {report.nnz}")
-        return merged.weight, mask
-    dense = lora_merge_dense(_pruned(name, weight, mask), adapter)
+        merged = spp_merge(layer, adapter)
+        print(f"{name}: merged multiplicative adapter, nnz {before} "
+              f"-> {np.count_nonzero(merged.values)}")
+        return merged
+    dense = lora_merge_dense(layer, adapter)
     if reprune:
-        weight = apply_mask(dense, mask).weight
-        after = int(np.count_nonzero(weight))
+        merged = apply_mask(dense, layer.mask)
+        after = int(np.count_nonzero(merged.values))
         print(f"{name}: low-rank merge repruned to original mask, nnz {before} -> {after}")
-        return weight, mask
+        return merged
     after = int(np.count_nonzero(dense))
     print(f"warning: {name}: low-rank merge densified the layer, nnz {before} -> {after}")
-    return dense, None
+    return dense
 
 
 def cmd_merge(args) -> int:
@@ -546,19 +525,24 @@ def cmd_merge(args) -> int:
         meta.pop("ratio", None)
 
     def merge(name):
-        return _merged(name, *layers.load(name), layers.adapters.get(name), reprune)
+        weight, mask = layers.load(name)
+        adapter = layers.adapters.get(name)
+        if adapter is None and mask is None:
+            return weight
+        return _merged(name, _pruned(name, weight, mask), adapter, reprune)
 
     store_write(_output(layers.names, merge, {}, meta), args.output)
     return 0
 
 
-def _verify_layer(name: str, weight, mask: SparseMask | None) -> bool:
-    """Print the verification lines of one layer; returns whether it passed."""
+def _verify_layer(name: str, weight: np.ndarray, mask: SparseMask | None) -> bool:
+    """Print the verification lines of one layer, as stored; returns whether it passed."""
     if mask is None:
         print(f"{name}: dense (no mask)")
         return True
-    if isinstance(weight, Kept):
-        report = mask_report(mask, int(np.count_nonzero(_finite(name, weight))))
+    if weight.ndim == 2:  # stored raw, the one form that can break its mask
+        with _layer_input(name):
+            report = mask_report(mask, int(np.count_nonzero(weight)), off_mask(weight, mask))
     else:
         report = verify_mask(_pruned(name, weight, mask))
     status = "ok" if report.ok else "FAIL"

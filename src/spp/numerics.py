@@ -18,8 +18,8 @@ they are bit-identical to those formulas, not to a loop.
 Products against a pruned weight run on its slot layout instead, through
 ``slot_matmul`` and ``sampled_matmul`` only: ``PrunedLayer``, both adapters
 and the training loop call no other kernel on it.  ``pruning.SlotLayout``
-owns the layout, gathers a weight's values into slot order and scatters
-per-slot results back to m x n.  Slot t of row i holds the t-th kept column
+owns the layout, gathers a layer's kept values into slot order and puts
+per-slot results back in kept order.  Slot t of row i holds the t-th kept column
 of that row, in ascending column order, and rows with fewer kept entries
 than the longest row are padded with slots that read column 0 against a
 weight of 0.0.  ``slot_matmul`` and ``sampled_matmul`` add the same products

@@ -1,8 +1,7 @@
-"""Scoring, mask construction, and mask verification for weight pruning.
+"""Scoring, mask construction, and the pruned layer: kept values plus a mask.
 
 A mask is one C-contiguous ``bool`` keep matrix (True where the weight is
-kept); on disk it serializes as uint8 with the same bytes.  Masking is
-``np.where`` on it, so a masked entry is always +0.0.  Two scoring
+kept); on disk it serializes as uint8 with the same bytes.  Two scoring
 rules are provided: plain magnitude, and activation-weighted magnitude where
 each column's score is scaled by the calibration norm of the matching input
 feature (``collect_calibration`` returns those norms as one (1, n) row).
@@ -15,13 +14,17 @@ the cut is zeroed, and among the scores equal to the cut the remaining count
 is zeroed starting from the largest flat index.  That is the same mask a full
 sort by (score ascending, index descending) would give.
 
+A ``PrunedLayer`` holds its weight as its kept values, row-major (the kept
+order) as store v2 writes them, beside its mask; it is +0.0 everywhere else,
+so a pruned layer cannot break its mask.  ``PrunedLayer.weight`` makes the
+dense weight, for oracles and for the low-rank merge, which is dense.
+
 Products against a pruned weight (``PrunedLayer.apply`` and the adapters)
 run on the mask's slot layout, ``SparseMask.slots``: the kept positions in
 padded slot-major (ELL) order, for the weight and for its transpose.  It is
 built from the mask on first use and cached on the mask, so every layer
-that shares a mask shares one layout; the weight's values are read through
-it on each call.  A weight that breaks its mask (``verify_mask`` fails)
-computes as if its masked entries were zero.
+that shares a mask shares one layout; the kept values are gathered into it
+on each call, by their rank in the kept order.
 """
 
 import math
@@ -141,6 +144,11 @@ class SparseMask:
         return self.mask.shape
 
     @cached_property
+    def positions(self) -> np.ndarray:
+        """Flat positions i * n + j of the kept entries in kept order, built once."""
+        return np.flatnonzero(self.mask)
+
+    @cached_property
     def slots(self) -> "SlotLayout":
         """The kept entries in slot order, built on first use and then kept.
 
@@ -149,18 +157,29 @@ class SparseMask:
         """
         return SlotLayout.of(self)
 
+    def scatter(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(m, n): ``vals`` (K, m), one per slot, at the kept positions, +0.0 elsewhere.
 
-def _slot_positions(keep: np.ndarray) -> np.ndarray:
+        A fresh array, or ``out``, an earlier result, written over at the
+        same positions.
+        """
+        if out is None:
+            out = np.zeros(self.shape)
+        out.ravel()[self.positions] = self.slots.ranked(vals)
+        return out
+
+
+def _slot_positions(keep: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """Flat positions in ``keep`` of its kept entries, in padded slot-major order.
 
-    Returns (K, rows): entry [t, i] is i * cols + j for the t-th kept column
-    j of row i, ascending, and keep.size in padded slots.  Built in place
-    from the row-major list of kept positions, whose e-th entry, the r-th of
-    row i, goes to slot r * rows + i.
+    ``flat`` is ``np.flatnonzero(keep)``, the row-major list of kept
+    positions.  Returns (K, rows): entry [t, i] is i * cols + j for the t-th
+    kept column j of row i, ascending, and keep.size in padded slots.  Built
+    in place from ``flat``, whose e-th entry, the r-th of row i, goes to slot
+    r * rows + i.
     """
     rows = keep.shape[0]
     counts = np.count_nonzero(keep, axis=1)
-    flat = np.flatnonzero(keep)
     # r * rows + i = e * rows - (start_i * rows - i), start_i = row i's first e.
     slot = np.arange(flat.size)
     slot *= rows
@@ -175,28 +194,23 @@ class SlotLayout:
     """Padded slot-major (ELL) layout of the kept entries of an (m, n) mask.
 
     K is the largest number of kept entries in a row and Kt in a column.
+    The rank of a kept entry is its index in the kept order (row-major).
 
     idx:    (K, m), idx[t, i] is the t-th kept column of row i, ascending.
             Slots past a row's last kept entry read column 0 (padded slots).
-    pos:    (K, m), flat position i * n + idx[t, i] of each slot in the
-            weight; m * n, one past the end, in padded slots.
+            Slot t of row i holds rank start_i + t, start_i being the rank of
+            row i's first kept entry, so the row slots need no rank array.
     pads:   flat indices t * m + i of the padded slots.
     idx_t:  (Kt, n), the same as idx for the transposed weight: the kept rows
             of each column, ascending, and row 0 in padded slots.
-    pads_t: flat indices t * n + j of the padded transposed slots.
-
-    The forward reads both idx and pos, and deriving either from the other
-    per call made its transient outgrow the weight (691,568 B against the
-    524,288 B weight of a 256 x 256 layer, with pos derived).  The positions
-    of the transposed slots are derived per call instead (``values_t``): the
-    backward reads them next to an m x n buffer of its own.
+    rank_t: (Kt, n), the rank of the entry at each transposed slot, and the
+            kept count, one past the last rank, in padded slots.
     """
 
     idx: np.ndarray
-    pos: np.ndarray
     pads: np.ndarray
     idx_t: np.ndarray
-    pads_t: np.ndarray
+    rank_t: np.ndarray
 
     @classmethod
     def of(cls, mask: SparseMask) -> "SlotLayout":
@@ -204,88 +218,102 @@ class SlotLayout:
         m, n = keep.shape
         # Each index array is turned into the next in place where it can be,
         # so the build holds little more than the layout it returns.
-        idx_t = _slot_positions(keep.T)
-        pads_t = np.flatnonzero(idx_t == m * n)
+        idx_t = _slot_positions(keep.T, np.flatnonzero(keep.T))
+        pads_t = idx_t == m * n
         idx_t %= m  # (j * m + i) % m is i, and a padded m * n gives row 0
-        pos = _slot_positions(keep)
-        return cls(
-            idx=pos % n,  # a padded m * n gives column 0
-            pos=pos,
-            pads=np.flatnonzero(pos == m * n),
-            idx_t=idx_t,
-            pads_t=pads_t,
-        )
+        rank_t = idx_t * n
+        rank_t += np.arange(n)
+        rank_t = np.searchsorted(mask.positions, rank_t)
+        rank_t[pads_t] = mask.positions.size
+        del pads_t
+        idx = _slot_positions(keep, mask.positions)
+        pads = np.flatnonzero(idx == m * n)
+        idx %= n  # a padded m * n gives column 0
+        return cls(idx=idx, pads=pads, idx_t=idx_t, rank_t=rank_t)
 
-    def values(self, weight: np.ndarray) -> np.ndarray:
-        """The weight at every slot, (K, m), 0.0 in padded slots.
+    def _filled(self) -> np.ndarray:
+        """(K, m) bool: True at the slots that hold a kept entry."""
+        filled = np.ones(self.idx.shape, dtype=bool)
+        filled.ravel()[self.pads] = False
+        return filled
 
-        Read on each call, so the values are always those of the weight as
-        it is now.
+    def values(self, kept: np.ndarray) -> np.ndarray:
+        """The kept values ``kept`` at every slot, (K, m), 0.0 in padded slots.
+
+        The filled slots in (i, t) order take the kept values in kept order.
         """
-        out = np.take(weight, self.pos, mode="clip")
-        out.ravel()[self.pads] = 0.0
+        k, m = self.idx.shape
+        if not self.pads.size:  # every row keeps K entries: 4x faster than the fill at 2:4
+            return kept.reshape(m, k).T.copy()
+        out = np.zeros((k, m))
+        out.T[self._filled().T] = kept
         return out
 
-    def values_t(self, weight: np.ndarray) -> np.ndarray:
-        """The weight at every transposed slot, (Kt, n), 0.0 in padded slots.
+    def ranked(self, vals: np.ndarray) -> np.ndarray:
+        """``vals`` (K, m), one per slot, in kept order: the inverse of ``values``.
 
-        Slot t of column j reads weight[idx_t[t, j], j].  Read on each call,
-        like ``values``.
+        Padded slots are dropped.  A view, not a copy, when no slot is
+        padded and ``vals`` is the transpose of a C-contiguous (m, K) array.
         """
-        n = self.idx_t.shape[1]
-        at = self.idx_t * n
-        at += np.arange(n)
-        out = np.take(weight, at)
-        out.ravel()[self.pads_t] = 0.0
+        if not self.pads.size:
+            return vals.T.ravel()
+        return vals.T[self._filled().T]
+
+    def values_t(self, kept: np.ndarray) -> np.ndarray:
+        """The kept values ``kept`` at every transposed slot, (Kt, n), 0.0 in padded slots."""
+        out = kept.take(self.rank_t, mode="clip")
+        out[self.rank_t == kept.size] = 0.0
         return out
-
-    def scatter(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(m, n): ``vals`` (K, m) at the kept positions, +0.0 elsewhere.
-
-        A fresh array, or ``out``, an earlier result of this method, written
-        over: the same positions take the new values, and the rest are still
-        +0.0.
-        """
-        m, n = self.idx.shape[1], self.idx_t.shape[1]
-        # Padded slots write to one extra last entry, which the (m, n) view
-        # leaves out and ``out.base`` still holds.
-        flat = np.zeros(m * n + 1, dtype=np.float64) if out is None else out.base
-        flat[self.pos] = vals
-        return flat[:-1].reshape(m, n)
 
 
 @dataclass
 class PrunedLayer:
-    """A frozen weight matrix together with its sparsity mask.
+    """A frozen pruned weight: its kept values (1-D, finite, kept order) and its mask.
 
-    Invariant: the weight is already masked, i.e. every entry where the mask
-    is zero is exactly zero.  Constructors in this module establish that;
-    ``verify_mask`` detects violations in data that arrived from elsewhere.
+    The constructor also takes the dense (m, n) weight, which must be +-0.0
+    off the mask: a nonzero there is a ValueError naming the first such
+    (row, col), and a -0.0 becomes +0.0.
     """
 
-    weight: np.ndarray
+    values: np.ndarray
     mask: SparseMask
 
     def __post_init__(self):
-        self.weight = as_matrix(self.weight, "weight")
-        if self.weight.shape != self.mask.shape:
-            raise ShapeError(
-                f"weight {self.weight.shape} and mask {self.mask.shape} differ"
-            )
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim == 2:  # a dense weight, which must hold nothing off its mask
+            layer = apply_mask(values, self.mask)
+            if np.count_nonzero(layer.values) != np.count_nonzero(values):
+                row, col = off_mask(values, self.mask)[0]
+                raise ValueError(f"weight is nonzero off its mask at ({row}, {col})")
+            self.values = layer.values
+            return
+        count = np.count_nonzero(self.mask.mask)
+        if values.shape != (count,):
+            raise ShapeError(f"kept values of shape {values.shape} for {count} kept entries")
+        if not np.isfinite(values).all():
+            raise ValueError("weight contains non-finite entries")
+        self.values = np.ascontiguousarray(values)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.weight.shape
+        return self.mask.shape
+
+    @property
+    def weight(self) -> np.ndarray:
+        """The dense (m, n) weight, +0.0 off the mask; a fresh array on every read."""
+        out = np.zeros(self.shape)
+        out.ravel()[self.mask.positions] = self.values
+        return out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``x @ W.T`` over the kept entries; bit-identical to the dense product."""
         slots = self.mask.slots
-        return slot_matmul(x, slots.idx, slots.values(self.weight))
+        return slot_matmul(x, slots.idx, slots.values(self.values))
 
     def apply_transpose(self, g: np.ndarray) -> np.ndarray:
         """``g @ W`` over the kept entries; bit-identical to the dense product."""
         slots = self.mask.slots
-        return slot_matmul(g, slots.idx_t, slots.values_t(self.weight))
+        return slot_matmul(g, slots.idx_t, slots.values_t(self.values))
 
 
 def collect_calibration(xs: np.ndarray) -> np.ndarray:
@@ -370,11 +398,24 @@ def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:
     return keep
 
 
+def _dense(w: np.ndarray, mask: SparseMask) -> np.ndarray:
+    """``w`` as a float64 array of ``mask``'s shape."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != mask.shape:
+        raise ShapeError(f"weight {w.shape} and mask {mask.shape} differ")
+    return w
+
+
 def apply_mask(w: np.ndarray, mask: SparseMask) -> PrunedLayer:
-    """Zero the masked-out entries of ``w``."""
-    layer = PrunedLayer(w, mask)  # checks w and its shape
-    layer.weight = np.where(mask.mask, layer.weight, 0.0)
-    return layer
+    """Zero the masked-out entries of ``w``: the layer of its kept entries (finite)."""
+    return PrunedLayer(_dense(w, mask).take(mask.positions), mask)
+
+
+def off_mask(w: np.ndarray, mask: SparseMask) -> list[tuple[int, int]]:
+    """The (row, col), row-major, of each nonzero of the finite dense ``w`` off ``mask``."""
+    bad = ~mask.mask & (_dense(as_matrix(w, "weight"), mask) != 0.0)
+    # argwhere scans the whole matrix even when nothing is set; any() is cheap.
+    return [(int(r), int(c)) for r, c in np.argwhere(bad)] if bad.any() else []
 
 
 @dataclass
@@ -392,24 +433,15 @@ class MaskReport:
 
 
 def verify_mask(layer: PrunedLayer) -> MaskReport:
-    """Check mask/weight consistency and pattern compliance.
-
-    Fails (ok=False) when the weight is nonzero anywhere the mask is zero,
-    listing the offending (row, col) positions, or when the mask does not
-    satisfy its declared pattern.
-    """
-    keep = layer.mask.mask
-    bad = ~keep & (layer.weight != 0.0)
-    # argwhere scans the whole matrix even when nothing is set; any() is cheap.
-    violations = [(int(r), int(c)) for r, c in np.argwhere(bad)] if bad.any() else []
-    return mask_report(layer.mask, int(np.count_nonzero(layer.weight)), violations)
+    """Check a layer's mask against its pattern and count its nonzeros; it has no violations."""
+    return mask_report(layer.mask, int(np.count_nonzero(layer.values)))
 
 
 def mask_report(mask: SparseMask, nnz: int, violations=()) -> MaskReport:
     """The report on a weight with ``nnz`` nonzeros and ``violations`` under ``mask``.
 
-    Checks the mask against its declared pattern.  ``verify_mask`` finds a
-    dense weight's violations; a weight held as its kept values has none.
+    Checks the mask against its declared pattern; ``violations`` are the
+    positions, as ``off_mask`` gives them, where the weight breaks its mask.
     """
     keep = mask.mask
     pattern = mask.pattern

@@ -23,15 +23,18 @@ The encoding says how the payload holds the tensor:
     kept  a float64 "<name>" as its entries where "<name>.mask" is 1,
           row-major: the kept count of them.  The weight it stands for is
           +0.0 wherever the mask is 0, and "<name>.mask" must be in the file,
-          bits-encoded, with the same dims.  A pruned layer written as a
-          ``Kept`` takes this form; at 75% sparsity a 1024 x 1024 layer and
-          its mask take 2.1 MiB instead of the 9.0 MiB of a raw weight and
-          raw mask.
+          bits-encoded, with the same dims.  A pair (name, (values, keep)),
+          the 1-D float64 kept values and their bool keep mask, is written
+          this way; it is how a pruned layer holds its weight.  At 75%
+          sparsity a 1024 x 1024 layer and its mask take 2.1 MiB instead of
+          the 9.0 MiB of a raw weight and raw mask.
 
 Readers see none of this: ``get``, ``pop`` and ``items`` return the tensor
 as written (a kept tensor as its dense weight, a bits tensor as its uint8
 entries), and ``spec`` gives its dtype and dims.  ``pop_kept`` hands over a
-kept tensor as its values and mask without making the dense weight.
+kept tensor as the pair (values, keep) it was written from, without making
+the dense weight.  The store holds any float64, non-finite included; what a
+weight must be is for its readers to check.
 
 Entry order is preserved, names are unique.  JSON metadata travels inside the
 container as a reserved uint8 tensor named "__meta__" holding UTF-8 JSON, so
@@ -81,51 +84,6 @@ def _stamp(path_or_fd) -> tuple:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-@dataclass(frozen=True, eq=False)
-class Kept:
-    """A float64 weight as its bool ``keep`` mask and its ``values`` where that is True.
-
-    ``values`` is 1-D and row-major over the kept positions; the weight is
-    +0.0 everywhere else.  Written as the pair ``(name, kept)``, it is the
-    two tensors "<name>" (kept encoding) and "<name>.mask" (bits).
-    """
-
-    values: np.ndarray
-    keep: np.ndarray
-
-    def __post_init__(self):
-        if self.values.dtype != np.float64 or self.values.ndim != 1 or self.keep.dtype != bool:
-            raise ValueError("kept values must be 1-D float64 with a bool keep mask")
-        if self.values.size != np.count_nonzero(self.keep):
-            raise ValueError(
-                f"{self.values.size} kept values for {np.count_nonzero(self.keep)} kept entries"
-            )
-
-    @classmethod
-    def of(cls, weight: np.ndarray, keep: np.ndarray) -> "Kept | None":
-        """``weight`` as its values where ``keep`` is True, if that loses nothing.
-
-        None unless ``weight`` is float64, of ``keep``'s shape, and +0.0, bit
-        for bit, wherever ``keep`` is False: a -0.0 or a nonzero there (a
-        weight that breaks its mask) can only be written raw.
-        """
-        if weight.dtype != np.float64 or weight.shape != keep.shape:
-            return None
-        # Not np.compress, which is 3-5x faster but also holds an index array
-        # the size of the values, and train writes with every layer held.
-        values = weight.reshape(-1)[keep.reshape(-1)]
-        # Every dropped entry is +0.0 exactly when none has a nonzero bit pattern.
-        if np.count_nonzero(weight.view(np.uint64)) != np.count_nonzero(values.view(np.uint64)):
-            return None
-        return cls(values, keep)
-
-    def dense(self) -> np.ndarray:
-        """The weight: ``values`` at the kept positions, +0.0 elsewhere."""
-        out = np.zeros(self.keep.shape)
-        np.place(out, self.keep, self.values)
-        return out
-
-
 @dataclass(frozen=True)
 class _Payload:
     """Where an indexed tensor's bytes are in its file, and how they hold it.
@@ -164,7 +122,10 @@ class _Payload:
 
     def read(self) -> np.ndarray:
         if self.encoding == KEPT:
-            return self.read_kept().dense()
+            values, keep = self.read_kept()
+            out = np.zeros(self.shape)
+            np.place(out, keep, values)
+            return out
         if self.encoding == RAW:
             return self._fetch(self.shape, self.dtype)
         size = self.count
@@ -178,8 +139,8 @@ class _Payload:
         out.reshape(-1)[:] = np.unpackbits(packed, count=size)
         return out
 
-    def read_kept(self) -> Kept:
-        """A kept tensor's values and its mask, checked against each other."""
+    def read_kept(self) -> tuple[np.ndarray, np.ndarray]:
+        """A kept tensor's values and its bool mask, checked against each other."""
         keep = self.mask.read().view(bool)
         values = self._fetch((self.count,), self.dtype)
         ones = int(np.count_nonzero(keep))
@@ -189,7 +150,7 @@ class _Payload:
                 f"but its mask keeps {ones} entries",
                 offset=self.offset,
             )
-        return Kept(values, keep)
+        return values, keep
 
 
 def _load(entry) -> np.ndarray:
@@ -247,8 +208,8 @@ class TensorStore:
         del self._entries[name]
         return _load(entry)
 
-    def pop_kept(self, name: str) -> Kept | None:
-        """Pop a kept-encoded ``name`` and its mask as a ``Kept``.
+    def pop_kept(self, name: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """Pop a kept-encoded ``name`` and its mask as the pair (values, keep).
 
         Reads the kept values and the packed mask, never the dense weight.
         Returns None, and pops nothing, for a tensor held any other way.
@@ -337,9 +298,14 @@ def _raw_bytes(arr: np.ndarray) -> np.ndarray:
 
 def _encoded(name: str, value) -> list[tuple[str, int, tuple, np.ndarray]]:
     """The (name, encoding, dims, payload) of each tensor that a written pair stands for."""
-    if isinstance(value, Kept):
-        keep = value.keep
-        return [(name, KEPT, keep.shape, np.ascontiguousarray(value.values)),
+    if isinstance(value, tuple):
+        values, keep = value
+        if values.dtype != np.float64 or values.ndim != 1 or keep.dtype != bool:
+            raise ValueError(f"kept tensor {name!r} needs 1-D float64 values and a bool mask")
+        if values.size != np.count_nonzero(keep):
+            raise ValueError(f"tensor {name!r} has {values.size} kept values "
+                             f"for {np.count_nonzero(keep)} kept entries")
+        return [(name, KEPT, keep.shape, np.ascontiguousarray(values)),
                 (f"{name}.mask", BITS, keep.shape, np.packbits(keep.reshape(-1)))]
     arr = _checked(name, value)
     if name.endswith(".mask") and arr.dtype == np.uint8 and not (arr > 1).any():
@@ -352,11 +318,12 @@ def store_write(store, path) -> None:
 
     ``store`` is a TensorStore or any iterable of (name, array) pairs in file
     order, so arrays can be made as they are written.  The array of a pair
-    may be a ``Kept``, which writes "<name>" kept-encoded and then
-    "<name>.mask".  Each name and array is checked as ``TensorStore.add``
-    checks them, so a duplicate or empty name raises ValueError and nothing
-    is published.  The tensors are counted as they are written, and the
-    count goes into the header last.
+    may be the pair (values, keep) of a kept tensor, which writes "<name>"
+    kept-encoded and then "<name>.mask".  Each name and array is checked as
+    ``TensorStore.add`` checks them, and a kept pair's values against its
+    mask, so a duplicate or empty name raises ValueError and nothing is
+    published.  The tensors are counted as they are written, and the count
+    goes into the header last.
     """
     pairs = store.items() if isinstance(store, TensorStore) else store
     with _replacing(path) as fh:

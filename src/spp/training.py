@@ -4,8 +4,8 @@ The net model here is deliberately tiny: a stack of frozen pruned linear
 layers, each optionally carrying an adapter, with relu or identity between
 them and an MSE or cross-entropy head.  Training a net with adapters
 touches adapter parameters only.  The fixed-mask baseline is training a net
-without adapters: that updates the weights themselves with the gradient
-masked, which is classical sparse retraining.
+without adapters: that updates the kept values of the weights themselves
+with their gradient in kept order, which is classical sparse retraining.
 
 With adapters no weight changes, so the first layer's base product x @ W.T
 is the same for a row on every step that reads it.  ``train`` computes it
@@ -193,8 +193,8 @@ def net_forward(
 def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
     """Backpropagate; returns one gradient record per layer (same order).
 
-    In a net without adapters, a layer's record is d_w, the (m, n) weight
-    gradient at the kept entries and +0.0 elsewhere.  In a net with adapters
+    In a net without adapters, a layer's record is the gradient of its kept
+    values, 1-D in kept order.  In a net with adapters
     the weights are frozen, so an adapter-less layer's record stays None.
     The first layer's input gradient is never used, so it is not computed.
     """
@@ -209,7 +209,7 @@ def net_backward(net: ToyNet, caches, d_pred: np.ndarray):
         if nl.adapter is None:
             if retrain:
                 slots = nl.layer.mask.slots
-                grads[i] = slots.scatter(sampled_matmul(g, cache, slots.idx))
+                grads[i] = slots.ranked(sampled_matmul(g, cache, slots.idx))
             g = nl.layer.apply_transpose(g) if i > 0 else None
         else:
             grads[i] = _BACKWARDS[type(nl.adapter)](cache, g, input_grad=i > 0)
@@ -248,6 +248,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 <= self.warmup_ratio < 1.0):
             raise ValueError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
+        for name in ("lr", "weight_decay"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def resolved_lr(self) -> float:
         return _DEFAULT_LR[self.optimizer] if self.lr is None else self.lr
@@ -276,14 +280,13 @@ def _trainable(net: ToyNet, grads):
     """Yield (owner, attribute, gradient) for every tensor a step updates.
 
     In a net with adapters that is every adapter factor, in ``factors``
-    order, and no weight; in a net without them every weight, whose gradient
-    is +0.0 off its mask.  The optimizer keys its state by position in this
-    sequence.
+    order, and no weight; in a net without them every layer's kept values.
+    The optimizer keys its state by position in this sequence.
     """
     retrain = not net.has_adapters()
     for nl, g in zip(net.layers, grads):
         if retrain:
-            yield nl.layer, "weight", g
+            yield nl.layer, "values", g
         elif nl.adapter is not None:
             for name in nl.adapter.factors:
                 yield nl.adapter, name, getattr(g, f"d_{name}")

@@ -3,6 +3,7 @@
 import tracemalloc
 
 import numpy as np
+from hypothesis import strategies as hst
 
 from spp import Rng, matmul, spp_effective_weight
 
@@ -109,3 +110,34 @@ def peak_transient_bytes(fn, *args, **kwargs) -> int:
         return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+@hst.composite
+def keep_masks(draw, max_side=6):
+    """A bool (m, n) keep mask: unstructured, or N:M along the rows.
+
+    Rows may be forced empty or full and columns empty, and m * n is often
+    not a multiple of 8.
+    """
+    m = draw(hst.integers(1, max_side))
+    if draw(hst.booleans()):
+        m_group = draw(hst.sampled_from([2, 4]))
+        n_keep = draw(hst.integers(1, m_group - 1))
+        groups = draw(hst.integers(1, 3))
+        keep = np.zeros((m, groups, m_group), dtype=bool)
+        for i in range(m):
+            for g in range(groups):
+                picks = draw(hst.permutations(range(m_group)))[:n_keep]
+                keep[i, g, picks] = True
+        return keep.reshape(m, groups * m_group)
+    n = draw(hst.integers(1, 9))
+    keep = np.array(draw(hst.lists(hst.booleans(), min_size=m * n, max_size=m * n)))
+    keep = keep.reshape(m, n)
+    for j in range(n):
+        if draw(hst.sampled_from(["drawn", "drawn", "drawn", "empty"])) == "empty":
+            keep[:, j] = False
+    for i in range(m):
+        row = draw(hst.sampled_from(["drawn", "drawn", "empty", "full"]))
+        if row != "drawn":
+            keep[i] = row == "full"
+    return keep

@@ -27,7 +27,6 @@ from spp import (
     spp_forward_naive,
     spp_init,
     spp_merge,
-    spp_merge_kept,
     verify_mask,
 )
 
@@ -125,10 +124,14 @@ def test_merge_on_kept_values_equals_the_dense_merge_bit_for_bit(case):
     layer = random_pruned(rng, m, n, pattern)
     keep = layer.mask.mask
     if seed % 2 and keep.any():  # a kept weight of -0.0
-        layer.weight[np.unravel_index(np.flatnonzero(keep)[0], keep.shape)] = -0.0
+        layer.values[0] = -0.0
     ad = adapter_for(layer, rng, r=r, s=s, random_beta=True)
-    merged = spp_merge_kept(layer.weight[keep], keep, ad)
-    assert merged.tobytes() == spp_merge(layer, ad).weight[keep].tobytes()
+    dense = spp_effective_weight(layer, ad)
+    dense *= ad.s
+    dense += layer.weight
+    merged = spp_merge(layer, ad)
+    assert merged.values.tobytes() == dense[keep].tobytes()
+    assert merged.weight.tobytes() == np.where(keep, dense, 0.0).tobytes()
 
 
 def test_merge_on_kept_values_checks_the_adapter_as_the_dense_merge_does():
@@ -136,9 +139,9 @@ def test_merge_on_kept_values_checks_the_adapter_as_the_dense_merge_does():
     layer = random_pruned(rng, 8, 8)
     ad = adapter_for(random_pruned(rng, 8, 4), rng, r=2)
     with pytest.raises(ShapeError) as dense:
-        spp_merge(layer, ad)
+        spp_effective_weight(layer, ad)
     with pytest.raises(ShapeError) as kept:
-        spp_merge_kept(layer.weight[layer.mask.mask], layer.mask.mask, ad)
+        spp_merge(layer, ad)
     assert str(kept.value) == str(dense.value)
 
 

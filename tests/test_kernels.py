@@ -71,10 +71,9 @@ def _layers(rng, m, n):
         layer = apply_mask(w, mask)
         out.append((name, layer))
         # Kept entries whose weight is +0.0 or -0.0 stay kept.
-        kept_zero = layer.weight.copy()
-        kept = np.flatnonzero(mask.mask)
-        kept_zero.ravel()[kept[::3]] = 0.0
-        kept_zero.ravel()[kept[1::3]] = -0.0
+        kept_zero = layer.values.copy()
+        kept_zero[::3] = 0.0
+        kept_zero[1::3] = -0.0
         out.append((name + "+kept-zeros", PrunedLayer(kept_zero, mask)))
     return out
 
@@ -99,9 +98,7 @@ def test_slot_kernels_match_the_triple_loop(m, n, b):
         slots = layer.mask.slots
         sampled = sampled_matmul(g, x, slots.idx)
         want = matmul_oracle(np.ascontiguousarray(g.T), np.ascontiguousarray(x.T))
-        real = slots.pos < m * n
-        assert real.sum() == np.count_nonzero(layer.mask.mask), name
-        assert _same(sampled[real], want.ravel()[slots.pos[real]]), name
+        assert _same(slots.ranked(sampled), want[layer.mask.mask]), name
 
 
 def test_slot_layout_orders_kept_entries():
@@ -112,12 +109,15 @@ def test_slot_layout_orders_kept_entries():
     slots = mask.slots
     assert slots is mask.slots  # built once
     assert slots.idx.tolist() == [[1, 0, 0], [3, 0, 1], [0, 0, 2]]
-    assert slots.pos.tolist() == [[1, 12, 8], [3, 12, 9], [12, 12, 10]]
+    assert slots.pads.tolist() == [1, 4, 6, 7]
     assert slots.idx_t.tolist() == [[2, 0, 2, 0], [0, 2, 0, 0]]
-    w = np.arange(1.0, 13.0).reshape(3, 4) * mask.mask
-    values = slots.values(w)
+    # Ranks in the kept order (0, 1), (0, 3), (2, 0), (2, 1), (2, 2); 5 pads.
+    assert slots.rank_t.tolist() == [[2, 0, 4, 1], [5, 3, 5, 5]]
+    kept = np.array([2.0, 4.0, 9.0, 10.0, 11.0])
+    values = slots.values(kept)
     assert values.tolist() == [[2.0, 0.0, 9.0], [4.0, 0.0, 10.0], [0.0, 0.0, 11.0]]
-    assert slots.values_t(w).tolist() == [[9.0, 2.0, 11.0, 4.0], [0.0, 10.0, 0.0, 0.0]]
+    assert slots.ranked(values).tolist() == kept.tolist()
+    assert slots.values_t(kept).tolist() == [[9.0, 2.0, 11.0, 4.0], [0.0, 10.0, 0.0, 0.0]]
 
 
 @pytest.mark.parametrize("pattern", [NofM(2, 4), Unstructured(0.75)])
@@ -128,7 +128,10 @@ def test_slot_layout_holds_three_index_arrays_and_the_padded_slots(pattern):
     keep = mask.mask
     k, k_t, nnz = keep.sum(axis=1).max(), keep.sum(axis=0).max(), keep.sum()
     item = np.dtype(np.intp).itemsize
-    # idx and pos (K, m), idx_t (Kt, n), and the indices of padded slots.
+    # The budget of idx and the flat positions of every slot, both (K, m),
+    # idx_t (Kt, n) and the indices of the padded slots of both layouts.
+    # idx, idx_t, the rank of each transposed slot (Kt, n) and the padded
+    # row slots fit in it.
     budget = (2 * k * m + k_t * n + (k * m - nnz) + (k_t * n - nnz)) * item
     slots = SlotLayout.of(mask)
     assert sum(getattr(slots, f.name).nbytes for f in fields(slots)) <= budget
@@ -243,8 +246,7 @@ def test_first_layer_input_gradient_is_skipped():
     net = ToyNet([NetLayer(layer, None, "relu"), NetLayer(layer)])
     pred, caches = net_forward(net, x, training=True)
     d_w = net_backward(net, caches, pred)[0]
-    assert d_w.shape == (8, 8)
-    assert not d_w[layer.mask.mask == 0.0].any()
+    assert d_w.shape == layer.values.shape  # in kept order: nothing off the mask
 
 
 def test_training_does_not_import_scipy():

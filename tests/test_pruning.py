@@ -4,6 +4,7 @@ import pytest
 from spp import (
     NofM,
     PatternError,
+    PrunedLayer,
     Rng,
     ShapeError,
     SparseMask,
@@ -11,11 +12,14 @@ from spp import (
     apply_mask,
     build_mask,
     collect_calibration,
+    mask_report,
     parse_pattern,
     score_magnitude,
     score_wanda,
     verify_mask,
 )
+
+from spp.pruning import off_mask
 
 from helpers import rand_matrix, unstructured_mask_oracle
 
@@ -211,10 +215,17 @@ def test_verify_detects_corrupted_zero_position():
     w = rand_matrix(rng, 4, 4)
     layer = apply_mask(w, build_mask(score_magnitude(w), NofM(2, 4)))
     zr, zc = np.argwhere(layer.mask.mask == 0.0)[0]
-    layer.weight[zr, zc] = 1e-9
-    report = verify_mask(layer)
-    assert not report.ok
-    assert (int(zr), int(zc)) in report.violations
+    tampered = layer.weight
+    tampered[zr, zc] = 1e-9
+    # A pruned layer cannot hold it: the constructor names the position, and
+    # the report on the dense weight lists it.
+    with pytest.raises(ValueError, match=rf"nonzero off its mask at \({zr}, {zc}\)"):
+        PrunedLayer(tampered, layer.mask)
+    violations = off_mask(tampered, layer.mask)
+    assert violations == [(int(zr), int(zc))]
+    report = mask_report(layer.mask, int(np.count_nonzero(tampered)), violations)
+    assert not report.ok and report.pattern_ok
+    assert verify_mask(layer).ok
 
 
 def test_verify_reports_zero_count():

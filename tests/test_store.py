@@ -7,7 +7,6 @@ import pytest
 
 from spp import StoreFormatError, TensorStore, store_read, store_write
 from spp.cli import main
-from spp.store import Kept
 
 
 def roundtrip(store, tmp_path):
@@ -234,7 +233,7 @@ def test_a_kept_layer_is_its_values_then_its_packed_mask(tmp_path):
     keep = np.array([[1, 0, 1], [0, 0, 1]], dtype=bool)
     values = np.array([1.5, -0.0, 2.0])
     path = tmp_path / "kept.sppt"
-    store_write([("w", Kept(values, keep))], path)
+    store_write([("w", (values, keep))], path)
     assert path.read_bytes() == b"".join([
         b"SPPT", (2).to_bytes(4, "little"), (2).to_bytes(4, "little"),
         # "w": rank 2, dims (2, 3), float64, kept, 3 values, then the values
@@ -251,9 +250,21 @@ def test_a_kept_layer_is_its_values_then_its_packed_mask(tmp_path):
     assert back.get("w.mask").tobytes() == keep.astype(np.uint8).tobytes()
     assert back.pop_kept("w") is None  # get keeps the dense array it read
     back = store_read(path)
-    kept = back.pop_kept("w")
-    assert kept.values.tobytes() == values.tobytes() and np.array_equal(kept.keep, keep)
+    got, got_keep = back.pop_kept("w")
+    assert got.tobytes() == values.tobytes() and np.array_equal(got_keep, keep)
     assert back.names() == []
+
+
+@pytest.mark.parametrize("values, keep, message", [
+    (np.array([1.0, 2.0]), np.array([[True, True, True]]), "has 2 kept values for 3 kept entries"),
+    (np.array([1, 2], dtype=np.int64), np.array([[True, True]]), "needs 1-D float64 values"),
+    (np.array([1.0, 2.0]), np.array([[1, 1]], dtype=np.uint8), "and a bool mask"),
+])
+def test_a_malformed_kept_pair_is_refused_and_nothing_published(tmp_path, values, keep, message):
+    path = tmp_path / "kept.sppt"
+    with pytest.raises(ValueError, match=message):
+        store_write([("w", (values, keep))], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_proper_prefix_is_rejected_with_offset(tmp_path):

@@ -14,47 +14,30 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from spp import SparseMask, StoreFormatError, Unstructured, store_read, store_write
-from spp.cli import _output, main
-from spp.store import Kept
+from spp import PrunedLayer, SparseMask, StoreFormatError, Unstructured, store_read, store_write
+from spp.cli import main
+
+from helpers import keep_masks
 
 PROPERTY = settings(max_examples=60, derandomize=True, deadline=None)
 FLOATS = hst.floats(width=64) | hst.sampled_from([0.0, -0.0, 1.5, -2.25, 5e-324])
 
 
 @hst.composite
-def keep_masks(draw, max_side=6):
-    """A bool (m, n) keep mask: unstructured, or N:M along the rows.
-
-    Rows may be forced empty or full, and m * n is often not a multiple of 8.
-    """
-    m = draw(hst.integers(1, max_side))
-    if draw(hst.booleans()):
-        m_group = draw(hst.sampled_from([2, 4]))
-        n_keep = draw(hst.integers(1, m_group - 1))
-        groups = draw(hst.integers(1, 3))
-        keep = np.zeros((m, groups, m_group), dtype=bool)
-        for i in range(m):
-            for g in range(groups):
-                picks = draw(hst.permutations(range(m_group)))[:n_keep]
-                keep[i, g, picks] = True
-        return keep.reshape(m, groups * m_group)
-    n = draw(hst.integers(1, 9))
-    keep = np.array(draw(hst.lists(hst.booleans(), min_size=m * n, max_size=m * n)))
-    keep = keep.reshape(m, n)
-    for i in range(m):
-        row = draw(hst.sampled_from(["drawn", "drawn", "empty", "full"]))
-        if row != "drawn":
-            keep[i] = row == "full"
-    return keep
-
-
-@hst.composite
 def kept_layers(draw):
+    """The pair (values, keep) of a kept tensor."""
     keep = draw(keep_masks())
     count = int(np.count_nonzero(keep))
     values = np.array(draw(hst.lists(FLOATS, min_size=count, max_size=count)), dtype=np.float64)
-    return Kept(values, keep)
+    return values, keep
+
+
+def dense(kept) -> np.ndarray:
+    """The weight a kept tensor stands for: its values where it keeps, +0.0 elsewhere."""
+    values, keep = kept
+    out = np.zeros(keep.shape)
+    out[keep] = values
+    return out
 
 
 @hst.composite
@@ -71,7 +54,7 @@ def raw_arrays(draw):
 
 @hst.composite
 def mixed_stores(draw):
-    """(name, array or Kept) pairs of every encoding, with unique names."""
+    """(name, array or (values, keep)) pairs of every encoding, with unique names."""
     pairs = []
     for i, kind in enumerate(draw(hst.lists(
             hst.sampled_from(["raw", "bits", "kept", "dense"]), max_size=5))):
@@ -83,7 +66,7 @@ def mixed_stores(draw):
             pairs.append((f"t{i}", draw(kept_layers())))
         else:  # a pruned weight given dense beside its mask: written raw, then bits
             kept = draw(kept_layers())
-            pairs += [(f"t{i}", kept.dense()), (f"t{i}.mask", kept.keep.astype(np.uint8))]
+            pairs += [(f"t{i}", dense(kept)), (f"t{i}.mask", kept[1].astype(np.uint8))]
     return pairs
 
 
@@ -91,9 +74,9 @@ def decoded(pairs):
     """What reading a store written from ``pairs`` must give, by name."""
     out = {}
     for name, value in pairs:
-        if isinstance(value, Kept):
-            out[name] = value.dense()
-            out[f"{name}.mask"] = value.keep.astype(np.uint8)
+        if isinstance(value, tuple):
+            out[name] = dense(value)
+            out[f"{name}.mask"] = value[1].astype(np.uint8)
         else:
             out[name] = value.reshape(value.shape or (1,))
     return out
@@ -103,9 +86,10 @@ def file_size(pairs) -> int:
     """The size version 2 gives: a raw, a bits or a kept payload for each tensor."""
     size = 12
     for name, value in pairs:
-        if isinstance(value, Kept):
-            tensors = [(name, value.keep.shape, 8 + value.values.nbytes),
-                       (f"{name}.mask", value.keep.shape, (value.keep.size + 7) // 8)]
+        if isinstance(value, tuple):
+            values, keep = value
+            tensors = [(name, keep.shape, 8 + values.nbytes),
+                       (f"{name}.mask", keep.shape, (keep.size + 7) // 8)]
         elif name.endswith(".mask") and value.dtype == np.uint8 and value.max(initial=0) <= 1:
             tensors = [(name, value.shape, (value.size + 7) // 8)]
         else:
@@ -135,8 +119,8 @@ def test_any_mix_of_encodings_round_trips(pairs):
         fresh = store_read(path)
         for name, value in pairs:
             kept = fresh.pop_kept(name)
-            if isinstance(value, Kept):
-                assert same(kept.values, value.values) and same(kept.keep, value.keep)
+            if isinstance(value, tuple):
+                assert same(kept[0], value[0]) and same(kept[1], value[1])
                 assert f"{name}.mask" not in fresh
             else:
                 assert kept is None and name in fresh
@@ -145,23 +129,25 @@ def test_any_mix_of_encodings_round_trips(pairs):
 @PROPERTY
 @given(kept_layers(), hst.data())
 def test_a_weight_off_its_mask_is_written_raw(kept, data):
-    dropped = np.flatnonzero(~kept.keep)
+    values, keep = kept
+    dropped = np.flatnonzero(~keep)
     assume(dropped.size)
-    weight = kept.dense()
+    weight = dense(kept)
     at = data.draw(hst.sampled_from(list(dropped)))
-    weight.reshape(-1)[at] = data.draw(hst.sampled_from([-0.0, 1.0, -3e-310, np.inf]))
-    assert Kept.of(weight, kept.keep) is None
-    clean = kept.dense()
-    assert same(Kept.of(clean, kept.keep).values, kept.values)
-    mask = SparseMask(kept.keep, Unstructured(0.0))
+    weight.reshape(-1)[at] = data.draw(hst.sampled_from([1.0, -3e-310, np.inf]))
+    # It cannot become a pruned layer, which is all a command writes kept...
+    mask = SparseMask(keep, Unstructured(0.0))
+    message = ("non-finite" if not np.isfinite(weight).all()
+               else rf"nonzero off its mask at \({at // keep.shape[1]}, {at % keep.shape[1]}\)")
+    with pytest.raises(ValueError, match=message):
+        PrunedLayer(weight, mask)
+    # ...so it reaches a file only as a raw pair, and reads back as written.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.sppt"
-        layers = {"bad": weight, "good": clean}
-        store_write(_output(list(layers), lambda name: (layers[name], mask), {}, {}), path)
+        store_write([("bad", weight), ("bad.mask", keep.view(np.uint8))], path)
         back = store_read(path)
         assert back.pop_kept("bad") is None
         assert same(back.get("bad"), weight)
-        assert same(back.pop_kept("good").values, kept.values)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)

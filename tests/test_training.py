@@ -164,20 +164,19 @@ def test_plain_layer_gradient_matches_finite_difference():
 
     pred, caches = net_forward(net, x, training=True)
     _, d_pred = mse_loss(pred, t)
-    d_w = net_backward(net, caches, d_pred)[0]
+    d_values = net_backward(net, caches, d_pred)[0]  # in kept order
 
     h = 1e-6
-    num = np.zeros_like(w)
-    for i in range(4):
-        for j in range(3):
-            saved = layer.weight[i, j]
-            layer.weight[i, j] = saved + h
-            up, _ = mse_loss(net_forward(net, x)[0], t)
-            layer.weight[i, j] = saved - h
-            dn, _ = mse_loss(net_forward(net, x)[0], t)
-            layer.weight[i, j] = saved
-            num[i, j] = (up - dn) / (2 * h)
-    assert np.abs(d_w - num).max() < 1e-7
+    num = np.zeros_like(layer.values)
+    for e in range(layer.values.size):
+        saved = layer.values[e]
+        layer.values[e] = saved + h
+        up, _ = mse_loss(net_forward(net, x)[0], t)
+        layer.values[e] = saved - h
+        dn, _ = mse_loss(net_forward(net, x)[0], t)
+        layer.values[e] = saved
+        num[e] = (up - dn) / (2 * h)
+    assert np.abs(d_values - num).max() < 1e-7
 
 
 def test_relu_clips_negative_preactivations():
