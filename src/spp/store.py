@@ -124,7 +124,7 @@ class _Payload:
         if self.encoding == KEPT:
             values, keep = self.read_kept()
             out = np.zeros(self.shape)
-            np.place(out, keep, values)
+            out.ravel()[np.flatnonzero(keep)] = values
             return out
         if self.encoding == RAW:
             return self._fetch(self.shape, self.dtype)

@@ -224,11 +224,77 @@ def test_lane_path_memory_is_bounded():
     for k in range(18):
         for count in (2**k - 1, 2**k, 2**k + 1, 3 * 2**k):
             Rng(count).doubles(count)
-    assert sum(p.nbytes for p in rng_module._POWERS) <= 1 << 20
+    kept = sum(p.nbytes for p in rng_module._POWERS) + rng_module._TABLES.nbytes
+    assert rng_module._TABLES.size and kept <= 1 << 20
     r = Rng(1)
     r.doubles(1 << 17)
     # The output itself is 1 MiB; the lanes may add at most 1 MiB more.
     assert peak_transient_bytes(r.doubles, 1 << 17) <= 2 << 20
+
+
+def test_refill_transient_memory_is_bounded(monkeypatch):
+    # As in a fresh process: the calls that build the jump powers and the
+    # byte tables count too.  Refills of doubles(1024) fall on calls 0, 1, 3
+    # and 7 (ramp-up), 15 (the first block), 31 (the first carried jump,
+    # which builds the tables), 47 and 63 (steady blocks).
+    monkeypatch.setattr(rng_module, "_POWERS", ())
+    monkeypatch.setattr(rng_module, "_TABLES", rng_module._TABLES[:0])
+    r = Rng(1)
+    peaks = [peak_transient_bytes(r.doubles, 1024) for _ in range(64)]
+    assert rng_module._TABLES.size
+    assert max(peaks) <= 945_548
+    # The refill writes over the spent 128 KiB buffer; its lanes and the
+    # scrambler's scratch stay small beside it.
+    assert max(peaks[47], peaks[63]) <= 262_144
+
+
+def test_table_jump_equals_the_gemm_jump_and_the_oracle():
+    # 200 states span four of the GEMM's 64-state chunks.
+    states = np.random.default_rng(5).integers(0, 2**64, (200, 4), dtype=np.uint64)
+    states[0], states[1] = 0, MASK
+    half = rng_module._powers()[-1]
+    want = rng_module._jump(rng_module._jump(states, half), half)
+    assert rng_module._carry(states).tobytes() == want.tobytes()
+    assert not rng_module._carry(states[:1]).any()
+    for state in states[1:3]:
+        oracle = OneAtATime([int(w) for w in state])
+        for _ in range(BLOCK):
+            oracle.word()
+        assert [int(w) for w in rng_module._carry(state[None])[0]] == oracle.s
+
+
+STEADY = st.one_of(
+    st.tuples(st.just("next_u64")),
+    st.tuples(st.just("doubles"),
+              st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
+                        st.integers(0, 2 * BLOCK))),
+    st.tuples(st.just("read_s")),
+    st.tuples(st.just("write_s"), st.lists(st.integers(0, MASK), min_size=4, max_size=4)),
+)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, BLOCK), st.lists(STEADY, min_size=1, max_size=5))
+def test_carried_lanes_equal_the_one_at_a_time_oracle(seed, lead, ops):
+    # Four full blocks or more: the first from the jump ladder, then at
+    # least three carried jumps, before the interleaved draws and state
+    # reads and writes.  A write drops the carried lanes; later draws ramp
+    # up again.
+    r = Rng(seed)
+    oracle = OneAtATime(r._s)
+    assert r.doubles(4 * BLOCK + lead).tobytes() == oracle.doubles(4 * BLOCK + lead).tobytes()
+    assert r._lanes is not None
+    for op, *args in ops:
+        if op == "next_u64":
+            assert r.next_u64() == oracle.word()
+        elif op == "doubles":
+            assert r.doubles(*args).tobytes() == oracle.doubles(*args).tobytes()
+        elif op == "read_s":
+            assert r._s == oracle.s
+        else:
+            r._s = oracle.s = args[0]
+            assert r._lanes is None
+    assert r._s == oracle.s
 
 
 def test_doubles_in_unit_interval_with_53_bit_grid():

@@ -255,6 +255,21 @@ def test_a_kept_layer_is_its_values_then_its_packed_mask(tmp_path):
     assert back.names() == []
 
 
+def test_get_of_a_kept_layer_gives_back_the_dense_bytes_written(tmp_path):
+    # An odd shape, a kept -0.0 and whole rows pruned: the decode scatters
+    # the values in row-major order and leaves +0.0 everywhere else.
+    rng = np.random.default_rng(3)
+    keep = rng.random((37, 53)) < 0.3
+    keep[5] = False
+    dense = np.where(keep, rng.standard_normal(keep.shape), 0.0)
+    dense[np.nonzero(keep)[0][4], np.nonzero(keep)[1][4]] = -0.0
+    path = tmp_path / "kept.sppt"
+    store_write([("w", (dense[keep], keep))], path)
+    got = store_read(path).get("w")
+    assert np.signbit(got).sum() == np.signbit(dense).sum() > 0
+    assert got.tobytes() == dense.tobytes()
+
+
 @pytest.mark.parametrize("values, keep, message", [
     (np.array([1.0, 2.0]), np.array([[True, True, True]]), "has 2 kept values for 3 kept entries"),
     (np.array([1, 2], dtype=np.int64), np.array([[True, True]]), "needs 1-D float64 values"),
