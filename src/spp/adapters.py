@@ -25,14 +25,15 @@ order as ``spp_effective_weight``, the dense reference), and computes the
 branch with the same kernel.  It makes no m x n array; its largest
 transient is W's values in slot order.
 
-The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``).
-d_beta and d_alpha scatter H * W, times alpha or beta, to m x n at the
-mask's kept positions (``SparseMask.scatter``, one buffer for both) and
-reduce it exactly as the dense formulas do, so they match them bit for bit;
-the products are formed in place.
-d_x = G @ W + s * drop_backward(G @ W') gathers the kept values into the
-transposed slots (``SlotLayout.values_t``) and turns them into W' in place,
-with the same two products in the same order as the forward.
+The backward needs H = s * G.T @ X only at the slots (``sampled_matmul``),
+and takes H * W in kept order.  d_beta and d_alpha scatter those terms,
+times alpha or beta, into a buffer of a few whole alpha blocks of rows at a
+time (``_factor_sums``) and reduce each chunk exactly as the dense formulas
+reduce the m x n layout, so they match them bit for bit, and no m x n
+array is made.  d_x = G @ W + s * drop_backward(G @ W') gathers the kept
+values into the transposed slots (``SlotLayout.values_t``) and turns them
+into W' in place, a chunk of slot rows at a time, with the same two
+products in the same order as the forward.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -277,6 +278,13 @@ def _effective_at_slots(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter) -> 
         w_t *= beta
 
 
+# Entries of a weight-shaped layout that the backward's loops hold at a
+# time, 32 KiB of float64: rows of the dense m x n layout in
+# ``_factor_sums``, rounded down to whole alpha blocks (a larger block is
+# one chunk), and slot rows of the transposed W'.
+_CHUNK_ENTRIES = 4096
+
+
 def _effective_at_transposed_slots(
     w_t: np.ndarray, idx_t: np.ndarray, adapter: SppAdapter
 ) -> None:
@@ -284,17 +292,66 @@ def _effective_at_transposed_slots(
 
     Slot t of column j holds row i = idx_t[t, j]: (w * alpha[i // (m/r), j])
     * beta[i], the same two products in the same order as at the row slots.
-    A padded slot holds 0.0, so it stays +-0.0.
+    A padded slot holds 0.0, so it stays +-0.0.  The slot rows go a chunk of
+    ``_CHUNK_ENTRIES`` at a time, so the index and factor arrays stay small.
     """
     n = adapter.n
-    at = idx_t // (adapter.m // adapter.r)
-    at *= n
-    at += np.arange(n)
-    factor = adapter.alpha.take(at)
-    del at
-    w_t *= factor
-    adapter.beta.take(idx_t, out=factor, mode="clip")
-    w_t *= factor
+    block = adapter.m // adapter.r
+    alpha = adapter.alpha.ravel()
+    beta = adapter.beta[:, 0]
+    rows = max(1, min(w_t.shape[0], _CHUNK_ENTRIES // n))
+    cols = np.tile(np.arange(n), (rows, 1))
+    at = np.empty(cols.shape, dtype=np.intp)
+    factor = np.empty(cols.shape, dtype=np.float64)
+    # Every operand below is contiguous and of one shape, so NumPy runs the
+    # products without its 64 KiB iterator buffers.
+    for t in range(0, w_t.shape[0], rows):
+        w, i = w_t[t : t + rows], idx_t[t : t + rows]
+        at_w, factor_w = at[: len(w)], factor[: len(w)]
+        np.floor_divide(i, block, out=at_w)
+        at_w *= n
+        at_w += cols[: len(w)]
+        alpha.take(at_w, mode="clip", out=factor_w)
+        w *= factor_w
+        beta.take(i, mode="clip", out=factor_w)
+        w *= factor_w
+
+
+def _factor_sums(hw: np.ndarray, keep: np.ndarray, adapter: SppAdapter):
+    """(d_beta, d_alpha) from ``hw`` = s * H * W at the kept entries, in kept order.
+
+    The dense formulas reduce the m x n layout, +0.0 off the mask: d_beta
+    sums each row of hw * alpha, d_alpha the rows of each block of
+    hw * beta.  This scatters the same terms into a +0.0 buffer of a few
+    whole blocks of rows (``_CHUNK_ENTRIES`` entries) at a time and reduces
+    each chunk with the same NumPy sums over the same contiguous rows: the
+    same values under the same reductions, so the same bytes, without the
+    m x n buffer.  A chunk's
+    terms are one contiguous run of the kept order, so every product here
+    is on contiguous 1-D operands, which NumPy runs without iterator buffers.
+    """
+    m, n = keep.shape
+    block = m // adapter.r
+    rows = min(m, max(block, _CHUNK_ENTRIES // n // block * block))
+    beta = adapter.beta[:, 0]
+    d_beta = np.empty((m, 1))
+    d_alpha = np.empty((adapter.r, n))
+    start = 0  # the rank of the chunk's first kept entry
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        pos = np.flatnonzero(keep[a:b])  # the chunk's kept entries, flat in its rows
+        kept = hw[start : start + pos.size]
+        start += pos.size
+        terms = np.repeat(adapter.alpha[a // block : b // block], block, axis=0).take(pos)
+        terms *= kept  # IEEE products commute: hw * alpha, bit for bit
+        chunk = np.zeros((b - a, n))
+        flat = chunk.ravel()
+        flat[pos] = terms
+        chunk.sum(axis=1, out=d_beta[a:b, 0])
+        np.multiply(kept, beta[a:b].take(pos // n), out=terms)
+        flat[pos] = terms
+        chunk.reshape(-1, block, n).sum(axis=1, out=d_alpha[a // block : b // block])
+    return d_beta, d_alpha
 
 
 def spp_effective_weight(layer: PrunedLayer, adapter: SppAdapter) -> np.ndarray:
@@ -367,27 +424,14 @@ def spp_backward(
     """
     d_y = _backward_inputs(cache, d_y)
     layer, adapter = cache.layer, cache.adapter
-    m, n = layer.shape
     slots = layer.mask.slots
     # Products are formed in place; IEEE products commute, so s * H * W
     # below is bit for bit the dense formulas' (s * H) * W.
-    hw = sampled_matmul(d_y, cache.x_dropped, slots.idx)
+    hw = slots.ranked(sampled_matmul(d_y, cache.x_dropped, slots.idx))
     hw *= adapter.s
-    hw *= slots.values(layer.values)
-    # The sums run over the dense m x n layout, zeros included, so that they
-    # pair up terms exactly as the dense formulas do.  Both scatter to the
-    # same positions, so they share one buffer.  The terms are held (m, K),
-    # slot t of row i at [i, t], so that their kept order is a view.
-    terms = np.empty(slots.idx.shape[::-1]).T
-    np.multiply(adapter.alpha[np.arange(m) // (m // adapter.r), slots.idx], hw, out=terms)
-    hw *= adapter.beta[:, 0]  # before the m x n buffer, beside NumPy's 64 KiB ufunc buffer
-    dense = layer.mask.scatter(terms)
-    d_beta = dense.sum(axis=1, keepdims=True)
-    terms[...] = hw
+    hw *= layer.values
+    d_beta, d_alpha = _factor_sums(hw, layer.mask.mask, adapter)
     del hw
-    layer.mask.scatter(terms, out=dense)
-    d_alpha = dense.reshape(adapter.r, m // adapter.r, n).sum(axis=1)
-    del terms, dense
 
     d_x = None
     if input_grad:

@@ -12,8 +12,9 @@ term per inner index.  No kernel here uses ``np.add.reduce``, because it
 sums pairwise when the reduced axis is contiguous (it differed from the loop
 on 94 of 100 outputs of 1x1 to 3x1), nor einsum or BLAS, which fix no
 summation order at all.  The adapter backward's d_beta and d_alpha do sum
-with NumPy, over the dense m x n layout exactly as the dense formulas do, so
-they are bit-identical to those formulas, not to a loop.
+with NumPy: a few whole alpha blocks of rows of the dense m x n layout at a
+time, each chunk reduced as the dense formulas reduce those rows, so they
+are bit-identical to those formulas, not to a loop.
 
 Products against a pruned weight run on its slot layout instead, through
 ``slot_matmul`` and ``sampled_matmul`` only: ``PrunedLayer``, both adapters

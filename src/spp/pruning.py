@@ -22,9 +22,14 @@ dense weight, for oracles and for the low-rank merge, which is dense.
 Products against a pruned weight (``PrunedLayer.apply`` and the adapters)
 run on the mask's slot layout, ``SparseMask.slots``: the kept positions in
 padded slot-major (ELL) order, for the weight and for its transpose.  It is
-built from the mask on first use and cached on the mask, so every layer
-that shares a mask shares one layout; the kept values are gathered into it
-on each call, by their rank in the kept order.
+built from the keep matrix on first use and cached on the mask, so every
+layer that shares a mask shares one layout; the kept values are gathered
+into it on each call, by their rank in the kept order.  The transposed half
+is built on its own first use, by a product against the transposed weight
+(an input gradient), so a network's first layer never holds it.  The flat
+positions of the kept entries (``SparseMask.positions``) are cached for
+prune, merge and ``PrunedLayer.weight``; the layout and training never read
+them.
 """
 
 import math
@@ -145,7 +150,12 @@ class SparseMask:
 
     @cached_property
     def positions(self) -> np.ndarray:
-        """Flat positions i * n + j of the kept entries in kept order, built once."""
+        """Flat positions i * n + j of the kept entries in kept order, built once.
+
+        For prune, merge and ``PrunedLayer.weight``; the slot layout and
+        training do not read them, so a mask that is only trained on never
+        holds them.
+        """
         return np.flatnonzero(self.mask)
 
     @cached_property
@@ -157,36 +167,19 @@ class SparseMask:
         """
         return SlotLayout.of(self)
 
-    def scatter(self, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(m, n): ``vals`` (K, m), one per slot, at the kept positions, +0.0 elsewhere.
 
-        A fresh array, or ``out``, an earlier result, written over at the
-        same positions.
-        """
-        if out is None:
-            out = np.zeros(self.shape)
-        out.ravel()[self.positions] = self.slots.ranked(vals)
-        return out
+def _slot_major(counts: np.ndarray, vals: np.ndarray, pad) -> np.ndarray:
+    """``vals``, one per kept entry in kept order, in padded slot-major order.
 
-
-def _slot_positions(keep: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Flat positions in ``keep`` of its kept entries, in padded slot-major order.
-
-    ``flat`` is ``np.flatnonzero(keep)``, the row-major list of kept
-    positions.  Returns (K, rows): entry [t, i] is i * cols + j for the t-th
-    kept column j of row i, ascending, and keep.size in padded slots.  Built
-    in place from ``flat``, whose e-th entry, the r-th of row i, goes to slot
-    r * rows + i.
+    ``counts`` holds each row's kept count.  Returns (K, rows), K the largest
+    count: entry [t, i] is the value of the t-th kept entry of row i, and
+    ``pad`` past a row's last.  The kept order is (row, slot) order, so the
+    values fill the transposed view's leading ``counts[i]`` entries of each
+    row, one boolean assignment that builds no index array.
     """
-    rows = keep.shape[0]
-    counts = np.count_nonzero(keep, axis=1)
-    # r * rows + i = e * rows - (start_i * rows - i), start_i = row i's first e.
-    slot = np.arange(flat.size)
-    slot *= rows
-    slot -= np.repeat((np.cumsum(counts) - counts) * rows - np.arange(rows), counts)
-    pos = np.full((int(counts.max()), rows), keep.size, dtype=np.intp)
-    pos.ravel()[slot] = flat
-    return pos
+    out = np.full((int(counts.max()), counts.size), pad, dtype=vals.dtype)
+    out.T[np.arange(out.shape[0]) < counts[:, None]] = vals
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,40 +189,54 @@ class SlotLayout:
     K is the largest number of kept entries in a row and Kt in a column.
     The rank of a kept entry is its index in the kept order (row-major).
 
+    keep:   the (m, n) keep matrix it is built from, the mask's own array.
     idx:    (K, m), idx[t, i] is the t-th kept column of row i, ascending.
             Slots past a row's last kept entry read column 0 (padded slots).
             Slot t of row i holds rank start_i + t, start_i being the rank of
             row i's first kept entry, so the row slots need no rank array.
     pads:   flat indices t * m + i of the padded slots.
+
+    The transposed half, which only products against the transposed weight
+    (input gradients) read, is built on first use:
+
     idx_t:  (Kt, n), the same as idx for the transposed weight: the kept rows
             of each column, ascending, and row 0 in padded slots.
     rank_t: (Kt, n), the rank of the entry at each transposed slot, and the
             kept count, one past the last rank, in padded slots.
     """
 
+    keep: np.ndarray
     idx: np.ndarray
     pads: np.ndarray
-    idx_t: np.ndarray
-    rank_t: np.ndarray
 
     @classmethod
     def of(cls, mask: SparseMask) -> "SlotLayout":
         keep = mask.mask
-        m, n = keep.shape
-        # Each index array is turned into the next in place where it can be,
-        # so the build holds little more than the layout it returns.
-        idx_t = _slot_positions(keep.T, np.flatnonzero(keep.T))
-        pads_t = idx_t == m * n
-        idx_t %= m  # (j * m + i) % m is i, and a padded m * n gives row 0
-        rank_t = idx_t * n
-        rank_t += np.arange(n)
-        rank_t = np.searchsorted(mask.positions, rank_t)
-        rank_t[pads_t] = mask.positions.size
-        del pads_t
-        idx = _slot_positions(keep, mask.positions)
-        pads = np.flatnonzero(idx == m * n)
-        idx %= n  # a padded m * n gives column 0
-        return cls(idx=idx, pads=pads, idx_t=idx_t, rank_t=rank_t)
+        counts = np.count_nonzero(keep, axis=1)
+        cols = np.flatnonzero(keep)
+        cols %= keep.shape[1]  # i * n + j gives j
+        idx = _slot_major(counts, cols, 0)
+        del cols
+        pads = np.flatnonzero(np.arange(idx.shape[0])[:, None] >= counts)
+        return cls(keep=keep, idx=idx, pads=pads)
+
+    @cached_property
+    def idx_t(self) -> np.ndarray:
+        rows = np.flatnonzero(self.keep.T)
+        rows %= self.keep.shape[0]  # j * m + i gives i
+        return _slot_major(np.count_nonzero(self.keep, axis=0), rows, 0)
+
+    @cached_property
+    def rank_t(self) -> np.ndarray:
+        n = self.keep.shape[1]
+        cols = np.flatnonzero(self.keep)
+        cols %= n
+        # A stable sort by column lists the ranks column by column, rows
+        # ascending: the transposed kept order.  On keys of at most 16 bits
+        # NumPy sorts by radix, in O(nnz) time and memory.
+        order = np.argsort(cols.astype(np.min_scalar_type(n - 1)), kind="stable")
+        del cols
+        return _slot_major(np.count_nonzero(self.keep, axis=0), order, order.size)
 
     def _filled(self) -> np.ndarray:
         """(K, m) bool: True at the slots that hold a kept entry."""

@@ -329,6 +329,11 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
     adam_states: dict = {}
     bases = _first_layer_bases(net, x_all[: min(n_rows, cfg.steps * cfg.batch_size)],
                                cfg.batch_size)
+    if cfg.steps:
+        # Every step computes the input gradient of each layer but the first,
+        # on its layout's transposed half: built here once, not in a step.
+        for nl in net.layers[1:]:
+            nl.layer.mask.slots.idx_t, nl.layer.mask.slots.rank_t
 
     for step in range(cfg.steps):
         lr = lr_schedule(step, cfg.steps, peak, cfg.warmup_ratio)

@@ -83,14 +83,23 @@ def spp_forward_dense(x, layer, adapter, dropout_mask=None):
 
 
 def spp_backward_dense(x_dropped, dropout_mask, layer, adapter, d_y):
-    """Reference backward with dense products; returns (d_alpha, d_beta, d_x)."""
+    """Reference backward with dense products; returns (d_alpha, d_beta, d_x).
+
+    d_beta and d_alpha scatter their terms, (s * H) * W times alpha or
+    beta at the kept entries, into one m x n buffer of +0.0 and reduce it
+    with NumPy: d_beta along each row, d_alpha over the rows of each block.
+    These are the sums ``spp_backward`` must reproduce byte for byte.
+    """
     m, n = layer.shape
     block = m // adapter.r
-    h = adapter.s * matmul(d_y.T, x_dropped.T)
-    hw = h * layer.weight
-    rep = np.repeat(adapter.alpha, block, axis=0)
-    d_beta = (hw * rep).sum(axis=1, keepdims=True)
-    d_alpha = (hw * adapter.beta).reshape(adapter.r, block, n).sum(axis=1)
+    keep = layer.mask.mask
+    rows, cols = np.nonzero(keep)
+    hw = (adapter.s * matmul(d_y.T, x_dropped.T))[keep] * layer.values
+    dense = np.zeros((m, n))
+    dense[keep] = hw * adapter.alpha[rows // block, cols]
+    d_beta = dense.sum(axis=1, keepdims=True)
+    dense[keep] = hw * adapter.beta[rows, 0]
+    d_alpha = dense.reshape(adapter.r, block, n).sum(axis=1)
     w_eff = spp_effective_weight(layer, adapter)
     drop_back = dropout_mask.apply if dropout_mask is not None else (lambda g: g)
     d_x = matmul(d_y, layer.weight.T) + adapter.s * drop_back(matmul(d_y, w_eff.T))

@@ -9,7 +9,6 @@ kept entries whose weight is zero.
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,7 @@ from spp import (
 from spp.pruning import SlotLayout
 
 from helpers import (
+    keep_masks,
     matmul_oracle,
     peak_transient_bytes,
     rand_matrix,
@@ -133,10 +133,28 @@ def test_slot_layout_holds_three_index_arrays_and_the_padded_slots(pattern):
     # idx, idx_t, the rank of each transposed slot (Kt, n) and the padded
     # row slots fit in it.
     budget = (2 * k * m + k_t * n + (k * m - nnz) + (k_t * n - nnz)) * item
-    slots = SlotLayout.of(mask)
-    assert sum(getattr(slots, f.name).nbytes for f in fields(slots)) <= budget
+
+    def both_halves():
+        slots = SlotLayout.of(mask)
+        slots.idx_t, slots.rank_t  # the transposed half, built on first use
+        return slots
+
+    slots = both_halves()
+    held = (slots.idx, slots.pads, slots.idx_t, slots.rank_t)
+    assert sum(a.nbytes for a in held) <= budget
     # The build holds the layout and at most two lists of the kept entries.
-    assert peak_transient_bytes(SlotLayout.of, mask) <= budget + 2 * nnz * item
+    assert peak_transient_bytes(both_halves) <= budget + 2 * nnz * item
+
+
+def test_slot_layout_builds_its_transposed_half_on_first_use():
+    mask = build_mask(rand_matrix(Rng(501), 8, 12), Unstructured(0.5))
+    slots = mask.slots
+    assert not {"idx_t", "rank_t"} & set(vars(slots))
+    assert "positions" not in vars(mask)  # the build reads the keep matrix
+    layer = PrunedLayer(rand_matrix(Rng(502), 8, 12)[mask.mask], mask)
+    layer.apply_transpose(rand_matrix(Rng(503), 2, 8))
+    assert {"idx_t", "rank_t"} <= set(vars(slots))
+    assert "positions" not in vars(mask)
 
 
 def _spp_case(rng, layer, r, s, p, b, zero_beta=False):
@@ -173,6 +191,62 @@ def test_spp_forward_and_backward_match_the_dense_reference(m, n, b):
             for s, p, zero_beta in ((1.0, 0.0, False), (-0.7, 0.3, False), (1.3, 0.3, True)):
                 ad, x, mask, d_y = _spp_case(rng, layer, r, s, p, b, zero_beta)
                 _check_spp(layer, ad, x, mask, d_y, (name, r, s, p, zero_beta))
+
+
+@st.composite
+def _backward_problems(draw):
+    """A layer, adapter, input, d_y and dropout for the backward's byte oracle.
+
+    The mask is one from ``keep_masks`` (padded, empty and full rows, empty
+    columns; N:M or unstructured), three times in four tiled to 64-160 rows
+    and 48-96 columns, so that the backward's sums and its transposed W'
+    cross the edges of their chunks; r is any divisor of m.  d_y has -0.0
+    columns, x has zero columns, alpha has -0.0 entries, and one alpha
+    block's kept terms, H * W * beta, are all -0.0.
+    """
+    base = draw(keep_masks())
+    big = draw(st.integers(0, 3)) > 0
+    rows = draw(st.integers(64, 160) if big else st.integers(1, 16))
+    cols = draw(st.integers(48, 96) if big else st.integers(1, 12))
+    keep = np.tile(base, (-(-rows // base.shape[0]), -(-cols // base.shape[1])))
+    m, n = keep.shape
+    r = draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+    b = draw(st.integers(1, 3))
+    s = draw(st.sampled_from([1.0, -0.5, 2.0]))
+    p = draw(st.sampled_from([0.0, 0.4]))
+    rng = Rng(draw(st.integers(0, 2**32 - 1)))
+    w = rand_matrix(rng, m, n)
+    alpha = rand_matrix(rng, r, n)
+    alpha[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = -0.0
+    beta = rand_matrix(rng, m, 1)
+    x = rand_matrix(rng, b, n)
+    x[:, draw(st.lists(st.integers(0, n - 1), max_size=2))] = 0.0
+    d_y = rand_matrix(rng, b, m)
+    d_y[:, draw(st.lists(st.integers(0, m - 1), max_size=3))] = -0.0
+    # Block j gets H = +0.0 (d_y's columns -0.0 there), W > 0 and beta of
+    # the opposite sign to s: every kept term of d_alpha's block j is -0.0.
+    j = draw(st.integers(0, r - 1))
+    block = slice(j * (m // r), (j + 1) * (m // r))
+    d_y[:, block] = -0.0
+    w[block] = np.abs(w[block])
+    beta[block] = -np.sign(s) * np.abs(beta[block])
+    layer = PrunedLayer(w[keep], SparseMask(keep, Unstructured(0.5)))
+    ad = SppAdapter(alpha=alpha, beta=beta, s=s, p=p)
+    mask = dropout_apply(x, p, rng, training=True)[1] if p > 0.0 else None
+    return layer, ad, x, mask, d_y
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_backward_problems())
+def test_spp_backward_equals_the_dense_buffer_oracle_byte_for_byte(problem):
+    layer, ad, x, mask, d_y = problem
+    _, cache = spp_forward_naive(x, layer, ad, training=True, dropout_mask=mask)
+    grads = spp_backward(cache, d_y)
+    x_dropped = x if mask is None else mask.apply(x)
+    d_alpha, d_beta, d_x = spp_backward_dense(x_dropped, mask, layer, ad, d_y)
+    assert _same(grads.d_alpha, d_alpha)
+    assert _same(grads.d_beta, d_beta)
+    assert _same(grads.d_x, d_x)
 
 
 @pytest.mark.parametrize("m,n,b", SHAPES)

@@ -447,6 +447,26 @@ def test_reusing_rows_holds_the_base_beside_batch_sized_buffers():
     assert peaks[train] >= cache  # the control: the measure sees the base
 
 
+
+def test_adapter_training_holds_only_what_a_step_reads():
+    # The first layer computes no input gradient, so nothing builds its
+    # layout's transposed half; and no layer's mask caches its flat positions.
+    rng = Rng(41)
+    layers = []
+    for _ in range(2):
+        w = rand_matrix(rng, 16, 16)
+        mask = build_mask(np.abs(w), NofM(2, 4))
+        layers.append(PrunedLayer(w[mask.mask], mask))
+    net = ToyNet([NetLayer(layers[0], spp_init(16, 16, 4, 1.0, 0.05, rng), "relu"),
+                  NetLayer(layers[1], spp_init(16, 16, 4, 1.0, 0.05, rng))])
+    data = (rand_matrix(rng, 24, 16), rand_matrix(rng, 24, 16))
+    train(net, data, TrainConfig(steps=3, batch_size=8))
+    first, second = (layer.mask for layer in layers)
+    assert not {"idx_t", "rank_t"} & set(vars(first.slots))
+    assert {"idx_t", "rank_t"} <= set(vars(second.slots))  # the second layer's d_x
+    assert "positions" not in vars(first) and "positions" not in vars(second)
+
+
 # ---------------------------------------------------------------------------
 # teacher-student task
 
