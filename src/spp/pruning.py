@@ -14,6 +14,15 @@ the cut is zeroed, and among the scores equal to the cut the remaining count
 is zeroed starting from the largest flat index.  That is the same mask a full
 sort by (score ascending, index descending) would give.
 
+N:M masks are built by counting ranks, not by sorting each group: an entry is
+kept when fewer than n_keep entries of its group rank before it, b ranking
+before a when s_b > s_a, or when s_b == s_a and b is the earlier column
+(-0.0 and +0.0 tie).  That is the stable descending order of the group.  The
+count takes one comparison per column pair, M(M-1)/2 per group, each run
+across every group at once; a per-group sort costs one NumPy call per group.
+At 512x512 the count is the faster up to M = 32, about even at M = 64 and
+slower past it.
+
 A ``PrunedLayer`` holds its weight as its kept values, row-major (the kept
 order) as store v2 writes them, beside its mask; it is +0.0 everywhere else,
 so a pruned layer cannot break its mask.  ``PrunedLayer.weight`` makes the
@@ -365,23 +374,48 @@ def build_mask(
 
     N:M keeps the top n_keep per contiguous group of m_group within each row.
     Unstructured zeroes the floor(ratio * count) lowest-scoring entries over
-    the whole matrix, or per row when ``row_wise`` is set.  Score ties keep
-    the entry with the smaller (row, col) index.
+    the whole matrix, or per row when ``row_wise`` is set; N:M raises
+    ValueError if it is set.  Score ties keep the entry with the smaller
+    (row, col) index.
     """
     scores = as_matrix(scores, "scores")
     rows, cols = scores.shape
     if isinstance(pattern, NofM):
-        groups = scores.reshape(rows, pattern.groups(cols), pattern.m_group)
-        # Stable sort of negated scores: ties stay in ascending column order,
-        # so the earliest column wins a tie.
-        order = np.argsort(-groups, axis=2, kind="stable")
-        mask3 = np.zeros(groups.shape, dtype=bool)
-        np.put_along_axis(mask3, order[:, :, : pattern.n_keep], True, axis=2)
-        return SparseMask(mask3.reshape(rows, cols), pattern)
+        if row_wise:
+            raise ValueError("row_wise applies to unstructured pruning only")
+        groups = scores.reshape(rows * pattern.groups(cols), pattern.m_group)
+        return SparseMask(_keep_top(groups, pattern.n_keep).reshape(rows, cols), pattern)
 
     ranked = scores if row_wise else scores.reshape(1, rows * cols)
     keep = _zero_lowest(ranked, int(pattern.ratio * ranked.shape[1]))
     return SparseMask(keep.reshape(rows, cols), pattern)
+
+
+def _keep_top(groups: np.ndarray, n_keep: int) -> np.ndarray:
+    """Keep-mask of the ``n_keep`` top scores of each row of ``groups`` (g, m).
+
+    ``before[k]`` counts the entries of its group that rank before entry k:
+    the higher scores, and the equal ones in earlier columns.  Each column
+    pair a < b is one comparison across every group at once, on a copy with
+    the groups' columns as rows.
+    """
+    m = groups.shape[1]
+    by_col = groups.T.copy()
+    before = np.empty(by_col.shape, dtype=np.min_scalar_type(m))
+    # Entry b starts with the b earlier columns ranked before it; each one
+    # that b beats then moves from b's count to its own.
+    before[:] = np.arange(m, dtype=before.dtype)[:, None]
+    beats = np.empty(by_col.shape[1], dtype=bool)
+    # A bool's bytes are 0 and 1, so its uint8 view adds without a cast.
+    step = beats.view(np.uint8)
+    for b in range(1, m):
+        for a in range(b):
+            np.greater(by_col[b], by_col[a], out=beats)
+            before[a] += step
+            before[b] -= step
+    keep = np.empty(groups.shape, dtype=bool)
+    np.less(before.T, n_keep, out=keep)
+    return keep
 
 
 def _zero_lowest(scores: np.ndarray, n_zero: int) -> np.ndarray:

@@ -71,6 +71,20 @@ def unstructured_mask_oracle(scores: np.ndarray, ratio: float, row_wise: bool = 
     return mask.reshape(rows, cols)
 
 
+def nofm_mask_oracle(scores: np.ndarray, n_keep: int, m_group: int):
+    """Stable per-group sort: the reference for N:M ``build_mask``.
+
+    Sorts each group's negated scores stably, so tied scores stay in column
+    order and the earliest is kept, and keeps the first ``n_keep``.
+    """
+    rows, cols = scores.shape
+    groups = scores.reshape(rows, cols // m_group, m_group)
+    order = np.argsort(-groups, axis=2, kind="stable")
+    mask = np.zeros(groups.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :, :n_keep], True, axis=2)
+    return mask.reshape(rows, cols)
+
+
 def spp_forward_dense(x, layer, adapter, dropout_mask=None):
     """Reference forward with dense products and a materialized W'.
 

@@ -21,7 +21,12 @@ from spp import (
 
 from spp.pruning import off_mask
 
-from helpers import rand_matrix, unstructured_mask_oracle
+from helpers import (
+    nofm_mask_oracle,
+    peak_transient_bytes,
+    rand_matrix,
+    unstructured_mask_oracle,
+)
 
 
 def test_pattern_parsing():
@@ -154,6 +159,37 @@ def test_build_mask_unstructured_matches_sort_oracle():
                     got = build_mask(scores, Unstructured(ratio), row_wise=row_wise).mask
                     want = unstructured_mask_oracle(scores, ratio, row_wise)
                     assert np.array_equal(got, want), (scores, ratio, row_wise)
+
+
+def test_build_mask_nofm_matches_sort_oracle():
+    rng = Rng(35)
+    patterns = ((1, 2), (1, 4), (2, 4), (3, 4), (1, 8), (2, 8), (4, 8), (8, 16), (16, 32))
+    for n_keep, m_group in patterns:
+        # One row, one group per row, and a tall matrix.
+        for rows, cols in ((1, 4 * m_group), (9, m_group), (37, 2 * m_group)):
+            uniform = rand_matrix(rng, rows, cols, 0.0, 1.0)
+            quantised = np.floor(rand_matrix(rng, rows, cols, 0.0, 4.0)) / 4.0
+            pick = np.floor(rand_matrix(rng, rows, cols, 0.0, 3.0)).astype(int)
+            signed_zeros = np.array([-0.0, 0.0, 0.5])[pick]
+            all_equal = np.full((rows, cols), 0.5)
+            for scores in (uniform, quantised, signed_zeros, all_equal):
+                got = build_mask(scores, NofM(n_keep, m_group)).mask
+                want = nofm_mask_oracle(scores, n_keep, m_group)
+                assert np.array_equal(got, want), (scores, n_keep, m_group)
+
+
+def test_build_mask_nofm_holds_less_than_one_and_a_half_score_copies():
+    # The ranks are counted on one transposed copy of the scores, with
+    # byte-sized counts: about 1.3 copies at 512x512.
+    scores = rand_matrix(Rng(36), 512, 512, 0.0, 1.0)
+    for pattern in (NofM(2, 4), NofM(4, 8)):
+        build_mask(scores, pattern)
+        assert peak_transient_bytes(build_mask, scores, pattern) < 1.5 * scores.nbytes
+
+
+def test_build_mask_nofm_rejects_row_wise():
+    with pytest.raises(ValueError, match="row_wise applies to unstructured pruning only"):
+        build_mask(np.ones((2, 4)), NofM(2, 4), row_wise=True)
 
 
 def test_build_mask_dimension_errors():
