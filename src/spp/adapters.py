@@ -19,7 +19,7 @@ K is the largest number of kept entries in a row, and bit-identical to the
 dense products (``numerics`` says why).  The forward gathers the kept values
 into the slots once, computes the base term ``slot_matmul(x, idx, w)`` (or
 takes it as ``base``, which training computes once per run), turns those
-values into W' in place, one slot row at a time, as
+values into W' in place, in chunks of slot rows, as
 (w * alpha[row // block, col]) * beta[row] (the same products in the same
 order as ``spp_effective_weight``, the dense reference), and computes the
 branch with the same kernel.  It makes no m x n array; its largest
@@ -32,8 +32,9 @@ time (``_factor_sums``) and reduce each chunk exactly as the dense formulas
 reduce the m x n layout, so they match them bit for bit, and no m x n
 array is made.  d_x = G @ W + s * drop_backward(G @ W') gathers the kept
 values into the transposed slots (``SlotLayout.values_t``) and turns them
-into W' in place, a chunk of slot rows at a time, with the same two
-products in the same order as the forward.
+into W' in place with the forward's helper, in the same chunks.  The
+merge forms W + s * W' at the kept entries over the same chunks of whole
+alpha blocks of rows as d_beta and d_alpha.
 
 A conventional additive low-rank adapter (y += s * drop(x) @ A.T @ B.T) is
 included as the contrast case: merging it produces a dense matrix, which is
@@ -261,60 +262,65 @@ class SppAdapter(_Adapter):
 spp_init = SppAdapter.init  # beta = 0; ``SppAdapter`` rejects an r that does not divide m
 
 
-def _effective_at_slots(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter) -> None:
-    """Turn W's slot values ``w`` (K, m) into W' = (w * alpha) * beta, in place.
-
-    One slot row at a time: scaling all K rows by beta in one broadcast makes
-    NumPy allocate a 64 KiB ufunc buffer on top of the slot values.
-    """
-    m = idx.shape[1]
-    alpha = adapter.alpha.ravel()
-    alpha_row = np.arange(m) // (m // adapter.r) * adapter.n
-    beta = adapter.beta[:, 0]
-    alpha_at = np.empty(m, dtype=np.float64)
-    for w_t, cols in zip(w, idx):
-        alpha.take(alpha_row + cols, mode="clip", out=alpha_at)
-        w_t *= alpha_at
-        w_t *= beta
-
-
-# Entries of a weight-shaped layout that the backward's loops hold at a
-# time, 32 KiB of float64: rows of the dense m x n layout in
-# ``_factor_sums``, rounded down to whole alpha blocks (a larger block is
-# one chunk), and slot rows of the transposed W'.
+# Entries of a weight-shaped layout that the loops below hold at a time.
+# ``_factor_sums`` and ``spp_merge`` take rows of the dense m x n layout,
+# 32 KiB of float64, rounded down to whole alpha blocks (a larger block is
+# one chunk).  ``_to_effective`` takes slot rows, 8 KiB: its three
+# chunk-sized arrays and W's values in slot order, all that a forward holds
+# besides its output, stay below the weight's size at 128 x 96, half kept;
+# 2,048 entries did not.
 _CHUNK_ENTRIES = 4096
+_SLOT_ENTRIES = 1024
 
 
-def _effective_at_transposed_slots(
-    w_t: np.ndarray, idx_t: np.ndarray, adapter: SppAdapter
-) -> None:
-    """Turn W's transposed slot values ``w_t`` (Kt, n) into W', in place.
+def _to_effective(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter, transposed: bool) -> None:
+    """Turn W's slot values ``w`` into W' = (w * alpha[i // (m/r), j]) * beta[i], in place.
 
-    Slot t of column j holds row i = idx_t[t, j]: (w * alpha[i // (m/r), j])
-    * beta[i], the same two products in the same order as at the row slots.
-    A padded slot holds 0.0, so it stays +-0.0.  The slot rows go a chunk of
-    ``_CHUNK_ENTRIES`` at a time, so the index and factor arrays stay small.
+    ``w`` and ``idx`` are the layout's (K, m) row slots, where slot t of row
+    i holds column j = idx[t, i], or its (Kt, n) transposed slots, where
+    slot t of column j holds row i = idx[t, j].  The same two products in
+    the same order as ``spp_effective_weight``; a padded slot holds 0.0, so
+    it stays +-0.0.  The slot rows go ``_SLOT_ENTRIES`` entries at a time,
+    so the index and factor arrays stay small.
     """
     n = adapter.n
-    block = adapter.m // adapter.r
     alpha = adapter.alpha.ravel()
     beta = adapter.beta[:, 0]
-    rows = max(1, min(w_t.shape[0], _CHUNK_ENTRIES // n))
-    cols = np.tile(np.arange(n), (rows, 1))
-    at = np.empty(cols.shape, dtype=np.intp)
-    factor = np.empty(cols.shape, dtype=np.float64)
+    alpha_row = np.arange(adapter.m) // (adapter.m // adapter.r) * n  # flat index of alpha[i // block, 0]
+    rows = max(1, min(w.shape[0], _SLOT_ENTRIES // w.shape[1]))
+    pos = np.tile(np.arange(w.shape[1]), (rows, 1))
+    at = np.empty(pos.shape, dtype=np.intp)
+    factor = np.empty(pos.shape, dtype=np.float64)
     # Every operand below is contiguous and of one shape, so NumPy runs the
     # products without its 64 KiB iterator buffers.
-    for t in range(0, w_t.shape[0], rows):
-        w, i = w_t[t : t + rows], idx_t[t : t + rows]
-        at_w, factor_w = at[: len(w)], factor[: len(w)]
-        np.floor_divide(i, block, out=at_w)
-        at_w *= n
-        at_w += cols[: len(w)]
-        alpha.take(at_w, mode="clip", out=factor_w)
-        w *= factor_w
-        beta.take(i, mode="clip", out=factor_w)
-        w *= factor_w
+    for t in range(0, w.shape[0], rows):
+        w_c = w[t : t + rows]
+        c = len(w_c)
+        i, j = (idx[t : t + c], pos[:c]) if transposed else (pos[:c], idx[t : t + c])
+        at_c, factor_c = at[:c], factor[:c]
+        alpha_row.take(i, mode="clip", out=at_c)
+        at_c += j
+        alpha.take(at_c, mode="clip", out=factor_c)
+        w_c *= factor_c
+        beta.take(i, mode="clip", out=factor_c)
+        w_c *= factor_c
+
+
+def _row_chunks(keep: np.ndarray, block: int, entries: int):
+    """Walk ``keep`` in chunks of whole blocks of ``block`` rows, about ``entries`` entries each.
+
+    Yields (a, b, pos, start) for rows a:b: the flat positions of their kept
+    entries within those rows, and the rank of the first in the kept order.
+    A block larger than ``entries`` is one chunk.
+    """
+    m, n = keep.shape
+    rows = min(m, max(block, entries // n // block * block))
+    start = 0
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        pos = np.flatnonzero(keep[a:b])
+        yield a, b, pos, start
+        start += pos.size
 
 
 def _factor_sums(hw: np.ndarray, keep: np.ndarray, adapter: SppAdapter):
@@ -332,16 +338,11 @@ def _factor_sums(hw: np.ndarray, keep: np.ndarray, adapter: SppAdapter):
     """
     m, n = keep.shape
     block = m // adapter.r
-    rows = min(m, max(block, _CHUNK_ENTRIES // n // block * block))
     beta = adapter.beta[:, 0]
     d_beta = np.empty((m, 1))
     d_alpha = np.empty((adapter.r, n))
-    start = 0  # the rank of the chunk's first kept entry
-    for a in range(0, m, rows):
-        b = min(a + rows, m)
-        pos = np.flatnonzero(keep[a:b])  # the chunk's kept entries, flat in its rows
+    for a, b, pos, start in _row_chunks(keep, block, _CHUNK_ENTRIES):
         kept = hw[start : start + pos.size]
-        start += pos.size
         terms = np.repeat(adapter.alpha[a // block : b // block], block, axis=0).take(pos)
         terms *= kept  # IEEE products commute: hw * alpha, bit for bit
         chunk = np.zeros((b - a, n))
@@ -400,7 +401,7 @@ def spp_forward_naive(
     w = slots.values(layer.values)
     if base is None:
         base = slot_matmul(x, slots.idx, w)
-    _effective_at_slots(w, slots.idx, adapter)
+    _to_effective(w, slots.idx, adapter, transposed=False)
     y = slot_matmul(cache.x_dropped, slots.idx, w)
     y *= adapter.s
     y += base  # IEEE addition commutes: bit for bit base + branch
@@ -437,7 +438,7 @@ def spp_backward(
     if input_grad:
         w_t = slots.values_t(layer.values)
         d_x = slot_matmul(d_y, slots.idx_t, w_t)
-        _effective_at_transposed_slots(w_t, slots.idx_t, adapter)
+        _to_effective(w_t, slots.idx_t, adapter, transposed=True)
         d_x += adapter.s * cache.dropout.apply(slot_matmul(d_y, slots.idx_t, w_t))
     return AdapterGrads(d_alpha=d_alpha, d_beta=d_beta, d_x=d_x)
 
@@ -449,18 +450,20 @@ def spp_merge(layer: PrunedLayer, adapter: SppAdapter) -> PrunedLayer:
     so bit for bit that dense merge's kept entries; its masked entries are
     exact zeros, so no re-pruning is needed.  ValueError if an entry overflows.
     """
-    m, n = layer.shape
-    _check_adapter_layer((m, n), adapter)
-    flat = layer.mask.positions
-    rows = flat // n
-    # alpha[row // block, col] sits at row // block * n + col = flat - (row - row // block) * n.
-    at = rows // (m // adapter.r) - rows
-    at *= n
-    at += flat
-    merged = layer.values * adapter.alpha.take(at)
-    merged *= adapter.beta.take(rows)
-    merged *= adapter.s
-    merged += layer.values
+    _check_adapter_layer(layer.shape, adapter)
+    keep, kept = layer.mask.mask, layer.values
+    block = adapter.m // adapter.r
+    merged = np.empty_like(kept)
+    for a, b, pos, start in _row_chunks(keep, block, _CHUNK_ENTRIES):
+        w, out = kept[start : start + pos.size], merged[start : start + pos.size]
+        factor = np.repeat(adapter.alpha[a // block : b // block], block, axis=0)
+        factor.take(pos, mode="clip", out=out)
+        out *= w  # IEEE products commute: w * alpha, bit for bit
+        factor[...] = adapter.beta[a:b]
+        out *= factor.take(pos, mode="clip")
+        del factor  # before the next chunk's is made
+        out *= adapter.s
+        out += w
     return PrunedLayer(merged, layer.mask)
 
 

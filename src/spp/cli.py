@@ -602,7 +602,16 @@ def cmd_count_params(args) -> int:
 # parser
 
 
+# Each command's handler, looked up when the command runs: the cached parser
+# holds names only, so a handler replaced here after it was built (as
+# perfbench/tracing.py does) is the one that runs.
+COMMANDS = {"prune": cmd_prune, "attach": cmd_attach, "train": cmd_train, "merge": cmd_merge,
+            "verify": cmd_verify, "count-params": cmd_count_params}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spp`` parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="spp",
         description="Prune dense layers, attach sparsity-preserving adapters, "
@@ -618,7 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("magnitude", "wanda"), default="magnitude")
     p.add_argument("--calib", help="store of per-layer calibration activations")
     p.add_argument("--row-wise", action="store_true", help="rank unstructured scores per row")
-    p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("attach", help="add fresh adapters to a pruned store")
     p.add_argument("input")
@@ -628,7 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=float, default=0.05)
     p.add_argument("--kind", choices=tuple(ADAPTERS), default="spp")
     p.add_argument("--seed", type=int, default=None, help="defaults to $SPP_SEED, then 0")
-    p.set_defaults(func=cmd_attach)
 
     p = sub.add_parser("train", help="train adapters (or masked weights) on a data store")
     p.add_argument("model")
@@ -644,24 +651,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-csv", default=None, help="per-step log path")
     p.add_argument("--baseline-eq3", action="store_true",
                    help="retrain masked weights directly instead of adapters")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("merge", help="fold adapters into the weights")
     p.add_argument("model")
     p.add_argument("output")
     p.add_argument("--reprune-with-original-mask", action="store_true",
                    help="after a low-rank merge, re-impose the original mask")
-    p.set_defaults(func=cmd_merge)
 
     p = sub.add_parser("verify", help="check every mask and pattern in a store")
     p.add_argument("model")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count-params", help="adapter parameter accounting")
     p.add_argument("--arch", required=True,
                    help=f"one of {sorted(ARCH_PRESETS)} or a custom .json")
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_count_params)
 
     return parser
 
@@ -700,7 +703,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ into it on each call, by their rank in the kept order.  The transposed half
 is built on its own first use, by a product against the transposed weight
 (an input gradient), so a network's first layer never holds it.  The flat
 positions of the kept entries (``SparseMask.positions``) are cached for
-prune, merge and ``PrunedLayer.weight``; the layout and training never read
+prune and ``PrunedLayer.weight``; the layout, training and merge never read
 them.
 """
 
@@ -161,9 +161,9 @@ class SparseMask:
     def positions(self) -> np.ndarray:
         """Flat positions i * n + j of the kept entries in kept order, built once.
 
-        For prune, merge and ``PrunedLayer.weight``; the slot layout and
-        training do not read them, so a mask that is only trained on never
-        holds them.
+        For prune and ``PrunedLayer.weight``; the slot layout, training and
+        merge do not read them, so a mask that is only trained on or merged
+        never holds them.
         """
         return np.flatnonzero(self.mask)
 

@@ -317,6 +317,20 @@ def test_merge_holds_one_weight_sized_buffer():
     assert peak_transient_bytes(spp_merge, layer, ad) < 2 * m * n * 8
 
 
+def test_merge_peaks_below_one_weight():
+    # The merged values are half a weight at 2:4; the factors are formed a
+    # few whole alpha blocks of rows at a time, and the mask's flat
+    # positions are never built, so a first merge holds no more than a warm one.
+    rng = Rng(58)
+    m = n = 512
+    pruned = random_pruned(rng, m, n)
+    layer = PrunedLayer(pruned.values, SparseMask(pruned.mask.mask, pruned.mask.pattern))
+    ad = adapter_for(layer, rng, r=16, random_beta=True)
+    for _ in range(2):
+        assert peak_transient_bytes(spp_merge, layer, ad) < m * n * 8
+    assert "positions" not in vars(layer.mask)
+
+
 def test_forward_frees_batch_buffers_before_the_output():
     rng = Rng(56)
     m = n = 64

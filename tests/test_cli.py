@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -1011,6 +1012,36 @@ def test_console_script_is_declared():
     # A plain checkout runs the suite without installing: python -m pytest.
     assert config["tool"]["pytest"]["ini_options"]["pythonpath"] == ["src"]
     assert set(config["project"]["optional-dependencies"]["test"]) >= {"pytest", "hypothesis"}
+
+
+def test_in_process_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    spp.cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # Usage errors, --help and a good command keep their exit codes and
+    # output on every call, not only on the one that builds the parser.
+    for _ in range(2):
+        assert main(["count-params", "--arch", "llama7b", "--r", "8"]) == 0
+        assert capsys.readouterr().out
+        assert main([]) == 2
+        assert "usage: spp" in capsys.readouterr().err
+        assert main(["verify", "--no-such-flag", "x.spp"]) == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert "usage: spp" in capsys.readouterr().out
+        assert main(["prune", "--help"]) == 0
+        assert "--pattern" in capsys.readouterr().out
+    assert built.count("spp") == 1
+    # The parser holds command names, not handlers: a handler replaced after
+    # the parser was built is the one that runs.
+    monkeypatch.setitem(spp.cli.COMMANDS, "verify", lambda args: 7)
+    assert main(["verify", "x.spp"]) == 7
 
 
 def test_module_run_without_args_exits_2():

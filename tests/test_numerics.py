@@ -67,8 +67,8 @@ def test_as_matrix_passthrough_and_coercion():
 
 
 def test_allocation_tracker_records_kernel_temporaries():
-    # tracemalloc sees matmul's (2, 4) output and its (2, 4, 4) stack of
-    # terms, although the stack is freed before matmul returns.
+    # tracemalloc sees matmul's (2, 4) output and its (2, 4) buffer of
+    # terms, although the buffer is freed before matmul returns.
     a = np.ones((2, 3))
     b_t = np.ones((4, 3))
     assert peak_transient_bytes(matmul, a, b_t) >= 2 * (2 * 4 * 8)
@@ -89,13 +89,23 @@ ENTRIES = st.one_of(
 
 @st.composite
 def _matmul_problems(draw):
-    rows = draw(st.integers(1, 24))
-    cols = draw(st.integers(1, 24))
-    inner = draw(st.integers(1, 16))
-    if rows * cols <= numerics._STACK_OUTPUT and draw(st.booleans()):
-        # Past one stack of terms, so the running sum carries between blocks.
+    shape = draw(st.sampled_from(["small", "wide", "single"]))
+    if shape == "single":
+        # One output entry sums on the loop, also past _STACK_MIN terms.
+        rows = cols = 1
+        inner = draw(st.integers(numerics._STACK_MIN + 1, 64))
+    else:
+        # Up to 24 x 24 outputs stack from _STACK_MIN terms on.  Between
+        # 52 x 52 and 68 x 68 the stack cap crosses _STACK_MIN terms (at
+        # 3,640 outputs): past it an output takes the loop at any length.
+        side = st.integers(1, 24) if shape == "small" else st.integers(52, 68)
+        rows, cols = draw(side), draw(side)
+        inner = draw(st.integers(1, 2 * numerics._STACK_MIN))
         per_stack = numerics._STACK_BYTES // (8 * rows * cols) - 1
-        inner = draw(st.integers(per_stack - 1, 2 * per_stack + 1))
+        if per_stack >= numerics._STACK_MIN and draw(st.booleans()):
+            # Past one stack of terms, so plane 0 carries the running sum
+            # between blocks.
+            inner = draw(st.integers(per_stack - 1, 2 * per_stack + 1))
     pool = np.array(draw(st.lists(ENTRIES, min_size=1, max_size=8)))
     pick = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -108,7 +118,7 @@ def _matmul_problems(draw):
     return operand(rows), operand(cols)
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(_matmul_problems())
 def test_matmul_equals_the_triple_loop_byte_for_byte(problem):
     a, b_t = problem
@@ -122,6 +132,24 @@ def test_matmul_sums_in_order_where_pairwise_would_not():
     b_t = np.array([[2.0**53] + [1.0] * 15])
     assert matmul(a, b_t).tolist() == [[2.0**53]]
     assert np.add.reduce((a * b_t)[0]) != 2.0**53
+
+
+def test_numpy_reduces_a_leading_axis_in_order_but_one_column_pairwise():
+    # matmul's stacks rest on this.  Reducing a C-contiguous (T, P) stack
+    # over axis 0 with P >= 2 adds plane after plane from plane 0, so 2**53
+    # followed by fifteen 1.0s stays 2**53: each 1.0 rounds away.  With
+    # P = 1 the reduced axis is contiguous and NumPy sums pairwise, adding
+    # 1.0s to each other first, which is why single entries take matmul's
+    # loop.  A NumPy that changes either behaviour fails here.
+    terms = np.array([2.0**53] + [1.0] * 15)
+    for planes in (2, 3, 8, 64):
+        stack = np.repeat(terms[:, None], planes, axis=1)
+        assert stack.flags.c_contiguous
+        assert np.add.reduce(stack, axis=0).tolist() == [2.0**53] * planes
+    out = np.empty((2, 3))
+    np.add.reduce(np.repeat(terms, 6).reshape(16, 2, 3), axis=0, out=out)
+    assert out.tolist() == [[2.0**53] * 3] * 2
+    assert np.add.reduce(terms[:, None], axis=0)[0] != 2.0**53
 
 
 def test_matmul_starts_every_sum_at_positive_zero():
