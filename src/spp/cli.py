@@ -684,6 +684,12 @@ def _keep_freed_heap() -> None:
     faults each or 1, from one run to the next.  Fixed thresholds (arrays
     up to 32 MiB from the heap, its top trimmed only past 64 MiB) make that
     the same every run.  Other C libraries are left as they are.
+
+    Without it, in 8 alternating pairs of benchmark runs at ``--seconds 5``
+    (2-core x86 VM, glibc, NumPy 2.4.6), ckpt-1024's ``prune_s`` went
+    0.128 -> 0.174 s (+36%), ``attach_s`` +13% and ``wall_s`` +22%, slower
+    in 8 of 8 pairs each, and ``merge_s`` +4.6%.  Only cli-512's ``wall_s``
+    fell, by 3.8% (7 of 8 pairs), so it stays.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):

@@ -6,6 +6,8 @@ them and an MSE or cross-entropy head.  Training a net with adapters
 touches adapter parameters only.  The fixed-mask baseline is training a net
 without adapters: that updates the kept values of the weights themselves
 with their gradient in kept order, which is classical sparse retraining.
+Either way ``train`` holds the tensors it trains as views into one float64
+vector, so a step is one optimizer update of that vector with one state.
 
 With adapters no weight changes, so the first layer's base product x @ W.T
 is the same for a row on every step that reads it.  ``train`` computes it
@@ -281,7 +283,8 @@ def _trainable(net: ToyNet, grads):
 
     In a net with adapters that is every adapter factor, in ``factors``
     order, and no weight; in a net without them every layer's kept values.
-    The optimizer keys its state by position in this sequence.
+    ``train`` lays them out in this order in its one parameter vector, and
+    their gradients likewise.  A layer whose record is None yields None.
     """
     retrain = not net.has_adapters()
     for nl, g in zip(net.layers, grads):
@@ -289,7 +292,7 @@ def _trainable(net: ToyNet, grads):
             yield nl.layer, "values", g
         elif nl.adapter is not None:
             for name in nl.adapter.factors:
-                yield nl.adapter, name, getattr(g, f"d_{name}")
+                yield nl.adapter, name, getattr(g, f"d_{name}", None)
 
 
 def _first_layer_bases(net: ToyNet, x: np.ndarray, block: int) -> np.ndarray | None:
@@ -326,7 +329,6 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
     loss_fn = _LOSS_FNS[net.loss]
     n_rows = x_all.shape[0]
     record = RunRecord()
-    adam_states: dict = {}
     bases = _first_layer_bases(net, x_all[: min(n_rows, cfg.steps * cfg.batch_size)],
                                cfg.batch_size)
     if cfg.steps:
@@ -334,6 +336,13 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
         # on its layout's transposed half: built here once, not in a step.
         for nl in net.layers[1:]:
             nl.layer.mask.slots.idx_t, nl.layer.mask.slots.rank_t
+        tensors = [(o, n) for o, n, _ in _trainable(net, [None] * len(net.layers))]
+        if len({(id(o), n) for o, n in tensors}) < len(tensors):
+            raise ValueError("a trainable tensor appears twice in the net")
+        params, state = np.concatenate([getattr(o, n) for o, n in tensors], axis=None), None
+        ends = np.cumsum([getattr(o, n).size for o, n in tensors])
+        for (owner, name), view in zip(tensors, np.split(params, ends[:-1])):
+            setattr(owner, name, view.reshape(getattr(owner, name).shape))
 
     for step in range(cfg.steps):
         lr = lr_schedule(step, cfg.steps, peak, cfg.warmup_ratio)
@@ -351,15 +360,11 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
         grads = net_backward(net, caches, d_pred)
         del pred, caches, d_pred  # not held while the next step draws its dropout
 
-        for key, (owner, name, grad) in enumerate(_trainable(net, grads)):
-            param = getattr(owner, name)
-            if cfg.optimizer == "sgd":
-                new = param - lr * grad
-            else:
-                new, adam_states[key] = adamw_step(
-                    param, grad, adam_states.get(key), lr, cfg.weight_decay
-                )
-            setattr(owner, name, new)
+        grad = np.concatenate([g for _, _, g in _trainable(net, grads)], axis=None)
+        if cfg.optimizer == "sgd":
+            params -= lr * grad
+        else:
+            params[...], state = adamw_step(params, grad, state, lr, cfg.weight_decay)
 
     if record.steps:
         record.train_loss = record.steps[-1][2]

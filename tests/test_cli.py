@@ -697,23 +697,34 @@ def test_train_rejects_a_non_finite_rate(tmp_path, capsys, flag, value):
     assert not out.exists() and not out.with_suffix(".run.csv").exists()
 
 
-def test_merge_passes_a_layer_without_adapter_through(tmp_path, capsys):
-    attached = attached_store(tmp_path)
-    st = store_read(attached)
+def merge_with_b_dropped(tmp_path, capsys, dropped):
+    """Merge the attached store without b's tensors that ``dropped`` accepts."""
+    st = store_read(attached_store(tmp_path))
     partial = TensorStore()
     for name, arr in st.items():
-        if not name.startswith("b.spp."):
+        if not dropped(name):
             partial.add(name, arr)
-    one_adapter = str(tmp_path / "one.spp")
-    store_write(partial, one_adapter)
+    store_write(partial, str(tmp_path / "partial.spp"))
     out = str(tmp_path / "m.spp")
     capsys.readouterr()
-    assert main(["merge", one_adapter, out]) == 0
+    assert main(["merge", str(tmp_path / "partial.spp"), out]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 1 and lines[0].startswith("a: merged multiplicative adapter")
-    merged = store_read(out)
+    return st, store_read(out)
+
+
+def test_merge_passes_a_layer_without_adapter_through(tmp_path, capsys):
+    st, merged = merge_with_b_dropped(tmp_path, capsys, lambda name: name.startswith("b.spp."))
     for name in ("b", "b.mask"):
         assert merged.get(name).tobytes() == st.get(name).tobytes()
+
+
+def test_merge_writes_an_unmasked_layer_without_adapter_unchanged(tmp_path, capsys):
+    st, merged = merge_with_b_dropped(
+        tmp_path, capsys, lambda name: name.startswith("b.spp.") or name == "b.mask"
+    )
+    assert "b.mask" not in merged
+    assert merged.get("b").tobytes() == st.get("b").tobytes()
 
 
 def test_merge_without_adapters(tmp_path, capsys):

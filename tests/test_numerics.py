@@ -37,6 +37,8 @@ def test_matmul_random_rectangular_matches_oracle_exactly():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(np.ones((2, 3)), np.ones((2, 4)))
+    with pytest.raises(ShapeError, match="2-D"):
+        matmul(np.ones(3), np.ones((2, 3)))
 
 
 def test_matmul_works_on_transposed_views():

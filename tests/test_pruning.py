@@ -291,3 +291,5 @@ def test_apply_mask_shape_error():
     mask = build_mask(rand_matrix(rng, 2, 4, 0.0, 1.0), NofM(2, 4))
     with pytest.raises(ShapeError):
         apply_mask(np.ones((3, 4)), mask)
+    with pytest.raises(ShapeError, match="kept values of shape"):
+        PrunedLayer(np.ones(3), mask)  # the mask keeps 4

@@ -340,3 +340,7 @@ def test_uniform_rejects_bad_interval():
         r.uniform(1.0, 1.0, 2, 2)
     with pytest.raises(ValueError):
         r.uniform(2.0, 1.0, 2, 2)
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        r.uniform(0.0, 1.0, 0, 3)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        r.doubles(-1)

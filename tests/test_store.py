@@ -21,8 +21,10 @@ def test_roundtrip_preserves_order_dtypes_and_bytes(tmp_path):
     store.add("w1.mask", np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8))
     store.add("small", np.array([1.5, -2.5], dtype=np.float32))
     store.add("cube", np.arange(24, dtype=np.float64).reshape(2, 3, 4))
+    store.add("scalar", np.float64(2.5))  # 0-d, stored as shape (1,)
     path, back = roundtrip(store, tmp_path)
-    assert back.names() == ["w1", "w1.mask", "small", "cube"]
+    assert back.names() == ["w1", "w1.mask", "small", "cube", "scalar"]
+    assert back.get("scalar").shape == (1,) and back.get("scalar")[0] == 2.5
     for name, arr in store.items():
         other = back.get(name)
         assert other.dtype == arr.dtype

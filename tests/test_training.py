@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -144,6 +145,8 @@ def test_mse_hand_example():
     loss, grad = mse_loss(np.array([[1.0, 2.0]]), np.zeros((1, 2)))
     assert loss == 2.5
     assert grad.tolist() == [[1.0, 2.0]]
+    with pytest.raises(ShapeError, match="prediction"):
+        mse_loss(np.zeros((1, 2)), np.zeros((2, 1)))
 
 
 def test_cross_entropy_uniform_logits():
@@ -152,6 +155,8 @@ def test_cross_entropy_uniform_logits():
     assert np.allclose(grad, [[1 / 3 - 1, 1 / 3, 1 / 3]], rtol=1e-15)
     # rows of the gradient sum to zero whenever the target row sums to one
     assert abs(grad.sum()) < 1e-15
+    with pytest.raises(ShapeError, match="logits"):
+        cross_entropy_loss(np.zeros((1, 3)), np.zeros((1, 2)))
 
 
 def test_plain_layer_gradient_matches_finite_difference():
@@ -289,6 +294,13 @@ def test_config_validation():
         TrainConfig(steps=1, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(steps=1, warmup_ratio=1.5)
+    with pytest.raises(ValueError, match="at least one layer"):
+        ToyNet([])
+    layer = apply_mask(np.ones((2, 4)), build_mask(np.ones((2, 4)), NofM(2, 4)))
+    with pytest.raises(ValueError, match="loss must be one of"):
+        ToyNet([NetLayer(layer)], loss="hinge")
+    with pytest.raises(ValueError, match="at least one train sample"):
+        make_teacher_student(0, 4, 4, NofM(2, 4), samples=0)
     assert TrainConfig(steps=1).resolved_lr() == 1e-3
     assert TrainConfig(steps=1, optimizer="sgd").resolved_lr() == 1e-2
     assert TrainConfig(steps=1, lr=0.5).resolved_lr() == 0.5
@@ -465,6 +477,47 @@ def test_adapter_training_holds_only_what_a_step_reads():
     assert not {"idx_t", "rank_t"} & set(vars(first.slots))
     assert {"idx_t", "rank_t"} <= set(vars(second.slots))  # the second layer's d_x
     assert "positions" not in vars(first) and "positions" not in vars(second)
+
+
+# ---------------------------------------------------------------------------
+# the trainable vector
+
+
+@pytest.mark.parametrize("kind", ["spp", "lora", None])
+def test_train_updates_one_vector_with_one_optimizer_call_per_step(monkeypatch, kind):
+    # Two layers, each with an adapter of two factors, or each retraining its
+    # kept values: one AdamW call per step, on every trained entry at once.
+    calls = []
+
+    def counting(param, *args):
+        calls.append(param.shape)
+        return adamw_step(param, *args)
+
+    monkeypatch.setattr("spp.training.adamw_step", counting)
+    net, data = reuse_case(kind, "two relu layers", 20)
+    owned = [(nl.layer, "values") for nl in net.layers] if kind is None else [
+        (nl.adapter, name) for nl in net.layers for name in nl.adapter.factors]
+    assert len(owned) == (2 if kind is None else 4)
+    before = [weakref.ref(getattr(o, n)) for o, n in owned]
+    train(net, data, TrainConfig(steps=5, batch_size=4, seed=4))
+    assert len(calls) == 5  # one per tensor per step would be 20, or 10 without adapters
+    tensors = [getattr(o, n) for o, n in owned]
+    assert calls == [(sum(t.size for t in tensors),)] * 5
+    assert len({id(t.base) for t in tensors}) == 1  # views into one vector
+    assert all(ref() is None for ref in before)  # the arrays they replaced are freed
+
+
+def test_train_rejects_a_tensor_that_appears_twice():
+    # One vector holds each trained tensor once; a net that reads a layer or
+    # an adapter twice would train only one of its two slices.
+    rng = Rng(3)
+    w = rand_matrix(rng, 8, 8)
+    layer = apply_mask(w, build_mask(score_magnitude(w), NofM(2, 4)))
+    data = (rand_matrix(rng, 8, 8), rand_matrix(rng, 8, 8))
+    for adapter in (None, spp_init(8, 8, 2, 1.0, 0.05, rng)):
+        net = ToyNet([NetLayer(layer, adapter, "relu"), NetLayer(layer, adapter)])
+        with pytest.raises(ValueError, match="appears twice"):
+            train(net, data, TrainConfig(steps=1, batch_size=4))
 
 
 # ---------------------------------------------------------------------------
