@@ -187,6 +187,17 @@ class SparseMask:
         return SlotLayout.of(self)
 
 
+def _leading(counts: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k) bool: True at row i's first ``counts[i]`` entries.
+
+    Runs of True and False repeated into place.  The comparison
+    ``arange(k) < counts[:, None]`` is shorter, but NumPy 2.4 gives each
+    broadcast operand of a ufunc an 8,192-element buffer, 128 KiB here.
+    """
+    runs = np.stack([counts, k - counts], axis=1).ravel()
+    return np.repeat(np.tile([True, False], counts.size), runs).reshape(counts.size, k)
+
+
 def _slot_major(counts: np.ndarray, vals: np.ndarray, pad) -> np.ndarray:
     """``vals``, one per kept entry in kept order, in padded slot-major order.
 
@@ -197,7 +208,7 @@ def _slot_major(counts: np.ndarray, vals: np.ndarray, pad) -> np.ndarray:
     row, one boolean assignment that builds no index array.
     """
     out = np.full((int(counts.max()), counts.size), pad, dtype=vals.dtype)
-    out.T[np.arange(out.shape[0]) < counts[:, None]] = vals
+    out.T[_leading(counts, out.shape[0])] = vals
     return out
 
 
@@ -236,7 +247,7 @@ class SlotLayout:
         cols %= keep.shape[1]  # i * n + j gives j
         idx = _slot_major(counts, cols, 0)
         del cols
-        pads = np.flatnonzero(np.arange(idx.shape[0])[:, None] >= counts)
+        pads = np.flatnonzero(~_leading(counts, idx.shape[0]).T)
         return cls(keep=keep, idx=idx, pads=pads)
 
     @cached_property

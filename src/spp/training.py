@@ -347,12 +347,11 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
     for step in range(cfg.steps):
         lr = lr_schedule(step, cfg.steps, peak, cfg.warmup_ratio)
         take = np.arange(step * cfg.batch_size, (step + 1) * cfg.batch_size) % n_rows
-        xb = x_all[take]
-        yb = y_all[take]
-
-        base = None if bases is None else bases[take]
-        pred, caches = net_forward(net, xb, rng=rng, training=True, base=base)
-        loss, d_pred = loss_fn(pred, yb)
+        # The batch's rows go straight into the calls that read them, so no
+        # step holds them past those calls.
+        pred, caches = net_forward(net, x_all[take], rng=rng, training=True,
+                                   base=None if bases is None else bases[take])
+        loss, d_pred = loss_fn(pred, y_all[take])
         if not math.isfinite(loss):
             raise TrainingDiverged(step)
         record.steps.append((step, lr, loss))

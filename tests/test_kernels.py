@@ -122,28 +122,30 @@ def test_slot_layout_orders_kept_entries():
 
 @pytest.mark.parametrize("pattern", [NofM(2, 4), Unstructured(0.75)])
 def test_slot_layout_holds_three_index_arrays_and_the_padded_slots(pattern):
-    rng = Rng(500)
-    m, n = 256, 192
-    mask = build_mask(rand_matrix(rng, m, n), pattern)
-    keep = mask.mask
-    k, k_t, nnz = keep.sum(axis=1).max(), keep.sum(axis=0).max(), keep.sum()
-    item = np.dtype(np.intp).itemsize
-    # The budget of idx and the flat positions of every slot, both (K, m),
-    # idx_t (Kt, n) and the indices of the padded slots of both layouts.
-    # idx, idx_t, the rank of each transposed slot (Kt, n) and the padded
-    # row slots fit in it.
-    budget = (2 * k * m + k_t * n + (k * m - nnz) + (k_t * n - nnz)) * item
+    # Masks from several seeds: the largest row and column counts, and so
+    # the budget, move with the mask.
+    for seed in range(480, 540, 6):
+        m, n = 256, 192
+        mask = build_mask(rand_matrix(Rng(seed), m, n), pattern)
+        keep = mask.mask
+        k, k_t, nnz = keep.sum(axis=1).max(), keep.sum(axis=0).max(), keep.sum()
+        item = np.dtype(np.intp).itemsize
+        # The budget of idx and the flat positions of every slot, both (K, m),
+        # idx_t (Kt, n) and the indices of the padded slots of both layouts.
+        # idx, idx_t, the rank of each transposed slot (Kt, n) and the padded
+        # row slots fit in it.
+        budget = (2 * k * m + k_t * n + (k * m - nnz) + (k_t * n - nnz)) * item
 
-    def both_halves():
-        slots = SlotLayout.of(mask)
-        slots.idx_t, slots.rank_t  # the transposed half, built on first use
-        return slots
+        def both_halves():
+            slots = SlotLayout.of(mask)
+            slots.idx_t, slots.rank_t  # the transposed half, built on first use
+            return slots
 
-    slots = both_halves()
-    held = (slots.idx, slots.pads, slots.idx_t, slots.rank_t)
-    assert sum(a.nbytes for a in held) <= budget
-    # The build holds the layout and at most two lists of the kept entries.
-    assert peak_transient_bytes(both_halves) <= budget + 2 * nnz * item
+        slots = both_halves()
+        held = (slots.idx, slots.pads, slots.idx_t, slots.rank_t)
+        assert sum(a.nbytes for a in held) <= budget, seed
+        # The build holds the layout and at most two lists of the kept entries.
+        assert peak_transient_bytes(both_halves) <= budget + 2 * nnz * item, seed
 
 
 def test_slot_layout_builds_its_transposed_half_on_first_use():
