@@ -49,22 +49,22 @@ LLAMA13B_SHAPES = [(5120, 5120)] * 4 + [(13824, 5120)] * 2 + [(5120, 13824)]
 LLAMA13B_EXTRA = 2 * 32000 * 5120 + 40 * 2 * 5120 + 5120
 
 GOLDEN_U64_SEED42 = [
-    0x15780B2E0C2EC716,
-    0x6104D9866D113A7E,
-    0xAE17533239E499A1,
-    0xECB8AD4703B360A1,
-    0xFDE6DC7FE2EC5E64,
-    0xC50DA53101795238,
-    0xB82154855A65DDB2,
-    0xD99A2743EBE60087,
-    0xC2E96E726E97647E,
-    0x9556615F775FBC3D,
-    0xAEB53B340C103971,
-    0x4A69DB9873AF8965,
-    0xCD0FEDA93006C6B6,
-    0x52480865A4B42742,
-    0xB60DEC3BF2D887CD,
-    0xE0B55A68B96677FA,
+    0xBDD732262FEB6E95,
+    0x28EFE333B266F103,
+    0x47526757130F9F52,
+    0x581CE1FF0E4AE394,
+    0x09BC585A244823F2,
+    0xDE4431FA3C80DB06,
+    0x37E9671C45376D5D,
+    0xCCF635EE9E9E2FA4,
+    0x5705B8770B3D7DD5,
+    0x9E54D738297F77AE,
+    0x3474724A775B19BF,
+    0x7E348A0E451650BE,
+    0x836DED897F3E46E6,
+    0x851F977347ED6DB7,
+    0xAA47E31C02E78EDC,
+    0x341452C54D7C33F2,
 ]
 
 

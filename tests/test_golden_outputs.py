@@ -114,225 +114,225 @@ def run_pipeline(root: Path) -> tuple[dict[str, str], dict[str, str]]:
 
 
 PINNED = {
-    "16-nm-eq3-adamw.csv": "0372abac83e04d53cff8e80af00dd927db369639cfaa236cce6cd7974d6388d0",
-    "16-nm-eq3-adamw.spp": "a9e2cac7710d23761936cdf82c72731f71da7d2b2c5c60483817b8efced1843b",
-    "16-nm-eq3-adamw.stdout": "ae65c2ad5100bdef9642cde55f035dcc9c34113a6184031aedc0fae241b1de0c",
-    "16-nm-eq3-sgd.csv": "3452334b23eb9e21564e5a27a3ed28b0ba8a0732d83e8649c5cdc120e5e4ef98",
-    "16-nm-eq3-sgd.spp": "ffa6bf0799d00d38ca9b7f6e46e1517714962a1598b6506bfdf64dce1fa92492",
-    "16-nm-eq3-sgd.stdout": "8f4dd030ac376ec49d35fd131806b5fbd2aad1a16fbf470c03979c8f4c24780a",
+    "16-nm-eq3-adamw.csv": "3aaaef78c32258e8972de79e95cf2b50bab3158cc6f400098697ade9c178daa7",
+    "16-nm-eq3-adamw.spp": "ad08f17b0d7edb2b65fa4471de0cd0d1edb226c8fa063e42f50c40b20b02260a",
+    "16-nm-eq3-adamw.stdout": "1f14d04e0388c4dd2870d441aa17bd33581d550376eb54032da1fe7c8ee132e4",
+    "16-nm-eq3-sgd.csv": "8c056fe4d79b957a1c9f8c4332b169c02b47ef352a70681352ff81f595146590",
+    "16-nm-eq3-sgd.spp": "b9fedb061726df0fa49926c7e814469ed465abfa97dbfb2a9880079664c58455",
+    "16-nm-eq3-sgd.stdout": "520cae6944ac07950bf4b6e748be39bbcf8f2043845605e8f69662a20b70643f",
     "16-nm-lora-attach.stdout": "839eb0b7f6499015ed1de9ced5857af007b875fc3c8c1027333f7065fdffe851",
-    "16-nm-lora-attached.spp": "9f7f1221c2050c5d90a602894cd06b72cfefea471b02d22ff57a1ed9dbfaacb9",
+    "16-nm-lora-attached.spp": "bed0060395ba44dbc8790e1f72f02ec9feee7517bd1222e5bfd166bff1b0570d",
     "16-nm-lora-merge.stdout": "cd25ebafe3797a3a3908fe738c4667bfd3ebb0f21acdb252b327e5c34795b053",
-    "16-nm-lora-merged.spp": "fbcd99bac0df792d82d2b1fb1e97067a5c8fb57b81749b4fd7205ee16b054db7",
-    "16-nm-lora-train.stdout": "67fc2225645cc26c2953a2bb5bc33fb15111c22c1f255ad222bcde4b7f942e35",
-    "16-nm-lora-trained.csv": "97193436e6601bff39be4bf297c84061d1ea7ae9a63746a8869671149b219492",
-    "16-nm-lora-trained.spp": "a7aa44647b35c7c506871f8414b80c008fa1c6ab06df6ff7734cf61bd38c24aa",
+    "16-nm-lora-merged.spp": "985f6c0224d7ecbc530d7646f2ba0da81e60a820ca04de06905c13ea3d264a19",
+    "16-nm-lora-train.stdout": "59a826d4082bb65d17a7ab379349fce77bfc8b9e9eda6aed71a42273f5991262",
+    "16-nm-lora-trained.csv": "4a13788ccd397396f5ed66ffb7a21f9097c5eb3a7c53605d792251ec87a71235",
+    "16-nm-lora-trained.spp": "13ce89c42e98e578008e109c1e77935a1cb424e383d00128d80e3c7fa683892a",
     "16-nm-lora-verify-merged.stdout": "8de94a762500f0295976caa35f56b8031b50b0f8c26d815a8c6ee23561c2f2e2",
     "16-nm-prune.stdout": "9f9f343eebc6cd7195af4ee188b3aec5cb96fbdab85f121b02840ea620fa63b6",
-    "16-nm-pruned.spp": "df02ff943b7973e800947f5c365e3009f8a0dc84677ba6fa243f074177f89306",
+    "16-nm-pruned.spp": "573816110eb5759b9013a59e04a6d3f003e28e3fa4b30a1c0f5ff5fe666c9fa9",
     "16-nm-spp-attach.stdout": "709ae8dde7cb66058772c3401bf50be2ae31c4b4b7efdc56691e858bdc80f807",
-    "16-nm-spp-attached.spp": "3a3d12365e11335c9007083ca2665d597c9fe2676bd5a6983ad2b27c61f855a7",
+    "16-nm-spp-attached.spp": "62520c1d68a1ebb4c3a8685de680aab6f8494f3cd31d1dbf9438078ae788bcf2",
     "16-nm-spp-merge.stdout": "82e35ebdd46a6f34d3329e98f49e17fc9785bc6f993723de7e2b3c122e260576",
-    "16-nm-spp-merged.spp": "195dc6a08b5a4324999f4dd110ca9bc0a2f27bb191bdc3211e4cbd0467a8f440",
-    "16-nm-spp-train.stdout": "934f3f97d0b342986c3c5db8e06e2dadb6052658018ed1c132bb19f36923de5b",
-    "16-nm-spp-trained.csv": "9f6f9e074b093047fdd0067c7b9849a7dfd8b6b849f381c6950ede751cf75f11",
-    "16-nm-spp-trained.spp": "ed0053aabb2904233091660282d0fde1c3802f089ee7dc75aae3153c5a9a49cb",
+    "16-nm-spp-merged.spp": "542d60c09c4a01962b60ab8527e63e439ea8b41eaf7fa0d7ab59531e43557897",
+    "16-nm-spp-train.stdout": "6683a94cb21a9d35436b23c8505fea1cd537f49e1d865e67480e72122e1f3ea5",
+    "16-nm-spp-trained.csv": "085287c12a689b10520e7b36af6157cdf75033e2efa30dc91923c104aa8eb9d3",
+    "16-nm-spp-trained.spp": "555a9421a20c48922910ffa19118e4e404a4b12416fc1a5225e20593f0ca1b59",
     "16-nm-spp-verify-merged.stdout": "8de94a762500f0295976caa35f56b8031b50b0f8c26d815a8c6ee23561c2f2e2",
     "16-nm-verify.stdout": "8de94a762500f0295976caa35f56b8031b50b0f8c26d815a8c6ee23561c2f2e2",
-    "16-rows-eq3-adamw.csv": "ef33718ffb79c012208c8fb2a6ef36b400172477aafb4cc7dbb205a660086407",
-    "16-rows-eq3-adamw.spp": "a86a302ea2682a83fcee976014132bda5b348d804c0c209aecd16af3f6326607",
-    "16-rows-eq3-adamw.stdout": "6ddbeb31e85074a6e71e93d88c12efef37d728cbba7d09cb2edac7a66b2e8839",
-    "16-rows-eq3-sgd.csv": "95b9c1052222c2368423bf81edfdbd69877a3063e25be4a153fd5f2b18fafa87",
-    "16-rows-eq3-sgd.spp": "e9ffa91c5fdd734e46e20583d114522a31f1a38b8498d2b6d89436023639a2c8",
-    "16-rows-eq3-sgd.stdout": "928dcd8126fb54e9dfc5039fc3752ed484559dc429dad44fb127b9eb6f0b57be",
+    "16-rows-eq3-adamw.csv": "329f3eb8b7a287639c77137d5be4fc0f1bebb9db053409a42cf3111ee8d04774",
+    "16-rows-eq3-adamw.spp": "bcaf4b430fabf2f38eca30236dbd6dac75b62f7822defd0ceade5410e82a45ea",
+    "16-rows-eq3-adamw.stdout": "c62dc13475486d5ebf0ccb0a77962e22661cfbda4e7bb50d132606f1dfaa0d89",
+    "16-rows-eq3-sgd.csv": "ff1218cf4a0e02d8ff27b014666cf2237782864698249e325f919ac17d8df494",
+    "16-rows-eq3-sgd.spp": "a2d1cd1ef0f2b9f9414dcea39e7b1bb956d3ca0752e935ce7bf572418b9c527b",
+    "16-rows-eq3-sgd.stdout": "425c3de55141a656f80e4ac0c7a59431a439da19529d24707c154cfe5e7120cf",
     "16-rows-lora-attach.stdout": "839eb0b7f6499015ed1de9ced5857af007b875fc3c8c1027333f7065fdffe851",
-    "16-rows-lora-attached.spp": "022b98a318ad238db2326a76ff8961b26cdea5269448596622a164b14a87fee9",
+    "16-rows-lora-attached.spp": "e82244c95b55c5107ff2ddde9481a35317e7d7d729aae3a4cd7d707b41fff2e6",
     "16-rows-lora-merge.stdout": "ec1c1e5193e116f6ec86dd64f3d43edba7e6cd8b8508d2cc619b3e15daff5170",
-    "16-rows-lora-merged.spp": "11fb342be51680dc0cfa5e7cd621e7983c4ffc8e8419a8fec6c1ee40ea906691",
-    "16-rows-lora-train.stdout": "9cf90afe1ab94bb4f35112774dcfb166f17a0f64fd09e3bdbdcb69e7263d5778",
-    "16-rows-lora-trained.csv": "2ca88feb9735cce7634849165d7fbbba47f64caac0bca910315ca1423ece3759",
-    "16-rows-lora-trained.spp": "7a05af2c81adeb76ac2722ca072cef982c96a763f2256ea3feaf1b23cec2e8ce",
+    "16-rows-lora-merged.spp": "8abba284d006515680768bab4a584150c9e963d8c1ae060df76a6f265835040f",
+    "16-rows-lora-train.stdout": "f2fa95a5f01e2b7a8ce699a8a579c6c1d9cafc3264b2e28bf3ffec5bb7e45423",
+    "16-rows-lora-trained.csv": "2b32b62e95409658e94cc1467de2ad75913a0f26ac43f38550995de996a2a17c",
+    "16-rows-lora-trained.spp": "94f7b67dc13a59fed6732163efcf69cd0e33011049f6a1e48d99e5eed8c5ad52",
     "16-rows-lora-verify-merged.stdout": "9a8bb9413bc0af84ce44acf470ce50ce3c22211ba9e761ef4cc7e25140187ffa",
     "16-rows-prune.stdout": "61b898c0ddb598b8ba3d9e1fb140bfd8b63c10b878eb4ceec3ddd6f635f2a65b",
-    "16-rows-pruned.spp": "17d746e4b6ffedb87b97771f9898627559ab5b5287494a9eae171be5f14b6194",
+    "16-rows-pruned.spp": "ed2e717f4344537f78d488fe8969a93134b5921d44543e93b1af79c04d43edc1",
     "16-rows-spp-attach.stdout": "709ae8dde7cb66058772c3401bf50be2ae31c4b4b7efdc56691e858bdc80f807",
-    "16-rows-spp-attached.spp": "10bb9747f7016f6124cf57bd5ea161118e33647870a195a711d24e024d99d8ed",
+    "16-rows-spp-attached.spp": "5c30ba06129aba947eb0c2cad7fff5cb8e5aed7c96e34bc1a4e151bf7c47c1bc",
     "16-rows-spp-merge.stdout": "6fcbf1efc2864b1645d7cceaae8e4075c4c7f0c69abd4590655aedd35a35f6fe",
-    "16-rows-spp-merged.spp": "830d7fb95b3f3621907a5afea02ff04f975a6cb23aee3a5c0946eaf9442f59fc",
-    "16-rows-spp-train.stdout": "881e7a613b365dd51a0d5822a70450ff157fc56c102faa63b50e697a61403166",
-    "16-rows-spp-trained.csv": "ba5bed4fdd443ad7c9539ebbd268f4f931254115d3aaf0dc629a4dd26192ecfe",
-    "16-rows-spp-trained.spp": "a1ceae77bcb8ba6b04a6ec7e727a04365cd4ebcc536e465f40746b51c37c9b2e",
+    "16-rows-spp-merged.spp": "d46152007a3b852cfb09350f6eeba2f69e7e48ef1e8fd88a7abd62584ed4c71c",
+    "16-rows-spp-train.stdout": "36ea441c3c3f9fee59b61b5fac7bb4686a9ee7dc814bd2bb9cd7d15d091a44b2",
+    "16-rows-spp-trained.csv": "d7af380ae1d25b7c58caa1d3588b8938ca99856361aba62e62f7c9baebca2885",
+    "16-rows-spp-trained.spp": "4015d03d14ae0fdd147fd735e9f38a77963e90e1aefbc1bb2d45ce42057c437a",
     "16-rows-spp-verify-merged.stdout": "9a8bb9413bc0af84ce44acf470ce50ce3c22211ba9e761ef4cc7e25140187ffa",
     "16-rows-verify.stdout": "9a8bb9413bc0af84ce44acf470ce50ce3c22211ba9e761ef4cc7e25140187ffa",
-    "16-wanda-eq3-adamw.csv": "119319531048e5bba54096628f9afae10ef30417b4857450bde12134d702e7f7",
-    "16-wanda-eq3-adamw.spp": "3628dcdb35b9eb8f2faee27c5bceadc345a63db036228e80c001d31231411265",
-    "16-wanda-eq3-adamw.stdout": "46da2d651ede0de040fcb8dd405131a24174f1d6da4a058911d3ee46018ce720",
-    "16-wanda-eq3-sgd.csv": "fe52ff1c4477801bca08abfdc6b76a4d3e3be6ca49e4fa72e4b774ad26876fc3",
-    "16-wanda-eq3-sgd.spp": "49a4646e547626daaf2fbb706f0e5c98bd082435747f349f7e77732f322b9614",
-    "16-wanda-eq3-sgd.stdout": "8c6015bfa1b89a2b01f562ab3d7d006b3af166c519d37bac3737caea990f7a10",
+    "16-wanda-eq3-adamw.csv": "c8aaf337b748effd1cd0d128dcee6d4fe828b0aa8406d431c60931acd0e29cd9",
+    "16-wanda-eq3-adamw.spp": "7805e3f1f483629d211159ea61bed9a8dbfbec3e0f54368eeaa4605b56feafa7",
+    "16-wanda-eq3-adamw.stdout": "67ae00cd2a4b7d998d02201d1c10a58f6354e739e1761526536782d3bd070571",
+    "16-wanda-eq3-sgd.csv": "be9c017e3dafe27949b67b20f1623d00a0ebd92709758857570e8d6fd516d9dd",
+    "16-wanda-eq3-sgd.spp": "4cd1ca77bfd1d9171501eadca3c406fabd2066083b0af699abcbcf9c668ad5df",
+    "16-wanda-eq3-sgd.stdout": "2019fed7665a298c1202f9a3fc80cf8a0ed1c246632bf8f5a7d3180492a5751f",
     "16-wanda-lora-attach.stdout": "839eb0b7f6499015ed1de9ced5857af007b875fc3c8c1027333f7065fdffe851",
-    "16-wanda-lora-attached.spp": "6040e0d6dc36bae38df05f0292bde864e835004143bd58de49c283ed146b0b04",
+    "16-wanda-lora-attached.spp": "3178556548249c275782359c4fda07fd0f6cb13e74f98d049f39bcd551490fbd",
     "16-wanda-lora-merge.stdout": "b20da6f7e26370342f19d0302b4bf3a034e6d4fb818bcbc4a1bf3aa21ce17a7b",
-    "16-wanda-lora-merged.spp": "e5e0018183f41bdaa100071212f321ec66c58af28eaf9efba7f8758f9c36cd9e",
-    "16-wanda-lora-train.stdout": "46ec8ae515cd43aa3bf7ad21587cc964016a9c0b19fa2190b97a8f8ba8fac062",
-    "16-wanda-lora-trained.csv": "aeb84751383f90e46d6c386d37eab53ca40a3776a1bf11240bbc1d803025722c",
-    "16-wanda-lora-trained.spp": "142fae1a3151ec1882be55cea8f68e065c80d6ab1166e4763fb39d3eba82b7cd",
+    "16-wanda-lora-merged.spp": "0ab0024cdc059998c11c2aa91f2939da9e3e8f72acddcd06311cb07e26eaaafa",
+    "16-wanda-lora-train.stdout": "0ffa192c3a6e9b44d9036e1f436d047c465d387022899daa1b782d8267ce0583",
+    "16-wanda-lora-trained.csv": "79c5054efc350abe0223ee001fa790c4a87144e3b13ef34a6859b7e52610d4f7",
+    "16-wanda-lora-trained.spp": "e7db4b9d5093e06e3794a9da7bf976f05d001b3a22e1a7ea3eb9672050850156",
     "16-wanda-lora-verify-merged.stdout": "e9b5fe36ff74549f14b860ace93533340189facd30f7390c7146a8e624d3b086",
     "16-wanda-prune.stdout": "998748e58f7760ccd52e1eff2c7d91ca5cc345a74cb406ec3fbafb18bbcf3f48",
-    "16-wanda-pruned.spp": "15c3a1e56779dda9edfb6e74077ab0e8f63d7fda9e21cfa7f760a8bf8de71b33",
+    "16-wanda-pruned.spp": "0eb32eab5b6e3b3526ab131c415392da5b1262883bce52844616432ed8db391e",
     "16-wanda-spp-attach.stdout": "709ae8dde7cb66058772c3401bf50be2ae31c4b4b7efdc56691e858bdc80f807",
-    "16-wanda-spp-attached.spp": "8a39aca92223b3099bb0f8813a809f4341f48b47fc2b28aa12db7c9759384d3d",
+    "16-wanda-spp-attached.spp": "162004324896c008fa0936f67f0ec70bf56ece15508171ec364ad9fe143b325d",
     "16-wanda-spp-merge.stdout": "2bdfa6e65f41a35d7cf8673808153f8c1d10ecdf7a08df02ca1c2d5cb74f935d",
-    "16-wanda-spp-merged.spp": "48739e28e3851010fd6109a5bc94a6abf006024558184c4ea69210b12c82a7c8",
-    "16-wanda-spp-train.stdout": "6de15f43e12b16188f15b63fffea9b3c371ed0d648c40383f9e59c32ff01ed59",
-    "16-wanda-spp-trained.csv": "629a7bcfdbada74eb6ad1a31bccc1de50a08e0aaaac4033f244673223b4f206a",
-    "16-wanda-spp-trained.spp": "27136f79ec259aca4fc1f8ed00a4a9899bdc1a11747a54a4b7f5ae62573d14fb",
+    "16-wanda-spp-merged.spp": "c09f003c7d94d719a00f9fb26f37db2d6f9822981216b0f028b945c2237e6e30",
+    "16-wanda-spp-train.stdout": "41cfecff549524a2d741f5f748f94bf4b8ff34c2858d5fb86253b3a3b3abe0ec",
+    "16-wanda-spp-trained.csv": "84eabd7f91c22dcdabf2210770f147fde36c4f2d3f886a148321cab22c294d12",
+    "16-wanda-spp-trained.spp": "80859055883854e078c25864ef36041e063563fe65887c9432ff6491ce050c56",
     "16-wanda-spp-verify-merged.stdout": "e9b5fe36ff74549f14b860ace93533340189facd30f7390c7146a8e624d3b086",
     "16-wanda-verify.stdout": "e9b5fe36ff74549f14b860ace93533340189facd30f7390c7146a8e624d3b086",
-    "8-nm-eq3-adamw.csv": "15a18164dd214f54cfb245e3f478e750eca1a8ab058590ef80d7cc5b969e725a",
-    "8-nm-eq3-adamw.spp": "fe1c8b85927c38f42190ad743c490478379801f6c2cf9b58b225174194c81041",
-    "8-nm-eq3-adamw.stdout": "a635649a26883e38eef27b19fcef2e74f744522d2c86e2697d985420ac4630ef",
-    "8-nm-eq3-sgd.csv": "d8b02827ce1699ec0ce794fafb023827bd12709184717f8c4029effc8517315d",
-    "8-nm-eq3-sgd.spp": "69ce08df13ac5f50e6369419cedd16f31ea970caa4a424a7f60679c3d917a307",
-    "8-nm-eq3-sgd.stdout": "8456c02af5bf84979b4097a926abba0779042744dce5c0741ee01ae211f6c1b0",
+    "8-nm-eq3-adamw.csv": "060feccccb8475334eeebc6a5a8205c05335627b6793617ec47d23cb3dbebc8d",
+    "8-nm-eq3-adamw.spp": "5db1372d7d4c6d5bac5dabe0a986c02b3b539f8acd3b5b8c369b43ed83e77280",
+    "8-nm-eq3-adamw.stdout": "cef55ef5cc8a1fe8c73ebf52a05a39352536cb6a08fb40e3740de20eacd02682",
+    "8-nm-eq3-sgd.csv": "b65a94df82b63b6f5623889ad6fbd2dd9c7fc78a0a93bba5c9433b3966528610",
+    "8-nm-eq3-sgd.spp": "fe0e4393dccdd73d5e289230e5ca6a9996227be79a1b0ce3c4918edaa338ad38",
+    "8-nm-eq3-sgd.stdout": "cf290bc0d65d4ff61c48e1b198b2c98c95992e32edde9263724ef59630fe3378",
     "8-nm-lora-attach.stdout": "20dc88f2c48cb501bde5ae142c9ddb0710b291b8ad98a139f45999c63975ecef",
-    "8-nm-lora-attached.spp": "7ff235f8a40c5c88b4effe102a2d865ea00d2b15c4940bf3fe5b8c43f510099e",
+    "8-nm-lora-attached.spp": "38146ed81d0ecc2f48e97d965c5b4a6dff1b1695a013b65cecca0b8eb4d88fc3",
     "8-nm-lora-merge.stdout": "7cb8a5cfeaa2443054073794800415cceef01be7ac617be5563e39fccd00af5c",
-    "8-nm-lora-merged.spp": "22bd168de623e2530701aaca30571df7eb8c6997da17a9ae910b30c36adf0f6d",
-    "8-nm-lora-train.stdout": "a89d285658e619d12061718a2de818df1805627cc4b5c0c0e42ff56d5a070ff3",
-    "8-nm-lora-trained.csv": "55aeef5313daa265d640c352a20b231df087a8e59b8ca786e61592ed6fa92e1f",
-    "8-nm-lora-trained.spp": "b96f6c1469f5a428f1f14a74ab575bcfd9d7e2b8eb39b8395fae9cb6a9839855",
+    "8-nm-lora-merged.spp": "65d5eccf180db4ea2a873b70b7e381b089dece0f290e8c8587e4f8e698535864",
+    "8-nm-lora-train.stdout": "0b1421490fc737fd8aac95e8d052f0d22498eec0ff2b9abbeff0f238222a77fc",
+    "8-nm-lora-trained.csv": "15844f8b0a950e230d6955e8543afc15d5438b77299dbc26d45e965f58963bfc",
+    "8-nm-lora-trained.spp": "177d8323ea9bb9659b6fa140dff4860319208e0328c3cfbc4cd0d4128a0ff32e",
     "8-nm-lora-verify-merged.stdout": "572ccc14082d73201b052cce9929d83d897ee8b38ec0de04300081fcfde0970b",
     "8-nm-prune.stdout": "f432359a2a831f121096488a5631f8d8716bd2cc4ebb7c2bfd2cda491755a4b3",
-    "8-nm-pruned.spp": "7179573d0dbc3d11fe6d270f5f50473e6d3b1c40dc6cf0cd722a3441211fdbf7",
+    "8-nm-pruned.spp": "f88c88a45a6671f0e648f044a6e96eeffdbb4d707aae674006e10466f8580a32",
     "8-nm-spp-attach.stdout": "ee31aeef2fcfee8253826a41aa81d25c59cc304c5cd3ec47a53fc59ee52f4849",
-    "8-nm-spp-attached.spp": "45570796d90c0a7c3e538557d4db1f1fee8794ae13579d25400ec619ef9b6886",
+    "8-nm-spp-attached.spp": "84b46a67959c302acf2f2e392c59cbfa230274eefc01482c2b9f939aec4b084b",
     "8-nm-spp-merge.stdout": "315813140c3383aee3049c9fa5f1489934fb5a806e3c80fb42448ede5487e7d7",
-    "8-nm-spp-merged.spp": "03f72c39828425b126289c124d988d40ac092f741915c51fff0da77dee27e7a3",
-    "8-nm-spp-train.stdout": "11eb23944682f937a3d4bc5de9620fa7b95cf1f5a26822935a0274e9b8bc2fa9",
-    "8-nm-spp-trained.csv": "86d6273a156dbace7e3429bc60ae85879a8d7acfa1314ded90f4401629672b36",
-    "8-nm-spp-trained.spp": "3d0c650a8971236c6c6a13ce1ab2d5db4b65031e5e815be52587daa4e7b3a673",
+    "8-nm-spp-merged.spp": "6a69f1a01ecddf3bc1180c83e89a8c5f2c356bf32dbf499c830ed6a5867f469c",
+    "8-nm-spp-train.stdout": "a557fa1277db9e227af7bf0087af4b00a5622184b5301241344592dff36cc216",
+    "8-nm-spp-trained.csv": "a26bf247d291dcca4fa285fc532d7d652ac3193efbddb70abc1ddf22a87c6b87",
+    "8-nm-spp-trained.spp": "bc02a5d4524aafb2d95e21acc055d4265173cf5a7419f900a6a9c38a5da3d93b",
     "8-nm-spp-verify-merged.stdout": "572ccc14082d73201b052cce9929d83d897ee8b38ec0de04300081fcfde0970b",
     "8-nm-verify.stdout": "572ccc14082d73201b052cce9929d83d897ee8b38ec0de04300081fcfde0970b",
-    "8-rows-eq3-adamw.csv": "2255d73c1d90fb2fa51b24a26fca9cb04aacbeeb5e072ce67320bf910aa2632d",
-    "8-rows-eq3-adamw.spp": "ce86029b806c3e314ab7ec5d5a1044737458a7f00b113b3b3d031c40b2e3fd8a",
-    "8-rows-eq3-adamw.stdout": "be56042d2d11a630ae3e827f81e796f8b3447e9356b870b198034e2290230178",
-    "8-rows-eq3-sgd.csv": "62f9c9b7dffd29bd9511cecc02b6ebf51112a0bcdb0030b66e75bd253f97e64a",
-    "8-rows-eq3-sgd.spp": "ae83a00f26c3cc8a0fe838c03450797ff48abc5adf7576ea1d4b1f806f9ba289",
-    "8-rows-eq3-sgd.stdout": "e343702731d0cbe2c68bc0c68149e128d26a9770d9a0e3458fb718099c887d33",
+    "8-rows-eq3-adamw.csv": "86b1033c96756bf2a042f6289dab980e43ce648be71d6bcb165c95a6c3f5cef7",
+    "8-rows-eq3-adamw.spp": "d6a89a6283066df6348b19aaca32d4fa7005da32915e3851ce068299f478983a",
+    "8-rows-eq3-adamw.stdout": "e8cb31e6f99827a39d5bac486231957fceb9d3ee65b59a11c410e1085fa9db7e",
+    "8-rows-eq3-sgd.csv": "73bcf89ed83e56f8edde35e30fad5c791e9b0ca3d6cd0f94074832fa55f66952",
+    "8-rows-eq3-sgd.spp": "b9d369b1dea6fd31695265691bf4262f97720884292e8561dbba939cd54e736a",
+    "8-rows-eq3-sgd.stdout": "4e658083d38b09905d62f65ed2d96fca8036600b5ca311664789a93893b9a849",
     "8-rows-lora-attach.stdout": "20dc88f2c48cb501bde5ae142c9ddb0710b291b8ad98a139f45999c63975ecef",
-    "8-rows-lora-attached.spp": "92a47fb867fa74f87c4882f8802dcecf0893ce3fbe749bc09c95c2e7a1517328",
+    "8-rows-lora-attached.spp": "bfc0dbd4ccb65781d8526b4f25a1511b396424623a984633921f5b275eedcb76",
     "8-rows-lora-merge.stdout": "7cb8a5cfeaa2443054073794800415cceef01be7ac617be5563e39fccd00af5c",
-    "8-rows-lora-merged.spp": "8caf811b3192285db8683f113958c0b2bca865d5d76e9a91dd6b85f6ca6607d6",
-    "8-rows-lora-train.stdout": "6348e8b9fbc5dc83b5c7ab51fba2011f7276cfd4235d311f35684810d663a379",
-    "8-rows-lora-trained.csv": "7412e0a5352f0a02be5070414e8ca857c076298c616dadfbb0e307ac256477be",
-    "8-rows-lora-trained.spp": "b5a52327973dd61a47e1c2e4233e9dff7028723a225377ee53cf3672b1259581",
+    "8-rows-lora-merged.spp": "4a106210e02eac82cfbf8f922ee9cc3b48eb0283defc315b564c73bc85ef3f13",
+    "8-rows-lora-train.stdout": "03b2f4c886d869572030e96201afac127c53c08ccf993d69edc1ac2725ba86f6",
+    "8-rows-lora-trained.csv": "92e064d8fc329e2fa482a6873f2ade63679ffab2b7fd53ef248b4c7e104b4b29",
+    "8-rows-lora-trained.spp": "4e98583ab82880df8784ce712476a8f77b5edae534d9eb5cb80a277ceeec847a",
     "8-rows-lora-verify-merged.stdout": "623e8919bd6441c74ba26a85d75e800a15c3b4d973a5afecc5d7c4b32bb2c271",
     "8-rows-prune.stdout": "657e70b678c293dc574c85defe985a043d558ee8960c1318bc9ced2b4917ed48",
-    "8-rows-pruned.spp": "5f0e10897f340c87d659f9ee6fabb9d9fa1079eda063cc91be91b76502b096b8",
+    "8-rows-pruned.spp": "92818a37dccf454f19019d8eaed565edf3fef95116f01062d237ce80b4c8b69b",
     "8-rows-spp-attach.stdout": "ee31aeef2fcfee8253826a41aa81d25c59cc304c5cd3ec47a53fc59ee52f4849",
-    "8-rows-spp-attached.spp": "6c2c3338f740301d5e6f3f18cf04d217304432ae12d9a5c75d0fd68acdd7873e",
+    "8-rows-spp-attached.spp": "be295928fe9af1e2fb6d08801646f54c85bfbedc4d9b6b4bd5e28c0184a8ad3a",
     "8-rows-spp-merge.stdout": "315813140c3383aee3049c9fa5f1489934fb5a806e3c80fb42448ede5487e7d7",
-    "8-rows-spp-merged.spp": "a8530b0466fe6e9d5644306e623dc5d2af22f167677d999dcbcdfd8700d89cce",
-    "8-rows-spp-train.stdout": "062d83451e2360373f210f0ab0fe1de1a1cdf721cc90eafc71c768aeaac9de85",
-    "8-rows-spp-trained.csv": "c7d877a6bc5eb441f6c32f990a3252ba490bbb9dad77aed15be5b22a27071e8d",
-    "8-rows-spp-trained.spp": "c9f2c94e88544fe28fd718af033e23f48941e80b67debc3e10f5306d5f31b257",
+    "8-rows-spp-merged.spp": "51a64c1d33a2a97c7eb453f984adef575126a4b8637372b5909f5afb8d06aa11",
+    "8-rows-spp-train.stdout": "cf57949cd3e9f24b68c207dbb51a87d97e9f20bdb68f134132d45502fbb099a0",
+    "8-rows-spp-trained.csv": "7f78b2156bb425d23472f5492e638e9a88c145cd8c2403d6a9a7806c8de83ef5",
+    "8-rows-spp-trained.spp": "d10136520d7f40ad35302d3f9e15e6ab644df7a27cf0ef34e963984f37f15df6",
     "8-rows-spp-verify-merged.stdout": "623e8919bd6441c74ba26a85d75e800a15c3b4d973a5afecc5d7c4b32bb2c271",
     "8-rows-verify.stdout": "623e8919bd6441c74ba26a85d75e800a15c3b4d973a5afecc5d7c4b32bb2c271",
-    "8-wanda-eq3-adamw.csv": "547bbf22ab93ae2f4a8c7236e1875d074ba27d060f8b7e0b35e5d2153e610976",
-    "8-wanda-eq3-adamw.spp": "dc9e685ae5fe204c59910f2563eced68b8677ea746f97ed864f977d3de56bce6",
-    "8-wanda-eq3-adamw.stdout": "33121a33acb06b1bb27a4fc5bd12272caf16e8528a9bd19f11e5621968b7409a",
-    "8-wanda-eq3-sgd.csv": "129122fe24b0819652a95cb74ee1c4355ceb3035a49a71447146a834f8b3337d",
-    "8-wanda-eq3-sgd.spp": "60b73327f7c71d69db1edef684897e21b6b223add7b318faf473fa8a663ac58b",
-    "8-wanda-eq3-sgd.stdout": "12349c84e7aada9077f316059a943753d3097e0951d7a7a4de66e2bba06cad41",
+    "8-wanda-eq3-adamw.csv": "47a4bcaebeb2e55ad42a09497144d58dc8316cbd102b6c7fb569396b1da40f74",
+    "8-wanda-eq3-adamw.spp": "dca0110c118028429bbb97bc0b5dc981cf5fad6ef212f3f4e1590d88789faf85",
+    "8-wanda-eq3-adamw.stdout": "dbcac25c82a073218da4c8aa17d94df42b7077715a4dfbf7e9134496900d1d7b",
+    "8-wanda-eq3-sgd.csv": "cc357577af61e73d3e80cda9045fbf7635cd4e11b96da44d47c209bcca84d89b",
+    "8-wanda-eq3-sgd.spp": "095e2efeba8fa20be238a856797cb82e7185c0bc2891f4ec8cad8ff9a039243b",
+    "8-wanda-eq3-sgd.stdout": "606aa842a7f87ad43dd8fe34c61e7a20eacde04490a633f85726438ca668d23a",
     "8-wanda-lora-attach.stdout": "20dc88f2c48cb501bde5ae142c9ddb0710b291b8ad98a139f45999c63975ecef",
-    "8-wanda-lora-attached.spp": "75b05d4bbdcb3eb267e5b22f02f771d7e94b2c007833776a4f5372a9a0e59f7f",
+    "8-wanda-lora-attached.spp": "906f2af1a2cf291c1d300bf4540baef76f786d12316ec3fbbf9a6e3dfa94fa87",
     "8-wanda-lora-merge.stdout": "584c069cabde5390c836e6519f74a91e013218aed74f73ffe8e1ca52be561b5d",
-    "8-wanda-lora-merged.spp": "9989ae3554f73a945e72b62a5c3558f2c2e3f90029400eb99beec410c32c2a0d",
-    "8-wanda-lora-train.stdout": "7bbeb279220557a3c998f75fb27dc1ec7366c28477311b0035a59ce6d3910171",
-    "8-wanda-lora-trained.csv": "99397873442413342eee681ed7f7325c8960b241f7eef9d8cd6b346861cd72b6",
-    "8-wanda-lora-trained.spp": "b02eab3335092745394956ed341de7e8beef3ddfb0db1d34ea13202951a8f614",
+    "8-wanda-lora-merged.spp": "4b50df371ed6149fa8d5c841f245dbce0c97289471161b93d7d6a1fcc4592dae",
+    "8-wanda-lora-train.stdout": "d0845639d1633dba8fc725b01dd371ef4e2b4ebfa5f24f35980edbe11463982c",
+    "8-wanda-lora-trained.csv": "f68da463aa4383e9cbc86511ce749c8c2a91c9e705905550a56826fc16a01bb1",
+    "8-wanda-lora-trained.spp": "7bbbd5f4da40bf2d3fd01d5d014f54129826a6e3f8bcbf0215f749340bbeecae",
     "8-wanda-lora-verify-merged.stdout": "d7eb1e387918078e95e772b8fe17224c46540287a7d38d362f08c90a2500b0ac",
     "8-wanda-prune.stdout": "29e924ce33bb6a50ca300ddc352148080ef088944893c0a6cd317bff0df89f34",
-    "8-wanda-pruned.spp": "97f6f0e85e4659b507838aa738446228ec9a9b4e83b40e29646af9e77cb85362",
+    "8-wanda-pruned.spp": "85340fb80aa501ed7795c47d5a25c4497fd0dddca77f1221d057b28d509c3b49",
     "8-wanda-spp-attach.stdout": "ee31aeef2fcfee8253826a41aa81d25c59cc304c5cd3ec47a53fc59ee52f4849",
-    "8-wanda-spp-attached.spp": "2176164311bcd138eb15577122a9a15ac40c2aeb7f79c34b124121499521c98b",
+    "8-wanda-spp-attached.spp": "697d497ec019ecd0dc59428982e57c8e178c2a3037e044efdcac2e26bfdb49a4",
     "8-wanda-spp-merge.stdout": "f19da6cdb772649762bab3b5432c5c154198e14334f31a53199a543a9e5abccc",
-    "8-wanda-spp-merged.spp": "882facdb89680fc2e4dbc7260784fff715af77a45993ad58de0dae4f71a01ac9",
-    "8-wanda-spp-train.stdout": "5accda71c36229f77ff10ba40080f3c25fac3875fc1241a86fbb43d89055dd68",
-    "8-wanda-spp-trained.csv": "c970a81f4f3997b7c591910a4079b011ac069b01b8b6a7f36ed603653fd6e687",
-    "8-wanda-spp-trained.spp": "1c1ad3e3709362aaeeae606723fc66380a17569c45f6b5fee6e34cf0b6f41a39",
+    "8-wanda-spp-merged.spp": "3d2ed11b88d6c7f10c0bd82d490dd34ab7c431b74237d994537425b458abf523",
+    "8-wanda-spp-train.stdout": "37c71a0cc15ee0a356a2ba6bfc3dd4279aef7b7790cd24ec9e959b88f125d60e",
+    "8-wanda-spp-trained.csv": "38da1bdf08f5b9e2377c9613dc99bd4b487e11f245025038b7caf90a3b3cb52c",
+    "8-wanda-spp-trained.spp": "4bd50ac02a1a029447d47ff5e2aa7cd8d46b27f0c6165ee1d5ded27795be3320",
     "8-wanda-spp-verify-merged.stdout": "d7eb1e387918078e95e772b8fe17224c46540287a7d38d362f08c90a2500b0ac",
     "8-wanda-verify.stdout": "d7eb1e387918078e95e772b8fe17224c46540287a7d38d362f08c90a2500b0ac",
-    "calib16.spp": "862dfb19d6360488f652880c415cbb6692dbf969a883ea300f353f8111031ea0",
-    "calib8.spp": "541cced0683be5f2445539b399d37d4a330565ffed213d528fb2cc38bc371cbc",
-    "data16.spp": "7acc09018365a9b8517e235de231511b1eb34b3945618921647a105a76324b7a",
-    "data8.spp": "461c3889a1ccca98971dbd766ed1ae20dd36d7ac153064a84ecfac3668a442b6",
-    "dense16.spp": "d1b987f63ed3f3bc637fd4df40a44a46d72845fc2ee4bcef218ba9984b1453d0",
-    "dense8.spp": "b9cea9ef3720ea232e22169dd20bde1547299aef4b12459a320eb3dfbd062f02",
+    "calib16.spp": "545bfb892c88e1accf311ea61812edfdfc5479525213af10330b384eca6c4b33",
+    "calib8.spp": "37a76ebe244c74fec125725e62f971d6ee24f61609ee3bf784ccf1eee31729a0",
+    "data16.spp": "f990804108a6262f3bd66a011c702e00242cb4a8eb9a047edd162add217ad9fe",
+    "data8.spp": "0cd710172408defab8e187be612b5a36290d34fac2e800163511dbad649c1cd7",
+    "dense16.spp": "d84a0b983705bb4c92f9030df2f11a3a73aadb17a696e999aeeeba575dca1990",
+    "dense8.spp": "e82d8fd26134fe92cecd8be56dfdd79d8968b5198413cc29c6650674201103d0",
 }
 
 DECODED = {
-    "16-nm-eq3-adamw.spp": "ebb4464341298f098970a2fddba4b30b5dea610f8e4c2a5ee28df0507b4c7a9f",
-    "16-nm-eq3-sgd.spp": "1730ba06223027b80b26652d1851c0d71d4d4875efddd3cfaac2fb00ed5eaa9f",
-    "16-nm-lora-attached.spp": "2cd19391111b44259033716adec64ac4e8fcc69bb5b6ece948d0953a04703d04",
-    "16-nm-lora-merged.spp": "ed847c7f3978451227bdc4ea1a9a303a498e204e5042854d0389174d61fb5e9f",
-    "16-nm-lora-trained.spp": "d308d78096554874e79411894b9850bdb866586737d3dedb3b776c6718873d72",
-    "16-nm-pruned.spp": "91ec11defea480fb92eb79e10f3f052ae82c810fc76ac83875470b60e1809bcb",
-    "16-nm-spp-attached.spp": "9be3426f669339cccad274518cd4d1615d89c28aa410e1f31e6dac38b4ae1afb",
-    "16-nm-spp-merged.spp": "0a684996a744cd45facebcadef7f9c78bbe33db147da79cde004d5147d5c5fac",
-    "16-nm-spp-trained.spp": "5d80cb8eda687272460da3b18a8cecc53d96100d570da509657336640ab32b8f",
-    "16-rows-eq3-adamw.spp": "e23970b161d80fea750b131779c99d69d25f94af09b3b79f6aaf5649e83af5ed",
-    "16-rows-eq3-sgd.spp": "8e3ac891cfae5de65b28acf5df432ef883cf2553acb765cb1f00cd9a3c435835",
-    "16-rows-lora-attached.spp": "b7fa59fd24722bf778d4a2af32d43bffee4abf76b1377a1cc328b09ad0840f00",
-    "16-rows-lora-merged.spp": "f1d3481157670945e3d6743e1170a9b19ccab5af8e0b769fe77e60a02c36be2d",
-    "16-rows-lora-trained.spp": "02e92d01ef16c6cd038e893a0e557c94afc408364b7ca5d446154ff3d167e38c",
-    "16-rows-pruned.spp": "fc35ee4ce20d8aa5894c8960877a31e82001c3b3c2bbdc686768a0d10608e61c",
-    "16-rows-spp-attached.spp": "41529b2fb6566a38993ae9b48cf1706aee26811c69b05cab99bdddfde4cecaae",
-    "16-rows-spp-merged.spp": "8bbf7a01f6351a9a00c38fa19caf9a3a91457fd259536cf7a41fc671b3c9b96a",
-    "16-rows-spp-trained.spp": "e8f9ca9b3adac77c5e57ab1490e252df04b21e5a12b3050c755b24ae87f64d3f",
-    "16-wanda-eq3-adamw.spp": "5a605a4739d8b9771500c837522268095357d1a409a6e3107ef8015b44000f39",
-    "16-wanda-eq3-sgd.spp": "c2ddef6a44ef173235affdad4eed94a2e865de09efe42615c7ee59cb573e2f1d",
-    "16-wanda-lora-attached.spp": "d2373e9884b7b104de14858f3da39bde8c88cf34abb3a35c4ba7bc0cb35c04b9",
-    "16-wanda-lora-merged.spp": "4cc035ee2b3f32fdc03a9e115c9b189f4102e9a54b8d1ae85aaac957f374ff44",
-    "16-wanda-lora-trained.spp": "e655e2e8d01182a916b418b4616c158ac9efcf8c006dc6e7abae7f33306549af",
-    "16-wanda-pruned.spp": "982f9a28f2f4eaf4969ca871aea03f51ed645f79d351323f402d11af98d30073",
-    "16-wanda-spp-attached.spp": "f833cf7aef3468358bd7bf4c9f523403f9a77bc407f2d8a9117c0dd4ce37d36f",
-    "16-wanda-spp-merged.spp": "2b995bf8c7251685a7b4c9dae37dbcb891581ab9c2dc7230d2a124b1c305ee38",
-    "16-wanda-spp-trained.spp": "d0573ae39b73fc34731df220d1363ade7c9bc7cee6723444a9d91c1fcba3a29a",
-    "8-nm-eq3-adamw.spp": "bdf31626c4ae2e83d75bf2eb625024b9baea2a969ac0c5765a497ffe185370ca",
-    "8-nm-eq3-sgd.spp": "50e8179e61f4b0b1cdb4800789e0f6e0a77f6350c4a543068ac6108503e2a573",
-    "8-nm-lora-attached.spp": "b0bc05f0b5b2b8afd48f2756a2574ce54cb6a60265494b79ce177c0455be9a6b",
-    "8-nm-lora-merged.spp": "03dd527f3aea15bf085123620bb765f3158e9a73efb789cae6c73f3cadd07fdf",
-    "8-nm-lora-trained.spp": "f4f2f6ed1aa1e16920a70cc5b04db82e1b88db798bccbc7197f20384b892baa2",
-    "8-nm-pruned.spp": "16d4f3c3e525ca8f4c1d10c99a86a79ed5e5d44a1eee6fc5919e6300d0fd831f",
-    "8-nm-spp-attached.spp": "0af90eb9b7e4905ceebaf508e2cfb456d93bc76b82f7e8e583c48d1e3b5018e0",
-    "8-nm-spp-merged.spp": "af4e78b7bc18a91d605b92f5bfa52cc44df6968d063217009ea9719691975ff5",
-    "8-nm-spp-trained.spp": "99b6531fc9d2129232dda7ff0eb01b9a7cdc797c544295bcdbbbf721b12ada00",
-    "8-rows-eq3-adamw.spp": "dfd957c90e4fb0ec625fa3efe5b97846e3630a0312162d221c551ce47c24ccd5",
-    "8-rows-eq3-sgd.spp": "bda794cf4ee7974080c2b0cbc2f802c0bfad5a24eeed82fa2fcae16299780b6c",
-    "8-rows-lora-attached.spp": "9a7dfa146c02ab1d9f4eb74f340e99702514d2b696bdef70ff0d7848e299edc0",
-    "8-rows-lora-merged.spp": "32df1a2fdcb11f409e370c9dac98d2462a6051b8b9f2c0e02fd9776a9b0ee0d9",
-    "8-rows-lora-trained.spp": "66b269ecbef0e55a0da77871e9177c9357c3e1152fbdc9e49f20ef7bbc6a07f4",
-    "8-rows-pruned.spp": "e1fb27d592ac4423db352cba6716db609beb6670121c94b9f13c8f3c8396bcc3",
-    "8-rows-spp-attached.spp": "dc278e71f14705a0e5d6965381678916f575732ed8c656be21a54ce1746e9430",
-    "8-rows-spp-merged.spp": "56fd7968d64e3b67ccf3990756d846fa5b87fffbb6ba06e10a112e82a44ae249",
-    "8-rows-spp-trained.spp": "7475a2892e9c06d3a56247938e9aec93bd0e09e9b2da05978bbf168e179b240d",
-    "8-wanda-eq3-adamw.spp": "217bf4f7f35750afb43503861639d7e0bc51f5dee0b928d15ff7bfb40255d12f",
-    "8-wanda-eq3-sgd.spp": "2f91af01632360e1634acdce8b1b7e96f3ea3cc069466805637c20580946ab17",
-    "8-wanda-lora-attached.spp": "87dab9b798573e14c99a4252151dd363ba13a646d627b5d6af31cae9b26cc66d",
-    "8-wanda-lora-merged.spp": "ee601fb5acd9ca323d2e4a0c9edd1270e3c3e559022660a1150d76be2306cf1f",
-    "8-wanda-lora-trained.spp": "6068ae86cd025f80826418a42f09ffb0d0c11bd459211211ac0dd7946f864bd0",
-    "8-wanda-pruned.spp": "2e6a9d05d4cd27aa096c2e139f76f22b9d5528a85be11194965bf308d826d3c7",
-    "8-wanda-spp-attached.spp": "6cd9633ad45854fd335286b84dedf46e7498e89870f9ba35256fe312dcbea46d",
-    "8-wanda-spp-merged.spp": "9819de3ee29acc7ea8696e6e10a31721ec6520919dc3d9b296204658ff5bf502",
-    "8-wanda-spp-trained.spp": "519aa7fc6edbc27d5b2f074d648d4e229f39efefdc69c77bab3e6764069491df",
-    "calib16.spp": "b249514b7c0a0caaacded2f07f374a884072f3147b181cd6af1e6f7b391befa5",
-    "calib8.spp": "1e35bb5bb1b426e5245b43368632e5a1c180f7958c3d99b2329806f3777fec05",
-    "data16.spp": "29ff87d066d205e51d2d9d887774a42c84c331a81e974504f1c53a61285f757e",
-    "data8.spp": "0df469e807af78c9b847acd410ff633d09796482ffa54cb6a7d39193cee45ca8",
-    "dense16.spp": "126a1ea5f25e3fde9500eab654d763b93a4c7504d1ccd0f046ea70611c43b8ec",
-    "dense8.spp": "684682e88ec1d8befe6c7756cc0a40f5cd2f9c4a248f6e722044cbdd6fbbd2ac",
+    "16-nm-eq3-adamw.spp": "6b87551374706065af293c2bb478f6816c4185c17a9bb82ec4b2e8aa0de28c75",
+    "16-nm-eq3-sgd.spp": "ee8fb7368796c0d8c20c751cab55f192d263c4d06cc8a4f6280e757bd52dfce2",
+    "16-nm-lora-attached.spp": "d95e068f8f2e8fa100849bffa8caecd467bcda359a2e55f669ddfd0f5072f236",
+    "16-nm-lora-merged.spp": "086eb3a6962015e2e734894e63c36bd3860ce1bda53b4c30c8cb4447ada6e1f0",
+    "16-nm-lora-trained.spp": "4addd29d63d2783b410c1ac0de8e295abffcd64c2d0f403b0cb47f0eff12e773",
+    "16-nm-pruned.spp": "862f548f1fb3b59b49d9550c18693d5fce863a6bbb95778f9a455a7709c65f2e",
+    "16-nm-spp-attached.spp": "4b629283cfe610386ee90463cd32f81fda8257ce4ca86c62b9e05883895e5b60",
+    "16-nm-spp-merged.spp": "a58c0ba7937e90b461c34d5836db40eb6a1a9ddb4b605be79f147a6a00c47885",
+    "16-nm-spp-trained.spp": "e947f23fff4dcec6e3519fe455761cc6712ef1f9ebeee7074d204d1730bdfd7c",
+    "16-rows-eq3-adamw.spp": "c8fcc65d60e868e1e58cc3c251df793323a2e521ddc3b215d96f00d9e673f53f",
+    "16-rows-eq3-sgd.spp": "f271298ad7c28400c99f7635e17eac04a8f3a561949799d7c1a7595c7b7839a0",
+    "16-rows-lora-attached.spp": "9e66a40fbd79ff9e4e16f0975ec8cf014c8b5f71522c394070c7be34c6444670",
+    "16-rows-lora-merged.spp": "224267c55fae771ecbd60fa6a932b880b9096191f5d52be1e0315316ce036b50",
+    "16-rows-lora-trained.spp": "55cf0fc56791838444efecc228e37902beeb6b7e82dde3405532bce39c213f25",
+    "16-rows-pruned.spp": "bba51a0713624e2f0cb04d1042647aa022e0d36ff1c46af6126f9009260ce6bf",
+    "16-rows-spp-attached.spp": "2a5db44e9d4db099a955300a77a3bdf3ac9b833da98e35c938f973b6b69dcefc",
+    "16-rows-spp-merged.spp": "35b2b2198d68300d75154282456eb5caa09361b79b39bbcb2467ea553cf31c51",
+    "16-rows-spp-trained.spp": "cafa4fc4ace308f1eb50da540a6562a3789f8cdadb58f60b0ddc97c581e41c1a",
+    "16-wanda-eq3-adamw.spp": "e1e4e0e3288a7fc2f834f30be1b125f8b0dafcf76ab94a1c15640cbea4ed2132",
+    "16-wanda-eq3-sgd.spp": "8e717b3e321ef81840954fce8613959d3b3616921cd843eb459c6ba20cbe163c",
+    "16-wanda-lora-attached.spp": "f6de421c72459afeb5aaaac078122b756768534c5dc9e5487fe6b8c9fdbe8924",
+    "16-wanda-lora-merged.spp": "20f0c325e27f8b2eebbbf73505556f2d447e284799daf9210f4702d7b4d8cea3",
+    "16-wanda-lora-trained.spp": "67cada8b82ff9b488b0175643849a9e9859aab9341048913fd5fa8510af88da1",
+    "16-wanda-pruned.spp": "602d6d5241a0b26d800b7bd2058cd38421cfcf8213ddd7fa97345d4d5b540698",
+    "16-wanda-spp-attached.spp": "2487f5b7170c3676da6970b6a1e9fc06f1f92f8956bdd159d42917c33565ba02",
+    "16-wanda-spp-merged.spp": "c21e0088295b4d34114c8109f85180781ca837fe048d13fca9558fb8198a7351",
+    "16-wanda-spp-trained.spp": "abba540a6450bc6ca387106d621f96e31e9f028cca4bb92f1503750375fbf64f",
+    "8-nm-eq3-adamw.spp": "19761c260e40581f43a75755c575ae9435a142afed84128f27e40ea482c1b025",
+    "8-nm-eq3-sgd.spp": "20a500e77ca852de023644dc3860f8c97c1a745f551084d2445ee891159a4e6a",
+    "8-nm-lora-attached.spp": "970ed411ca11ddd82fa31874bccc46e6379bf3e0ca5b4db1431ce747cde9f73c",
+    "8-nm-lora-merged.spp": "043093c7801f637ac66fe5282a8f5b7f1f8c4a5f235f6e245ed82fcd7a6ccfc0",
+    "8-nm-lora-trained.spp": "f88aadd225fc8e5fc9029e29b31eb18d9282bcbf21b0629de66b64bfceb3fbd7",
+    "8-nm-pruned.spp": "e40617b357d08eb6bd2bf018ef9ca51f31060cd8cf029a535ed28cb8d1cb6e56",
+    "8-nm-spp-attached.spp": "4709a9f45872950f305c5c8faa40645154462b9c4df3971ce939c622d4afba5f",
+    "8-nm-spp-merged.spp": "d19c232e5961ce3ea6b0b7efb2b2204d2ad7f343d2f2e8361213a34369df495f",
+    "8-nm-spp-trained.spp": "bc24cf174465bc27334f36ebca9d3f6d308f33f612c85b0cb74b9cb4e86dee9f",
+    "8-rows-eq3-adamw.spp": "5b5cddfb881bd0e1ae0cd1ae297a96dcf78322c2c10bad4dd909f36c73cb4d5a",
+    "8-rows-eq3-sgd.spp": "f6b7a64b23b1ca877a861152fe0a3629fe82a24c53279b2cb6d1d8ad2c65f53a",
+    "8-rows-lora-attached.spp": "edb677cbed0902470c6c2e4612f0fc334dea2bd2d2536dd779f4d4a7cc25073d",
+    "8-rows-lora-merged.spp": "868eccf9389e84a405a5f933d6c14c955f8aa48814cb837a67f6b9290931383b",
+    "8-rows-lora-trained.spp": "27959ce7a50fd332f12f2ce2ae059a56805998986bdfd5a07c61ca82c3317b0d",
+    "8-rows-pruned.spp": "deb8ddc7b3ae5d32bdd4d4e4a806fb50274135347c2d39bce10ae44c68bf8af9",
+    "8-rows-spp-attached.spp": "29aa013af48c95858603e589d208e2acb407d24b90c69c30bab0510fd4f40e73",
+    "8-rows-spp-merged.spp": "981d9f733405b4afa5d4bbf87d40cd0198751547d5140c0881190fc5b95fdb81",
+    "8-rows-spp-trained.spp": "360c0b7c34938e90c611b4cba69a326057eab4bd0c7104937a98e062e31db20b",
+    "8-wanda-eq3-adamw.spp": "fca7e2fb509f8ea182a1561911303c32decbec641dd69b2a28298feaa59dbe16",
+    "8-wanda-eq3-sgd.spp": "bdf9488386f6fd1d9783edb7cc8c8e875c4fe708b123cd8cd2be9af61cb64767",
+    "8-wanda-lora-attached.spp": "89c02adc1ce7c08333dcdc32f114ea2669a867d71e97ac9ff29c4483a919383d",
+    "8-wanda-lora-merged.spp": "6d514b20dd62a1875bc65c3fbaf9dd545fbd4be9449dd4b35ef6eb8a7976878e",
+    "8-wanda-lora-trained.spp": "0db86229dd17b419cc04126bfdf289abd4d38ee00e2b345bcf7b8d8a23d2b42d",
+    "8-wanda-pruned.spp": "ac1cc9e24e19a96afe18feff5b6ac88d71f34453388a5b2940feda2ad2535bd2",
+    "8-wanda-spp-attached.spp": "960bc0b3a623a663ad12fa51358cf3d73b21ebe1e36fbaa8ed6b90dbbf9229e8",
+    "8-wanda-spp-merged.spp": "b2bf3d0cd532e44e1edef447721556d38df06b963eb4bd91eec778e543fbef37",
+    "8-wanda-spp-trained.spp": "994f752fe7b69d3d4aced86b7fbb4ef8ad79243db2f3d7560436074111c48564",
+    "calib16.spp": "0d5650cb6f48de027191e5a30005e41ece5c8cf515e1f992db71086e4e6d32d2",
+    "calib8.spp": "0ef1be0e49e0cb443e84006822d9615aebc588b415fb6b5b24f3beafabb77a49",
+    "data16.spp": "584c751b1a3f47b48622083f44277ca410137e04ea4aba1897aad7c55068296f",
+    "data8.spp": "51eb050d7080e49efa8c9abd423fb320b4cb9a186e6dd250d0b1a470283ecfe0",
+    "dense16.spp": "0ba32a73bea7b89b7577000fc5751c50b6b591f516aead9c04cac1a56c748256",
+    "dense8.spp": "aa6f449809e529b4b4dd89dd0c4c65f08c8cc7701e41ba8e930bdf0f43e3f9e0",
 }
 
 

@@ -12,68 +12,66 @@ from spp.rng import splitmix64
 from helpers import peak_transient_bytes
 
 # Published splitmix64 outputs for seed 0 (same constants as Java's
-# SplittableRandom); an implementation that matches these and the xoshiro
-# hand trace below reproduces the pinned stream everywhere.
+# SplittableRandom).  Rng(seed) is this sequence from seed, so these pin the
+# stream itself.
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 # First 16 raw outputs for seed 42, frozen from the verified implementation.
 GOLDEN_U64_SEED42 = [
-    0x15780B2E0C2EC716,
-    0x6104D9866D113A7E,
-    0xAE17533239E499A1,
-    0xECB8AD4703B360A1,
-    0xFDE6DC7FE2EC5E64,
-    0xC50DA53101795238,
-    0xB82154855A65DDB2,
-    0xD99A2743EBE60087,
-    0xC2E96E726E97647E,
-    0x9556615F775FBC3D,
-    0xAEB53B340C103971,
-    0x4A69DB9873AF8965,
-    0xCD0FEDA93006C6B6,
-    0x52480865A4B42742,
-    0xB60DEC3BF2D887CD,
-    0xE0B55A68B96677FA,
+    0xBDD732262FEB6E95,
+    0x28EFE333B266F103,
+    0x47526757130F9F52,
+    0x581CE1FF0E4AE394,
+    0x09BC585A244823F2,
+    0xDE4431FA3C80DB06,
+    0x37E9671C45376D5D,
+    0xCCF635EE9E9E2FA4,
+    0x5705B8770B3D7DD5,
+    0x9E54D738297F77AE,
+    0x3474724A775B19BF,
+    0x7E348A0E451650BE,
+    0x836DED897F3E46E6,
+    0x851F977347ED6DB7,
+    0xAA47E31C02E78EDC,
+    0x341452C54D7C33F2,
 ]
 
 GOLDEN_DOUBLES_SEED42 = [
-    0.08386297105988216,
-    0.3789802506626686,
-    0.6800434110281394,
-    0.9246929453253876,
-    0.9918039142821028,
-    0.7697394604342425,
-    0.7192585778779156,
-    0.8500084439109727,
-    0.7613743810057634,
-    0.5833493097373993,
-    0.6824528696125193,
-    0.29067776176424165,
-    0.8010242975288078,
-    0.3214116333153503,
-    0.7111499449118543,
-    0.8777672296213497,
+    0.7415648787718233,
+    0.1599103928769201,
+    0.27860113025513866,
+    0.34419071652363753,
+    0.03803016854024621,
+    0.8682280765465323,
+    0.21840519371218436,
+    0.8006318767135033,
+    0.3399310389170206,
+    0.6184820663561348,
+    0.20490183179877552,
+    0.4929891857946924,
+    0.5133961163221494,
+    0.5200132996032402,
+    0.6651594107997011,
+    0.20343510930023068,
 ]
 
-# sha256 of Rng(seed).doubles(count).tobytes(), frozen from the one-draw-at-a-
-# time loop that preceded the lane path.  The counts are recovery-64's and
-# cli-512's per-step dropout draws and recovery-64's task build.
+# sha256 of Rng(seed).doubles(count).tobytes(), frozen from a loop of
+# splitmix64 calls.  The counts are recovery-64's and cli-512's per-step
+# dropout draws and recovery-64's task build.
 PINNED_DOUBLES_SHA256 = {
-    (1, 2048): "01705e39cf16bde4a559e50caf308c36ae8f7bc6fc3b90413e393d7b59114d26",
-    (1, 16384): "8ce25a18295b4bab371a2a551ffade95588552111fd2a80d1f4759de659aeb49",
-    (1, 135168): "d4fd17bb4f1615a1725d17e28cb4ec94cd2b7ca9d6fdbecff8b2c1c0c1fc2506",
-    (42, 2048): "1eb2e08331390daaa2946b40dc5e61779d16c08c25299c2e26a39eb0daf84dbc",
-    (42, 16384): "b184ab57ab13078f71d135b831e75a6468f5093a7f596ef24a9e0b4cd2f21e71",
-    (42, 135168): "fe16cb6b1c995b5c2848dc01649a7d822b13a10cc7f5bde1a35a5a4b3f807b8f",
-    (2**64 - 1, 2048): "dcf5376fe53b9179cacbdeeb5780ede0e425ab618d5c153cef79979e68f48ab8",
-    (2**64 - 1, 16384): "2ec075548ef0ffdbf1c548543b408c8ecefd1848f7ef35ec0314d4139794d415",
-    (2**64 - 1, 135168): "492c6563039ff5579ae9330a39bbaf5a3035ce53e41be3364a6c380c12243917",
+    (1, 2048): "a9eb20924a5d9a1986983e458f10ea041bfb87e3d77087a0f7f48dcd07f2b53b",
+    (1, 16384): "6103ce84f69224e78c6fc63fd66ceada419893f3bb8641d53b44f4044b3f9998",
+    (1, 135168): "9ffd1fc5a700aa9f29b09a65d700516f65a1a22ff8263211adfe9216c50f4fad",
+    (42, 2048): "a27dd57ce1099c86adf1710246ff05696dc9ad79f648f02ef2777662a5b45f1a",
+    (42, 16384): "2bc143aefdfc4b2a0e9419e50251bcd05b2d93f03a29f9c803d0949fdc7da52b",
+    (42, 135168): "e89b45dbe368ae27e4d583d0e3227df5fa933b1b0e500c00a16b4aa59c29e13f",
+    (2**64 - 1, 2048): "b65d1fc7d1b43301a005b8d7926f7fd48e1415f359d2ba18cf08c3ad6c7a9f60",
+    (2**64 - 1, 16384): "94fb4527389fa1571d42a02b60580b027877b129fabb91a23b22ccc2d72ebcd6",
+    (2**64 - 1, 135168): "372f8c030905bc798124c5319dbb9ef8d94a3382aeab22a33402c803caf039d2",
 }
 
-CROSSOVER = rng_module._CROSSOVER
-BLOCK = rng_module._BLOCK
-EDGE_COUNTS = [0, 1, CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, BLOCK - 1, BLOCK, BLOCK + 1,
-               2 * BLOCK + 5]
+CHUNK = rng_module._CHUNK
+MASK = 2**64 - 1
 
 
 def test_splitmix64_published_vectors():
@@ -83,16 +81,9 @@ def test_splitmix64_published_vectors():
         state, value = splitmix64(state)
         outs.append(value)
     assert outs == SPLITMIX_SEED0
-
-
-def test_xoshiro_hand_trace_from_known_state():
-    # With state (1, 2, 3, 4): output1 = rotl(2*5, 7) * 9 = 1280 * 9 = 11520.
-    # The update then gives s = (7, 0, 262146, 6 * 2**45), so output2 = 0.
     r = Rng(0)
-    r._s = [1, 2, 3, 4]
-    assert r.next_u64() == 11520
-    assert r._s == [7, 0, 262146, 6 * 2**45]
-    assert r.next_u64() == 0
+    assert [r.next_u64() for _ in range(3)] == SPLITMIX_SEED0
+    assert Rng(0).doubles(3).tolist() == [(w >> 11) * 2.0**-53 for w in SPLITMIX_SEED0]
 
 
 def test_golden_stream_seed42():
@@ -118,69 +109,44 @@ def test_bulk_doubles_equals_scalar_stream():
     assert np.array_equal(got, want)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(
-    st.integers(0, 2**64 - 1),
-    st.lists(st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, BLOCK + 1)), max_size=3),
-)
-def test_any_split_of_lane_draws_equals_the_scalar_stream(seed, counts):
-    scalar = Rng(seed)
-    want = np.array([scalar.next_double() for _ in range(sum(counts))])
-    bulk = Rng(seed)
-    got = np.concatenate([np.empty(0)] + [bulk.doubles(c) for c in counts])
-    assert got.tobytes() == want.tobytes()
-    assert bulk._s == scalar._s
-
-
-MASK = 2**64 - 1
-
-
-class OneAtATime:
-    """The published xoshiro256** step on Python ints, one output per call."""
+class SplitMixLoop:
+    """The reference: ``splitmix64`` called once per word."""
 
     def __init__(self, state):
-        self.s = list(state)
+        self.s = state
 
     def word(self):
-        s0, s1, s2, s3 = self.s
-        x = (s1 * 5) & MASK
-        out = ((((x << 7) | (x >> 57)) & MASK) * 9) & MASK
-        t = (s1 << 17) & MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        self.s = [s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK]
+        self.s, out = splitmix64(self.s)
         return out
 
     def doubles(self, n):
         return np.array([(self.word() >> 11) * 2.0**-53 for _ in range(n)])
 
 
-
-# Every phase but shrinking, for the properties checked against the
-# pure-Python oracle: each shrink step replays tens of thousands of words
-# through it, so a failure took minutes to report instead of seconds.  The
-# examples generated are the same.
+# Every phase but shrinking: each shrink step replays thousands of words
+# through the pure-Python loop, so a failure took minutes to report instead
+# of seconds.  The examples generated are the same.
 NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+# Draw counts on both sides of the chunk size and across several chunks.
+COUNTS = st.one_of(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5]),
+                   st.integers(0, 2 * CHUNK + 1))
 
 DRAWS = st.one_of(
     st.tuples(st.just("next_u64")),
     st.tuples(st.just("next_double")),
-    st.tuples(st.just("doubles"),
-              st.one_of(st.sampled_from(EDGE_COUNTS), st.integers(0, BLOCK + 1))),
+    st.tuples(st.just("doubles"), COUNTS),
     st.tuples(st.just("uniform"), st.integers(1, 40), st.integers(1, 40)),
     st.tuples(st.just("read_s")),
-    st.tuples(st.just("write_s"), st.lists(st.integers(0, MASK), min_size=4, max_size=4)),
+    st.tuples(st.just("write_s"), st.integers(0, MASK)),
 )
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, phases=NO_SHRINK)
-@given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=8))
-def test_any_interleaving_of_draws_equals_the_one_at_a_time_oracle(seed, ops):
+@given(st.integers(0, MASK), st.lists(DRAWS, max_size=8))
+def test_any_split_of_draws_and_state_writes_equals_the_splitmix64_loop(seed, ops):
     r = Rng(seed)
-    oracle = OneAtATime(r._s)
+    oracle = SplitMixLoop(seed)
     for op, *args in ops:
         if op == "next_u64":
             assert r.next_u64() == oracle.word()
@@ -199,109 +165,25 @@ def test_any_interleaving_of_draws_equals_the_one_at_a_time_oracle(seed, ops):
     assert r._s == oracle.s
 
 
-@settings(max_examples=30, derandomize=True, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.lists(st.integers(0, CROSSOVER - 1), min_size=1, max_size=6))
-def test_small_draws_compute_words_in_proportion(seed, counts):
-    # A fresh stream computes exactly what its first draw asks for; after
-    # that each refill at most doubles, so the words read ahead stay within
-    # twice the words drawn.
-    r = Rng(seed)
-    r.doubles(counts[0])
-    assert r._buf.size == counts[0]
-    drawn = counts[0]
-    for count in counts[1:]:
-        r.doubles(count)
-        drawn += count
-        assert r._buf.size <= 2 * drawn
-
-
 @pytest.mark.parametrize("seed,count", sorted(PINNED_DOUBLES_SHA256))
 def test_doubles_match_pinned_hashes(seed, count):
     digest = hashlib.sha256(Rng(seed).doubles(count).tobytes()).hexdigest()
     assert digest == PINNED_DOUBLES_SHA256[seed, count]
 
 
-@pytest.mark.parametrize("count", [5, CROSSOVER + 7])
+@pytest.mark.parametrize("count", [5, 1031])
 def test_numpy_integer_count_gives_the_same_draws(count):
     assert Rng(9).doubles(np.int64(count)).tobytes() == Rng(9).doubles(count).tobytes()
 
 
-def test_lane_path_memory_is_bounded():
-    # Every lane shape up to the block size, and requests spanning blocks.
+def test_doubles_holds_only_its_chunk_scratch_beside_its_output():
+    # The scratch is two arrays of at most CHUNK words.  2 KiB more covers
+    # the array headers, the Python integers and the ~1 KiB that NumPy's
+    # in-place operations take on a one-word chunk.
     for k in range(18):
-        for count in (2**k - 1, 2**k, 2**k + 1, 3 * 2**k):
-            Rng(count).doubles(count)
-    kept = sum(p.nbytes for p in rng_module._POWERS) + rng_module._TABLES.nbytes
-    assert rng_module._TABLES.size and kept <= 1 << 20
-    r = Rng(1)
-    r.doubles(1 << 17)
-    # The output itself is 1 MiB; the lanes may add at most 1 MiB more.
-    assert peak_transient_bytes(r.doubles, 1 << 17) <= 2 << 20
-
-
-def test_refill_transient_memory_is_bounded(monkeypatch):
-    # As in a fresh process: the calls that build the jump powers and the
-    # byte tables count too.  Refills of doubles(1024) fall on calls 0, 1, 3
-    # and 7 (ramp-up), 15 (the first block), 31 (the first carried jump,
-    # which builds the tables), 47 and 63 (steady blocks).
-    monkeypatch.setattr(rng_module, "_POWERS", ())
-    monkeypatch.setattr(rng_module, "_TABLES", rng_module._TABLES[:0])
-    r = Rng(1)
-    peaks = [peak_transient_bytes(r.doubles, 1024) for _ in range(64)]
-    assert rng_module._TABLES.size
-    assert max(peaks) <= 945_548
-    # The refill writes over the spent 128 KiB buffer; its lanes and the
-    # scrambler's scratch stay small beside it.
-    assert max(peaks[47], peaks[63]) <= 262_144
-
-
-def test_table_jump_equals_the_gemm_jump_and_the_oracle():
-    # 200 states span four of the GEMM's 64-state chunks.
-    states = np.random.default_rng(5).integers(0, 2**64, (200, 4), dtype=np.uint64)
-    states[0], states[1] = 0, MASK
-    half = rng_module._powers()[-1]
-    want = rng_module._jump(rng_module._jump(states, half), half)
-    assert rng_module._carry(states).tobytes() == want.tobytes()
-    assert not rng_module._carry(states[:1]).any()
-    for state in states[1:3]:
-        oracle = OneAtATime([int(w) for w in state])
-        for _ in range(BLOCK):
-            oracle.word()
-        assert [int(w) for w in rng_module._carry(state[None])[0]] == oracle.s
-
-
-STEADY = st.one_of(
-    st.tuples(st.just("next_u64")),
-    st.tuples(st.just("doubles"),
-              st.one_of(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]),
-                        st.integers(0, 2 * BLOCK))),
-    st.tuples(st.just("read_s")),
-    st.tuples(st.just("write_s"), st.lists(st.integers(0, MASK), min_size=4, max_size=4)),
-)
-
-
-@settings(max_examples=8, derandomize=True, deadline=None, phases=NO_SHRINK)
-@given(st.integers(0, 2**64 - 1), st.integers(0, BLOCK), st.lists(STEADY, min_size=1, max_size=5))
-def test_carried_lanes_equal_the_one_at_a_time_oracle(seed, lead, ops):
-    # Four full blocks or more: the first from the jump ladder, then at
-    # least three carried jumps, before the interleaved draws and state
-    # reads and writes.  A write drops the carried lanes; later draws ramp
-    # up again.
-    r = Rng(seed)
-    oracle = OneAtATime(r._s)
-    assert r.doubles(4 * BLOCK + lead).tobytes() == oracle.doubles(4 * BLOCK + lead).tobytes()
-    assert r._lanes is not None
-    for op, *args in ops:
-        if op == "next_u64":
-            assert r.next_u64() == oracle.word()
-        elif op == "doubles":
-            assert r.doubles(*args).tobytes() == oracle.doubles(*args).tobytes()
-        elif op == "read_s":
-            assert r._s == oracle.s
-        else:
-            r._s = oracle.s = args[0]
-            assert r._lanes is None
-    assert r._s == oracle.s
+        for count in (2**k - 1, 2**k, 2**k + 1):
+            scratch = 2 * 8 * min(count, CHUNK)
+            assert peak_transient_bytes(Rng(count).doubles, count) <= 8 * count + scratch + 2048
 
 
 def test_doubles_in_unit_interval_with_53_bit_grid():

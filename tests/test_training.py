@@ -50,7 +50,7 @@ LLAMA13B_SHAPES = [(5120, 5120)] * 4 + [(13824, 5120)] * 2 + [(5120, 13824)]
 LLAMA13B_EXTRA = 2 * 32000 * 5120 + 40 * 2 * 5120 + 5120
 
 # frozen from a run of make_teacher_student(0, 64, 64, NofM(2, 4), 2048)
-GOLDEN_STUDENT_LOSS = 0.007296690928261162
+GOLDEN_STUDENT_LOSS = 0.007300715281303159
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +246,10 @@ def test_adapter_mode_keeps_adapterless_layers_frozen():
         assert np.any(ad.beta != 0.0), optimizer
 
 
-# sha256 of the run CSV, alpha and beta of the run below, as written before
-# the frozen layer's unused weight gradient was dropped.
-FROZEN_LAYER_RUN_SHA256 = "84f8a0aa3939282b552a0ca3bcb4b90e189aee46e57654c9ee7a53c884400859"
+# sha256 of the run CSV, alpha and beta of the run below.  First frozen
+# before the frozen layer's unused weight gradient was dropped; frozen again
+# when the generator became SplitMix64, which changed every draw.
+FROZEN_LAYER_RUN_SHA256 = "27e6e24863c4ddfdb69fd90c041123b4a529571bdb5afbcd725bc9c20c9bf085"
 
 
 def test_adapter_mode_computes_no_weight_gradient(monkeypatch):
