@@ -446,6 +446,9 @@ def count_trainable(
         raise PatternError(f"r must be >= 1, got {r}")
     if not shapes:
         raise ValueError("need at least one layer shape")
+    bad = [(m, n) for m, n in shapes if m < 1 or n < 1]
+    if bad:
+        raise ValueError(f"layer dimensions must be >= 1, got {bad}")
     bad = [(m, n) for m, n in shapes if m % r != 0]
     if bad:
         raise PatternError(f"r = {r} does not divide the rows of: {bad}")

@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as hst
 import spp
 from spp import Rng, TensorStore, store_read, store_write
 from spp.adapters import ADAPTERS
-from spp.cli import _index_layers, _load_layers, _output, main
+from spp.cli import _index_layers, _keep_freed_heap, _load_layers, _output, main
 from spp.store import META_NAME, encode_meta
 
 from helpers import peak_transient_bytes, rand_matrix
@@ -557,6 +558,18 @@ def _glibc():
         return False
 
 
+def test_heap_thresholds_are_left_alone_without_glibc_or_mallopt(monkeypatch):
+    def no_library(name):
+        raise AssertionError("looked up the C library on a host without glibc")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    monkeypatch.setattr(os, "confstr", lambda name: None)  # another C library
+    assert _keep_freed_heap.__wrapped__() is None
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a glibc without mallopt
+    assert _keep_freed_heap.__wrapped__() is None
+
+
 @pytest.mark.skipif(not _glibc(), reason="heap thresholds are set on glibc only")
 def test_repeated_merges_reuse_freed_memory(tmp_path):
     # One process, four merges of two 512x512 layers.  Each merge frees
@@ -924,6 +937,11 @@ def test_count_params_custom_json(tmp_path, capsys):
     assert main(["count-params", "--arch", str(arch), "--r", "2"]) == 2
     assert main(["count-params", "--arch", "llama99b", "--r", "16"]) == 2
     assert main(["count-params", "--arch", "llama7b", "--r", "17"]) == 2
+    capsys.readouterr()
+    for shape, r in (([0, 4], "1"), ([-4, 4], "2")):
+        arch.write_text(json.dumps({"blocks": 1, "shapes": [shape]}))
+        assert main(["count-params", "--arch", str(arch), "--r", r]) == 2
+        assert "dimensions must be >= 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import spp.store
 from spp import StoreFormatError, TensorStore, store_read, store_write
 
 
@@ -67,6 +68,40 @@ def test_a_payload_read_after_the_file_changed_is_rejected(tmp_path):
     with pytest.raises(StoreFormatError) as err:
         store.get("w1")
     assert "changed since it was indexed" in str(err.value) and "'w1'" in str(err.value)
+
+
+class ShortReads:
+    """An open file whose reads come back one byte short, as if it shrank."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def read(self, count):
+        return self.fh.read(count)[:-1]
+
+    def readinto(self, buf):
+        return self.fh.readinto(memoryview(buf)[:-1])
+
+
+def test_a_file_that_shrinks_during_a_read_is_rejected(tmp_path, monkeypatch):
+    # The size checks pass, then a read comes back short: in the index, and
+    # in a payload read after the index.
+    path = big_store(tmp_path)
+    store = store_read(path)
+    monkeypatch.setattr(spp.store, "open", lambda *args: ShortReads(open(*args)), raising=False)
+    with pytest.raises(StoreFormatError, match="shrank while reading payload of tensor 'w1'"):
+        store.get("w1")
+    with pytest.raises(StoreFormatError, match="shrank while reading magic"):
+        store_read(path)
 
 
 def test_a_stream_writes_what_the_same_store_writes(tmp_path):

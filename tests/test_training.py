@@ -592,3 +592,7 @@ def test_count_trainable_validation():
         count_trainable([(4, 4)], blocks=0, r=1)
     with pytest.raises(ValueError):
         count_trainable([(4, 4)], blocks=1, r=1, extra_params=-5)
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        count_trainable([(0, 4)], blocks=1, r=1)  # was a ZeroDivisionError
+    with pytest.raises(ValueError, match="dimensions must be >= 1"):
+        count_trainable([(-4, 4)], blocks=1, r=2)  # was a total of -32
