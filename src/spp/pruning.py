@@ -192,7 +192,8 @@ def _leading(counts: np.ndarray, k: int) -> np.ndarray:
 
     Runs of True and False repeated into place.  The comparison
     ``arange(k) < counts[:, None]`` is shorter, but NumPy 2.4 gives each
-    broadcast operand of a ufunc an 8,192-element buffer, 128 KiB here.
+    broadcast operand of a ufunc an 8,192-element buffer: 128 KiB beside
+    a mask of rows * k bytes.
     """
     runs = np.stack([counts, k - counts], axis=1).ravel()
     return np.repeat(np.tile([True, False], counts.size), runs).reshape(counts.size, k)

@@ -246,9 +246,7 @@ def test_adapter_mode_keeps_adapterless_layers_frozen():
         assert np.any(ad.beta != 0.0), optimizer
 
 
-# sha256 of the run CSV, alpha and beta of the run below.  First frozen
-# before the frozen layer's unused weight gradient was dropped; frozen again
-# when the generator became SplitMix64, which changed every draw.
+# sha256 of the run CSV, alpha and beta of the run below.
 FROZEN_LAYER_RUN_SHA256 = "27e6e24863c4ddfdb69fd90c041123b4a529571bdb5afbcd725bc9c20c9bf085"
 
 
@@ -593,6 +591,6 @@ def test_count_trainable_validation():
     with pytest.raises(ValueError):
         count_trainable([(4, 4)], blocks=1, r=1, extra_params=-5)
     with pytest.raises(ValueError, match="dimensions must be >= 1"):
-        count_trainable([(0, 4)], blocks=1, r=1)  # was a ZeroDivisionError
+        count_trainable([(0, 4)], blocks=1, r=1)
     with pytest.raises(ValueError, match="dimensions must be >= 1"):
-        count_trainable([(-4, 4)], blocks=1, r=2)  # was a total of -32
+        count_trainable([(-4, 4)], blocks=1, r=2)
