@@ -144,7 +144,8 @@ DRAWS = st.one_of(
 
 @settings(max_examples=40, derandomize=True, deadline=None, phases=NO_SHRINK)
 @given(st.integers(0, MASK), st.lists(DRAWS, max_size=8))
-def test_any_split_of_draws_and_state_writes_equals_the_splitmix64_loop(seed, ops):
+def test_any_interleaving_of_draws_equals_the_one_at_a_time_oracle(seed, ops):
+    """Any mix of draws and reads and writes of ``Rng._s`` is the splitmix64 loop."""
     r = Rng(seed)
     oracle = SplitMixLoop(seed)
     for op, *args in ops:
@@ -165,6 +166,19 @@ def test_any_split_of_draws_and_state_writes_equals_the_splitmix64_loop(seed, op
     assert r._s == oracle.s
 
 
+@settings(max_examples=20, derandomize=True, deadline=None, phases=NO_SHRINK)
+@given(st.integers(0, MASK), st.lists(COUNTS, max_size=4))
+def test_any_split_of_lane_draws_equals_the_scalar_stream(seed, counts):
+    """Bulk draws, a chunk of words computed side by side at a time, split at
+    any counts, give Rng's own one-word-at-a-time stream and state."""
+    bulk, scalar = Rng(seed), Rng(seed)
+    got = np.concatenate([bulk.doubles(count) for count in counts] + [np.empty(0)])
+    want = np.array([scalar.next_double() for _ in range(sum(counts))])
+    assert got.tobytes() == want.tobytes()
+    assert bulk._s == scalar._s
+    assert bulk.next_u64() == scalar.next_u64()
+
+
 @pytest.mark.parametrize("seed,count", sorted(PINNED_DOUBLES_SHA256))
 def test_doubles_match_pinned_hashes(seed, count):
     digest = hashlib.sha256(Rng(seed).doubles(count).tobytes()).hexdigest()
@@ -176,14 +190,27 @@ def test_numpy_integer_count_gives_the_same_draws(count):
     assert Rng(9).doubles(np.int64(count)).tobytes() == Rng(9).doubles(count).tobytes()
 
 
-def test_doubles_holds_only_its_chunk_scratch_beside_its_output():
+def assert_doubles_hold_only_chunk_scratch(exponents):
     # The scratch is two arrays of at most CHUNK words.  2 KiB more covers
     # the array headers, the Python integers and the ~1 KiB that NumPy's
     # in-place operations take on a one-word chunk.
-    for k in range(18):
+    for k in exponents:
         for count in (2**k - 1, 2**k, 2**k + 1):
             scratch = 2 * 8 * min(count, CHUNK)
             assert peak_transient_bytes(Rng(count).doubles, count) <= 8 * count + scratch + 2048
+
+
+def test_refill_transient_memory_is_bounded():
+    # Draws shorter than one chunk: the scratch is in proportion to the count.
+    assert CHUNK == 2**12
+    assert_doubles_hold_only_chunk_scratch(range(12))
+
+
+def test_lane_path_memory_is_bounded():
+    # Draws of about one chunk and more, up to 2**17 + 1 words: the scratch
+    # stays at one chunk's whatever the count.
+    assert CHUNK == 2**12
+    assert_doubles_hold_only_chunk_scratch(range(12, 18))
 
 
 def test_doubles_in_unit_interval_with_53_bit_grid():
