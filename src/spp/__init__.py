@@ -25,6 +25,7 @@ from .adapters import (
     spp_merge,
 )
 from .errors import (
+    NonFiniteError,
     PatternError,
     ShapeError,
     StateError,

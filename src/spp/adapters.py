@@ -280,30 +280,33 @@ def _to_effective(w: np.ndarray, idx: np.ndarray, adapter: SppAdapter, transpose
     i holds column j = idx[t, i], or its (Kt, n) transposed slots, where
     slot t of column j holds row i = idx[t, j].  The same two products in
     the same order as ``spp_effective_weight``; a padded slot holds 0.0, so
-    it stays +-0.0.  The slot rows go ``_SLOT_ENTRIES`` entries at a time,
-    so the index and factor arrays stay small.
+    it stays +-0.0.  A slot row of the row slots runs over every row i, so
+    alpha's row offsets and beta broadcast along it; the transposed slots
+    gather them by row number.  The slot rows go ``_SLOT_ENTRIES`` entries
+    at a time, so the index and factor arrays stay small.
     """
     n = adapter.n
     alpha = adapter.alpha.ravel()
     beta = adapter.beta[:, 0]
     alpha_row = np.arange(adapter.m) // (adapter.m // adapter.r) * n  # flat index of alpha[i // block, 0]
     rows = max(1, min(w.shape[0], _SLOT_ENTRIES // w.shape[1]))
-    pos = np.tile(np.arange(w.shape[1]), (rows, 1))
-    at = np.empty(pos.shape, dtype=np.intp)
-    factor = np.empty(pos.shape, dtype=np.float64)
-    # Every operand below is contiguous and of one shape, so NumPy runs the
-    # products without its 64 KiB iterator buffers.
+    if transposed:
+        # Adding a broadcast (n,) row instead took 12% longer at 512^2, 2:4.
+        pos = np.tile(np.arange(n), (rows, 1))
+    at = np.empty((rows, w.shape[1]), dtype=np.intp)
+    factor = np.empty(at.shape, dtype=np.float64)
     for t in range(0, w.shape[0], rows):
         w_c = w[t : t + rows]
         c = len(w_c)
-        i, j = (idx[t : t + c], pos[:c]) if transposed else (pos[:c], idx[t : t + c])
-        at_c, factor_c = at[:c], factor[:c]
-        alpha_row.take(i, mode="clip", out=at_c)
-        at_c += j
+        idx_c, at_c, factor_c = idx[t : t + c], at[:c], factor[:c]
+        if transposed:
+            alpha_row.take(idx_c, mode="clip", out=at_c)
+            at_c += pos[:c]
+        else:
+            np.add(idx_c, alpha_row, out=at_c)
         alpha.take(at_c, mode="clip", out=factor_c)
         w_c *= factor_c
-        beta.take(i, mode="clip", out=factor_c)
-        w_c *= factor_c
+        w_c *= beta.take(idx_c, mode="clip", out=factor_c) if transposed else beta
 
 
 def _row_chunks(keep: np.ndarray, block: int, entries: int):

@@ -28,6 +28,7 @@ Exit codes: 0 success, 1 verification failure (or diverged training),
 import argparse
 import contextlib
 import ctypes
+import errno
 import functools
 import hashlib
 import json
@@ -461,6 +462,11 @@ def cmd_train(args) -> int:
         return {name: hashlib.sha256(layer.values).digest()
                 for name, layer in held.items() if isinstance(layer, PrunedLayer)}
 
+    run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))
+    for path in (args.output, run_csv):
+        if not Path(path).parent.is_dir():  # found out now, not after training
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
     frozen_before = None if args.baseline_eq3 else digests()
     try:
         _, record = train(net, (x, y), cfg)
@@ -476,7 +482,6 @@ def cmd_train(args) -> int:
             )
 
     store_write(_output(layers.names, held.get, layers.adapters, layers.meta), args.output)
-    run_csv = args.run_csv or str(Path(args.output).with_suffix(".run.csv"))
     atomic_write(run_csv, [record.to_csv().encode("utf-8")])
     summary = record.summary()
     summary["nnz_before_merge"] = int(sum(

@@ -5,6 +5,10 @@ class ShapeError(ValueError):
     """Operands have incompatible or invalid shapes."""
 
 
+class NonFiniteError(ValueError):
+    """An array holds a NaN or an infinity where finite values are required."""
+
+
 class PatternError(ValueError):
     """A sparsity pattern is invalid or cannot be applied to the given shape."""
 
@@ -27,11 +31,14 @@ class StateError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite at ``step``; ``last_good_step`` is the one before."""
+    """Step ``step``'s loss, an activation or a gradient became non-finite.
+
+    ``last_good_step`` is the step before it.
+    """
 
     def __init__(self, step: int):
         self.step = step
         self.last_good_step = step - 1
         super().__init__(
-            f"non-finite loss at step {step}; last good step was {self.last_good_step}"
+            f"step {step} went non-finite; last good step was {self.last_good_step}"
         )

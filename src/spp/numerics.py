@@ -9,10 +9,12 @@ what makes checkpoints and run logs byte-reproducible.  Outputs with
 room for enough terms in one stack sum each block of them with one
 ``np.add.reduce`` over the stack's leading axis.  That axis is the
 outermost and never contiguous, so NumPy adds plane after plane, each one
-elementwise into the running sum: in order.  A single-entry output would
-make the reduced axis contiguous, and there NumPy sums pairwise, so single
-entries, like outputs too large to stack, add one rank-1 term per inner
-index.  No kernel uses einsum or BLAS, which fix no summation order at
+elementwise into the running sum: in order.  A plane runs along the
+output's longer side, so a tall output is summed into its transpose;
+either way each entry is summed plane by plane from +0.0.  A single-entry
+output would make the reduced axis contiguous, and there NumPy sums
+pairwise, so single entries, like outputs too large to stack, add one
+rank-1 term per inner index.  No kernel uses einsum or BLAS, which fix no summation order at
 all.  The adapter backward's d_beta and d_alpha do sum with NumPy: a few
 whole alpha blocks of rows of the dense m x n layout at a time, each chunk
 reduced as the dense formulas reduce those rows, so they are bit-identical
@@ -37,13 +39,14 @@ it again for a padded slot) changes no bit.  Inputs are finite because
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Coerce ``data`` to a validated 2-D float64 array.
 
-    Rejects non-2-D input, empty axes, and non-finite entries.  Returns a
+    Rejects non-2-D input, empty axes, and non-finite entries (a
+    NonFiniteError, which is a ValueError).  Returns a
     C-contiguous float64 array (a copy only when coercion requires one).
     """
     arr = np.asarray(data, dtype=np.float64)
@@ -52,7 +55,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"{name} must have positive dimensions, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr)
 
 
@@ -64,10 +67,10 @@ def matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     k.  Bit-identical to a scalar triple loop.  Where at least
     ``_STACK_MIN`` terms of every output entry fit in ``_STACK_BYTES``, each
     block of terms is one broadcast product into planes 1.. of a
-    (block + 1, b, m) stack whose plane 0 holds the running sum, and one
-    ``np.add.reduce`` over the leading axis adds the planes in order into
-    the output.  Other outputs, single entries among them, add one rank-1
-    term per k.
+    (block + 1, b, m) stack, or (block + 1, m, b) when b > m, whose plane 0
+    holds the running sum, and one ``np.add.reduce`` over the leading axis
+    adds the planes in order into the output or its transpose.  Other
+    outputs, single entries among them, add one rank-1 term per k.
     """
     if a.ndim != 2 or b_t.ndim != 2:
         raise ShapeError("matmul operands must be 2-D")
@@ -80,15 +83,19 @@ def matmul(a: np.ndarray, b_t: np.ndarray) -> np.ndarray:
     out = np.zeros((rows, cols), dtype=np.float64)
     width = min(inner, _STACK_BYTES // (8 * rows * cols) - 1)
     if rows * cols > 1 and width >= _STACK_MIN:
-        stack = np.empty((width + 1, rows, cols), dtype=np.float64)
+        # NumPy runs one inner loop per row of a stack's last axis, so the
+        # output's longer side goes there.  A tall output is summed as
+        # out.T = b_t @ a.T: IEEE products commute, so the same bits.
+        acc, a, b_t = (out.T, b_t, a) if rows > cols else (out, a, b_t)
+        stack = np.empty((width + 1, *acc.shape), dtype=np.float64)
         # No contiguous copies: the multiply buffers its broadcast inputs.
         a_cols = a.T[:, :, None]
         b_cols = b_t.T[:, None, :]
         for k in range(0, inner, width):
             part = stack[: min(width, inner - k) + 1]
-            part[0] = out
+            part[0] = acc
             np.multiply(a_cols[k : k + width], b_cols[k : k + width], out=part[1:])
-            np.add.reduce(part, axis=0, out=out)
+            np.add.reduce(part, axis=0, out=acc)
         return out
     # Column k of each operand as one contiguous row: one copy each instead
     # of a strided read per term.

@@ -268,13 +268,21 @@ def _replacing(path):
     It is a temp file beside ``path``, renamed over it at the end, so readers
     see the old file or the whole new one, never a partial write.  On any
     failure in the block the temp file is removed and ``path`` is untouched.
+    An OSError in making or renaming the temp file names ``path``, not the
+    temp file's random name.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    try:
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
-        os.replace(tmp_name, path)
+        try:
+            os.replace(tmp_name, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)

@@ -37,7 +37,7 @@ from .adapters import (
     spp_backward,
     spp_forward_naive,
 )
-from .errors import PatternError, ShapeError, TrainingDiverged
+from .errors import NonFiniteError, PatternError, ShapeError, TrainingDiverged
 from .numerics import as_matrix, matmul, sampled_matmul
 from .pruning import PrunedLayer, SparseMask, Unstructured, apply_mask, build_mask, score_magnitude
 from .rng import Rng
@@ -252,8 +252,12 @@ class TrainConfig:
             raise ValueError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         for name in ("lr", "weight_decay"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def resolved_lr(self) -> float:
         return _DEFAULT_LR[self.optimizer] if self.lr is None else self.lr
@@ -346,17 +350,24 @@ def train(net: ToyNet, data: tuple[np.ndarray, np.ndarray], cfg: TrainConfig):
 
     for step in range(cfg.steps):
         lr = lr_schedule(step, cfg.steps, peak, cfg.warmup_ratio)
-        take = np.arange(step * cfg.batch_size, (step + 1) * cfg.batch_size) % n_rows
+        start = step * cfg.batch_size % n_rows
+        stop = start + cfg.batch_size
+        # A batch that does not wrap is read through views, not copies.
+        take = slice(start, stop) if stop <= n_rows else np.arange(start, stop) % n_rows
         # The batch's rows go straight into the calls that read them, so no
         # step holds them past those calls.
-        pred, caches = net_forward(net, x_all[take], rng=rng, training=True,
-                                   base=None if bases is None else bases[take])
-        loss, d_pred = loss_fn(pred, y_all[take])
-        if not math.isfinite(loss):
-            raise TrainingDiverged(step)
+        try:
+            pred, caches = net_forward(net, x_all[take], rng=rng, training=True,
+                                       base=None if bases is None else bases[take])
+            loss, d_pred = loss_fn(pred, y_all[take])
+            if not math.isfinite(loss):
+                raise TrainingDiverged(step)
+            grads = net_backward(net, caches, d_pred)
+        except NonFiniteError:
+            # x_all passed as_matrix above, so a layer's input or upstream
+            # gradient that is not finite came out of this run's updates.
+            raise TrainingDiverged(step) from None
         record.steps.append((step, lr, loss))
-
-        grads = net_backward(net, caches, d_pred)
         del pred, caches, d_pred  # not held while the next step draws its dropout
 
         grad = np.concatenate([g for _, _, g in _trainable(net, grads)], axis=None)

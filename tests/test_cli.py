@@ -446,6 +446,52 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_two_layer_adamw_divergence_exits_1(tmp_path, capsys):
+    # The update makes the first layer's output non-finite, so the second
+    # layer's input is what fails first, not the loss; that input is this
+    # run's own activation, not the data.
+    attached = attached_store(tmp_path)
+    _set_meta(attached, net={"loss": "mse", "layers": [{"name": "a", "activation": "relu"},
+                                                       {"name": "b"}]})
+    data = make_data(tmp_path)
+    out = tmp_path / "t.spp"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = main(["train", attached, data, str(out), "--steps", "2", "--lr", "1e308"])
+    assert code == 1
+    assert "diverged" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--weight-decay"])
+def test_train_rejects_a_negative_rate(tmp_path, capsys, flag):
+    attached = attached_store(tmp_path)
+    data = make_data(tmp_path)
+    out = tmp_path / "t.spp"
+    capsys.readouterr()
+    assert main(["train", attached, data, str(out), "--steps", "1", f"{flag}=-1"]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be >= 0, got -1.0\n"
+    assert not out.exists() and not out.with_suffix(".run.csv").exists()
+
+
+@pytest.mark.parametrize("missing", ["output", "run_csv"])
+def test_train_into_a_missing_directory_exits_2_before_it_trains(tmp_path, capsys,
+                                                                 monkeypatch, missing):
+    attached = attached_store(tmp_path)
+    data = make_data(tmp_path)
+    paths = {"output": tmp_path / "t.spp", "run_csv": tmp_path / "t.csv"}
+    paths[missing] = tmp_path / "nowhere" / "x.out"
+    monkeypatch.setattr(spp.cli, "train", lambda *a: pytest.fail("train ran"))
+    capsys.readouterr()
+    argv = ["train", attached, data, str(paths["output"]), "--steps", "3",
+            "--run-csv", str(paths["run_csv"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+    assert not any(p.exists() for p in paths.values())
+
+
 def test_train_missing_data_tensors(tmp_path, capsys):
     attached = attached_store(tmp_path)
     rng = Rng(0)

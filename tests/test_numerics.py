@@ -91,11 +91,18 @@ ENTRIES = st.one_of(
 
 @st.composite
 def _matmul_problems(draw):
-    shape = draw(st.sampled_from(["small", "wide", "single"]))
+    shape = draw(st.sampled_from(["small", "wide", "single", "tall"]))
     if shape == "single":
         # One output entry sums on the loop, also past _STACK_MIN terms.
         rows = cols = 1
         inner = draw(st.integers(numerics._STACK_MIN + 1, 64))
+    elif shape == "tall":
+        # More rows than columns, as LoRA's (32, 4) and (64, 4) products:
+        # summed into the output's transpose, also past one stack of terms.
+        rows, cols = draw(st.integers(25, 64)), draw(st.integers(1, 8))
+        per_stack = numerics._STACK_BYTES // (8 * rows * cols) - 1
+        inner = draw(st.integers(1, 2 * numerics._STACK_MIN)
+                     | st.integers(per_stack - 1, per_stack + 2))
     else:
         # Up to 24 x 24 outputs stack from _STACK_MIN terms on.  Between
         # 52 x 52 and 68 x 68 the stack cap crosses _STACK_MIN terms (at
@@ -124,7 +131,19 @@ def _matmul_problems(draw):
 @given(_matmul_problems())
 def test_matmul_equals_the_triple_loop_byte_for_byte(problem):
     a, b_t = problem
-    assert _same_bytes(matmul(a, b_t), matmul_oracle(a, b_t))
+    got = matmul(a, b_t)
+    assert _same_bytes(got, matmul_oracle(a, b_t))
+    assert got.flags.c_contiguous
+
+
+def test_matmul_on_lora_step_shapes_equals_the_triple_loop():
+    # The (32, 4), (64, 4) and (32, 4) outputs of a recovery-64 LoRA step,
+    # and a tall output whose terms fill three stacks.
+    rng = Rng(11)
+    for rows, cols, inner in ((32, 4, 64), (64, 4, 32), (32, 4, 4), (64, 4, 300)):
+        a = rand_matrix(rng, inner, rows).T  # transposed views, as LoRA passes
+        b_t = rand_matrix(rng, cols, inner)
+        assert _same_bytes(matmul(a, b_t), matmul_oracle(a, b_t)), (rows, cols, inner)
 
 
 def test_matmul_sums_in_order_where_pairwise_would_not():
@@ -151,6 +170,13 @@ def test_numpy_reduces_a_leading_axis_in_order_but_one_column_pairwise():
     out = np.empty((2, 3))
     np.add.reduce(np.repeat(terms, 6).reshape(16, 2, 3), axis=0, out=out)
     assert out.tolist() == [[2.0**53] * 3] * 2
+    # A tall output is summed into its transpose, a view that is not
+    # contiguous: the planes still go in in order.
+    for rows, cols in ((3, 2), (32, 4), (64, 4), (25, 7)):
+        out = np.empty((rows, cols))
+        assert not out.T.flags.c_contiguous
+        np.add.reduce(np.repeat(terms, rows * cols).reshape(16, cols, rows), axis=0, out=out.T)
+        assert out.tolist() == [[2.0**53] * cols] * rows
     assert np.add.reduce(terms[:, None], axis=0)[0] != 2.0**53
 
 

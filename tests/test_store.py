@@ -136,6 +136,18 @@ def test_write_leaves_no_temp_files(tmp_path):
     assert store_read(path).names() == ["w"]
 
 
+@pytest.mark.parametrize("target,error", [("nowhere/out.sppt", FileNotFoundError),
+                                          ("adir", IsADirectoryError)])
+def test_a_failed_write_names_the_path_asked_for(tmp_path, target, error):
+    # Neither the temp file's creation nor its rename may name the temp file.
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / target
+    with pytest.raises(error) as exc:
+        store_write(TensorStore(), path)
+    assert exc.value.filename == str(path) and exc.value.filename2 is None
+    assert sorted(os.listdir(tmp_path)) == ["adir"] and not os.listdir(tmp_path / "adir")
+
+
 def fixed_store():
     store = TensorStore()
     store.add("w", np.arange(12, dtype=np.float64).reshape(3, 4) / 8 - 0.5)
