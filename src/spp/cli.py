@@ -332,7 +332,9 @@ def _output(names: list[str], layer, adapters: dict, meta: dict):
 
 def cmd_prune(args) -> int:
     store = _read_store(args.input)
-    pattern = parse_pattern(args.pattern, args.ratio)
+    pattern = parse_pattern(args.pattern, 0.5 if args.ratio is None else args.ratio)
+    if args.ratio is not None and not isinstance(pattern, Unstructured):
+        raise UsageError("--ratio applies to unstructured pruning only")
     if args.row_wise and not isinstance(pattern, Unstructured):
         raise UsageError("--row-wise applies to unstructured pruning only")
     if args.metric == "wanda" and args.calib is None:
@@ -628,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("output")
     p.add_argument("--pattern", required=True, help="'N:M' (e.g. 2:4) or 'unstructured'")
-    p.add_argument("--ratio", type=float, default=0.5, help="zero fraction for unstructured")
+    p.add_argument("--ratio", type=float, help="zero fraction for unstructured (default 0.5)")
     p.add_argument("--metric", choices=("magnitude", "wanda"), default="magnitude")
     p.add_argument("--calib", help="store of per-layer calibration activations")
     p.add_argument("--row-wise", action="store_true", help="rank unstructured scores per row")
@@ -714,7 +716,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return COMMANDS[args.command](args)
+        # Every non-finite result is checked and reported as one error line.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return COMMANDS[args.command](args)
     except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

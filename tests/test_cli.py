@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,43 @@ def test_prune_unstructured_ratio_and_row_wise(tmp_path, capsys):
     assert all(row.sum() == 2 for row in mask)  # 8 cols, keep 2 per row
     # the flag is meaningless for N:M
     assert main(["prune", dense, out, "--pattern", "2:4", "--row-wise"]) == 2
+
+
+def test_prune_ratio_applies_to_unstructured_only(tmp_path, capsys):
+    dense = make_dense(tmp_path)
+    out = tmp_path / "out.spp"
+    capsys.readouterr()
+    assert main(["prune", dense, str(out), "--pattern", "2:4", "--ratio", "0.3"]) == 2
+    assert capsys.readouterr().err == "error: --ratio applies to unstructured pruning only\n"
+    assert not out.exists()
+    # Without the flag, unstructured zeroes half of each layer, as before.
+    assert main(["prune", dense, str(out), "--pattern", "unstructured"]) == 0
+    assert "a: 8x8 pattern=unstructured ratio=0.5000 nnz=32" in capsys.readouterr().out
+    assert store_read(str(out)).meta()["ratio"] == 0.5
+
+
+def _one_error_line(argv, capsys):
+    """``main(argv)``'s exit code, checking that it warns nothing and prints one stderr line."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning would raise here
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return code, err
+
+
+def test_prune_wanda_overflow_is_one_error_line(tmp_path, capsys):
+    # The squared activations overflow to inf in collect_calibration.
+    dense = make_dense(tmp_path, shapes={"a": (8, 8)})
+    calib = write_weights(tmp_path / "c.spp", {"a": np.full((4, 8), 1e200)})
+    out = tmp_path / "out.spp"
+    argv = ["prune", dense, str(out), "--pattern", "unstructured",
+            "--metric", "wanda", "--calib", calib]
+    code, err = _one_error_line(argv, capsys)
+    assert code == 2
+    assert err == "error: col_norms contains non-finite entries\n"
+    assert not out.exists()
 
 
 def test_prune_wanda_uses_calibration(tmp_path, capsys):
@@ -357,8 +395,7 @@ def test_any_meta_value_exits_0_1_or_2(meta_case_dir, command, key, value):
     store.set_meta(meta)
     case = str(meta_case_dir / "case.spp")
     store_write(store, case)
-    with np.errstate(all="ignore"):
-        assert main(_argv(command, case, meta_case_dir)) in (0, 1, 2)
+    assert main(_argv(command, case, meta_case_dir)) in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +474,10 @@ def test_train_divergence_exits_1(tmp_path, capsys):
     attached = attached_store(tmp_path)
     data = make_data(tmp_path)
     out = str(tmp_path / "t.spp")
-    with np.errstate(all="ignore"):
-        code = main(
-            ["train", attached, data, out, "--steps", "50",
-             "--optimizer", "sgd", "--lr", "1e150"]
-        )
+    argv = ["train", attached, data, out, "--steps", "50", "--optimizer", "sgd", "--lr", "1e150"]
+    code, err = _one_error_line(argv, capsys)
     assert code == 1
-    assert "diverged" in capsys.readouterr().err
+    assert err.startswith("training diverged: ")
 
 
 def test_two_layer_adamw_divergence_exits_1(tmp_path, capsys):
@@ -455,11 +489,10 @@ def test_two_layer_adamw_divergence_exits_1(tmp_path, capsys):
                                                        {"name": "b"}]})
     data = make_data(tmp_path)
     out = tmp_path / "t.spp"
-    capsys.readouterr()
-    with np.errstate(all="ignore"):
-        code = main(["train", attached, data, str(out), "--steps", "2", "--lr", "1e308"])
+    code, err = _one_error_line(["train", attached, data, str(out), "--steps", "2",
+                                 "--lr", "1e308"], capsys)
     assert code == 1
-    assert "diverged" in capsys.readouterr().err
+    assert err.startswith("training diverged: ")
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from spp import (
     NofM,
@@ -161,6 +163,48 @@ def test_build_mask_unstructured_matches_sort_oracle():
                     assert np.array_equal(got, want), (scores, ratio, row_wise)
 
 
+@hst.composite
+def _unstructured_cases(draw):
+    """Scores of 1-24 x 1-24 from one of four sets, a ratio in [0, 1), row_wise."""
+    rows, cols = draw(hst.integers(1, 24)), draw(hst.integers(1, 24))
+    rng = Rng(draw(hst.integers(0, 2**32)))
+    kind = draw(hst.sampled_from(["continuous", "quantised", "signed_zeros", "all_equal"]))
+    if kind == "continuous":
+        scores = rand_matrix(rng, rows, cols)
+    elif kind == "quantised":
+        scores = np.floor(rand_matrix(rng, rows, cols, 0.0, 4.0)) / 4.0
+    elif kind == "signed_zeros":
+        scores = np.array([-0.0, 0.0, 0.5])[np.floor(rand_matrix(rng, rows, cols, 0.0, 3.0))
+                                            .astype(int)]
+    else:
+        scores = np.full((rows, cols), 0.5)
+    ratio = draw(hst.one_of(hst.floats(0.0, 1.0, exclude_max=True),
+                            hst.sampled_from([0.0, 0.5, 0.75])))
+    return scores, ratio, draw(hst.booleans())
+
+
+def test_build_mask_unstructured_equals_the_oracle_property():
+    short_seen = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_unstructured_cases())
+    def check(case):
+        scores, ratio, row_wise = case
+        got = build_mask(scores, Unstructured(ratio), row_wise=row_wise).mask
+        assert np.array_equal(got, unstructured_mask_oracle(scores, ratio, row_wise))
+        # Whether some row keeps fewer than its budget above the cut, so
+        # that its ties at the cut are scanned.
+        ranked = scores if row_wise else scores.reshape(1, -1)
+        n_zero = int(ratio * ranked.shape[1])
+        if n_zero:
+            cut = np.sort(ranked, axis=1)[:, n_zero - 1 : n_zero]
+            above = np.count_nonzero(ranked > cut, axis=1)
+            short_seen.add(bool((above < ranked.shape[1] - n_zero).any()))
+
+    check()
+    assert short_seen == {False, True}
+
+
 def test_build_mask_nofm_matches_sort_oracle():
     rng = Rng(35)
     patterns = ((1, 2), (1, 4), (2, 4), (3, 4), (1, 8), (2, 8), (4, 8), (8, 16), (16, 32))
@@ -185,6 +229,20 @@ def test_build_mask_nofm_holds_less_than_one_and_a_half_score_copies():
     for pattern in (NofM(2, 4), NofM(4, 8)):
         build_mask(scores, pattern)
         assert peak_transient_bytes(build_mask, scores, pattern) < 1.5 * scores.nbytes
+
+
+def test_build_mask_unstructured_holds_under_one_and_a_fifth_score_copies():
+    # The partitioned copy is freed once the cut is read, before the keep
+    # matrix is made; distinct scores scan no ties.
+    rng = Rng(37)
+    scores = rand_matrix(rng, 512, 512, 0.0, 1.0)
+    quantised = np.floor(4.0 * scores) / 4.0  # ties at every cut: under 1.5 copies
+    for ratio in (0.5, 0.75):
+        for row_wise in (False, True):
+            args = (Unstructured(ratio), row_wise)
+            build_mask(scores, *args)
+            assert peak_transient_bytes(build_mask, scores, *args) < 1.2 * scores.nbytes
+            assert peak_transient_bytes(build_mask, quantised, *args) < 1.5 * scores.nbytes
 
 
 def test_build_mask_nofm_rejects_row_wise():
@@ -221,6 +279,17 @@ def test_score_wanda_checks_the_norms():
         score_wanda(w, np.ones((2, 2)))
     with pytest.raises(ValueError, match="non-negative"):
         score_wanda(w, np.array([[1.0, -1.0]]))
+
+
+def test_score_wanda_forms_its_scores_in_place_in_one_weight_copy():
+    rng = Rng(38)
+    w = rand_matrix(rng, 512, 512)
+    norms = rand_matrix(rng, 1, 512, 0.0, 2.0)
+    held = w.copy()
+    scores = score_wanda(w, norms)
+    assert scores.tobytes() == (np.abs(held) * norms).tobytes()
+    assert w.tobytes() == held.tobytes()
+    assert peak_transient_bytes(score_wanda, w, norms) < 1.5 * w.nbytes
 
 
 def test_wanda_with_equal_norms_matches_magnitude():
