@@ -56,6 +56,7 @@ from .pruning import (
     apply_mask,
     build_mask,
     collect_calibration,
+    count_nnz,
     mask_report,
     off_mask,
     parse_pattern,
@@ -248,12 +249,13 @@ class _Layers:
             if name not in self.masked:
                 return weight, None
             raw = self.store.pop(f"{name}.mask")
-        pattern = self.pattern
-        if pattern is None and raw.size:
-            zeros = raw.size - int(np.count_nonzero(raw))
-            pattern = Unstructured.matching(zeros, raw.size)
         with _layer_input(name):
-            return weight, SparseMask(raw, pattern)
+            mask = SparseMask(raw, self.pattern)
+            if kept is not None:  # the store counted the mask against the kept values
+                mask.kept = weight.size
+            if mask.pattern is None:  # no pattern in the meta: the one its zero count meets
+                mask.pattern = Unstructured.matching(raw.size - mask.kept, raw.size)
+            return weight, mask
 
 
 def _index_layers(store: TensorStore) -> _Layers:
@@ -486,10 +488,10 @@ def cmd_train(args) -> int:
     store_write(_output(layers.names, held.get, layers.adapters, layers.meta), args.output)
     atomic_write(run_csv, [record.to_csv().encode("utf-8")])
     summary = record.summary()
-    summary["nnz_before_merge"] = int(sum(
-        np.count_nonzero(layer.values if isinstance(layer, PrunedLayer) else layer)
+    summary["nnz_before_merge"] = sum(
+        count_nnz(layer.values if isinstance(layer, PrunedLayer) else layer)
         for layer in held.values()
-    ))
+    )
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -498,19 +500,19 @@ def _merged(name: str, layer: PrunedLayer, adapter, reprune: bool):
     """``layer`` with ``adapter``, if any, folded into its weight; prints what changed."""
     if adapter is None:
         return layer
-    before = int(np.count_nonzero(layer.values))
+    before = count_nnz(layer.values)
     if isinstance(adapter, SppAdapter):
         merged = spp_merge(layer, adapter)
         print(f"{name}: merged multiplicative adapter, nnz {before} "
-              f"-> {np.count_nonzero(merged.values)}")
+              f"-> {count_nnz(merged.values)}")
         return merged
     dense = lora_merge_dense(layer, adapter)
     if reprune:
         merged = apply_mask(dense, layer.mask)
-        after = int(np.count_nonzero(merged.values))
+        after = count_nnz(merged.values)
         print(f"{name}: low-rank merge repruned to original mask, nnz {before} -> {after}")
         return merged
-    after = int(np.count_nonzero(dense))
+    after = count_nnz(dense)
     print(f"warning: {name}: low-rank merge densified the layer, nnz {before} -> {after}")
     return dense
 
@@ -549,7 +551,7 @@ def _verify_layer(name: str, weight: np.ndarray, mask: SparseMask | None) -> boo
         return True
     if weight.ndim == 2:  # stored raw, the one form that can break its mask
         with _layer_input(name):
-            report = mask_report(mask, int(np.count_nonzero(weight)), off_mask(weight, mask))
+            report = mask_report(mask, count_nnz(weight), off_mask(weight, mask))
     else:
         report = verify_mask(_pruned(name, weight, mask))
     status = "ok" if report.ok else "FAIL"

@@ -135,8 +135,8 @@ class _Payload:
                 f"{self.path}: packed tensor {self.name!r} has nonzero padding bits",
                 offset=self.offset + packed.size - 1,
             )
-        out = np.empty(self.shape, dtype=self.dtype)
-        out.reshape(-1)[:] = np.unpackbits(packed, count=size)
+        out = np.unpackbits(packed, count=size)
+        out.shape = self.shape  # in place: a reshape would be a view, not owning its data
         return out
 
     def read_kept(self) -> tuple[np.ndarray, np.ndarray]:
@@ -268,8 +268,8 @@ def _replacing(path):
     It is a temp file beside ``path``, renamed over it at the end, so readers
     see the old file or the whole new one, never a partial write.  On any
     failure in the block the temp file is removed and ``path`` is untouched.
-    An OSError in making or renaming the temp file names ``path``, not the
-    temp file's random name.
+    An OSError in making, writing, closing or renaming the temp file names
+    ``path``, not the temp file's random name (or no file at all).
     """
     path = Path(path)
     try:
@@ -277,11 +277,13 @@ def _replacing(path):
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
-        with os.fdopen(fd, "wb") as fh:
-            yield fh
         try:
+            with os.fdopen(fd, "wb") as fh:
+                yield fh
             os.replace(tmp_name, path)
         except OSError as exc:
+            if exc.filename not in (None, tmp_name):  # about another file the block read
+                raise
             raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         if os.path.exists(tmp_name):
@@ -310,9 +312,9 @@ def _encoded(name: str, value) -> list[tuple[str, int, tuple, np.ndarray]]:
         values, keep = value
         if values.dtype != np.float64 or values.ndim != 1 or keep.dtype != bool:
             raise ValueError(f"kept tensor {name!r} needs 1-D float64 values and a bool mask")
-        if values.size != np.count_nonzero(keep):
-            raise ValueError(f"tensor {name!r} has {values.size} kept values "
-                             f"for {np.count_nonzero(keep)} kept entries")
+        kept = np.count_nonzero(keep)
+        if values.size != kept:
+            raise ValueError(f"tensor {name!r} has {values.size} kept values for {kept} kept entries")
         return [(name, KEPT, keep.shape, np.ascontiguousarray(values)),
                 (f"{name}.mask", BITS, keep.shape, np.packbits(keep.reshape(-1)))]
     arr = _checked(name, value)

@@ -864,6 +864,82 @@ def test_verify_rejects_non_binary_mask(tmp_path, capsys):
     assert "mask entries must be exactly 0 or 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "attach", "merge"])
+def test_an_all_pruned_layer_without_a_pattern_is_named(tmp_path, capsys, command):
+    # No meta pattern, so one is inferred from the mask's zero count; a mask
+    # that keeps nothing gives the ratio 1, which no pattern has.
+    pairs = [("w", (np.zeros(0), np.zeros((8, 8), dtype=bool)))]
+    if command == "merge":
+        pairs += [("w.spp.alpha", np.ones((2, 8))), ("w.spp.beta", np.zeros((8, 1))),
+                  (META_NAME, encode_meta({"adapter": {"kind": "spp", "r": 2}}))]
+    model = str(tmp_path / "a.spp")
+    store_write(pairs, model)
+    out = tmp_path / "out.spp"
+    argv = {"verify": ["verify", model], "attach": ["attach", model, str(out), "--r", "2"],
+            "merge": ["merge", model, str(out)]}[command]
+    code, err = _one_error_line(argv, capsys)
+    assert code == 2
+    assert err == "error: layer 'w': ratio must lie in [0, 1), got 1.0\n"
+    assert not out.exists()
+
+
+def _noted_calls(monkeypatch, func: str, noted) -> list:
+    """Patch ``np.<func>`` to note the calling module of each call on a whole
+    array for which ``noted(array)`` holds, with no axis; returns the notes."""
+    real = getattr(np, func)
+    notes = []
+
+    def noting(a, *args, **kwargs):
+        if isinstance(a, np.ndarray) and not args and not kwargs and noted(a):
+            notes.append(sys._getframe(1).f_globals["__name__"])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, func, noting)
+    return notes
+
+
+@pytest.mark.parametrize("held", ["kept", "raw"])
+def test_a_command_counts_a_layer_mask_once_past_the_store_checks(tmp_path, monkeypatch,
+                                                                  capsys, held):
+    # The store counts a kept layer's mask against its values when it reads
+    # it, and a written pair's mask against its values; a command counts the
+    # mask at most once more, however many readers (the layer, its report,
+    # its merge, an inferred pattern) need the count.
+    attached = attached_store(tmp_path, r=2, shapes={"a": (8, 8)})
+    pruned = str(tmp_path / "pruned.spp")
+    if held == "raw":
+        for model in (attached, pruned):
+            _raw_with_masked_entry(model, 0.0)
+    store_checks = {"verify": 1, "attach": 2, "merge": 2} if held == "kept" else \
+        {"verify": 0, "attach": 1, "merge": 1}
+    keep = store_read(pruned).get("a.mask") == 1
+    counts = _noted_calls(monkeypatch, "count_nonzero",
+                          lambda a: a.dtype == bool and np.array_equal(a, keep))
+    for argv in (["verify", attached], ["attach", pruned, str(tmp_path / "o.spp"), "--r", "2"],
+                 ["merge", attached, str(tmp_path / "o.spp")]):
+        counts.clear()
+        assert main(argv) == 0
+        assert counts.count("spp.store") == store_checks[argv[0]], (argv[0], counts)
+        assert len(counts) - counts.count("spp.store") <= 1, (argv[0], counts)
+
+
+@pytest.mark.parametrize("metric", ["magnitude", "wanda"])
+def test_prune_checks_each_weight_for_finiteness_once(tmp_path, monkeypatch, capsys, metric):
+    dense = make_dense(tmp_path, shapes={"a": (8, 8), "b": (8, 8)})
+    calib = write_weights(tmp_path / "c.spp", {n: np.ones((4, 8)) for n in "ab"})
+    checks = _noted_calls(monkeypatch, "isfinite", lambda a: a.shape == (8, 8))
+    argv = ["prune", dense, str(tmp_path / "p.spp"), "--pattern", "2:4", "--metric", metric]
+    assert main(argv + (["--calib", calib] if metric == "wanda" else [])) == 0
+    assert len(checks) == 2, checks  # one per layer, of its scores
+    checks.clear()
+    # The one check still sees a non-finite weight.
+    bad = write_weights(tmp_path / "bad.spp", {"a": np.full((8, 8), np.nan)})
+    argv = ["prune", bad, str(tmp_path / "q.spp"), "--pattern", "2:4", "--metric", metric]
+    code, err = _one_error_line(argv + (["--calib", calib] if metric == "wanda" else []), capsys)
+    assert code == 2 and err == "error: scores contains non-finite entries\n"
+    assert len(checks) == 1
+
+
 def test_verify_flags_pattern_breach(tmp_path, capsys):
     rng = Rng(11)
     w = rand_matrix(rng, 4, 8)

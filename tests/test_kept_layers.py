@@ -24,6 +24,7 @@ from spp import (
     net_forward,
     store_read,
     store_write,
+    verify_mask,
 )
 
 from helpers import keep_masks, matmul_oracle, rand_matrix
@@ -54,6 +55,10 @@ def test_a_kept_layer_computes_what_its_masked_dense_weight_does(case):
     dense = np.where(keep, w, 0.0)
     assert same(layer.weight, dense)
     assert same(layer.values, w[keep])
+    # Kept values of +-0.0 are zeros of the weight, not of the mask.
+    report = verify_mask(layer)
+    assert report.nnz == np.count_nonzero(dense)
+    assert report.zeros == keep.size - np.count_nonzero(keep)
 
     rng = Rng(seed)
     m, n = keep.shape

@@ -360,5 +360,8 @@ def test_apply_mask_shape_error():
     mask = build_mask(rand_matrix(rng, 2, 4, 0.0, 1.0), NofM(2, 4))
     with pytest.raises(ShapeError):
         apply_mask(np.ones((3, 4)), mask)
-    with pytest.raises(ShapeError, match="kept values of shape"):
+    with pytest.raises(ShapeError, match=r"^kept values of shape \(3,\) for 4 kept entries$"):
         PrunedLayer(np.ones(3), mask)  # the mask keeps 4
+    assert mask.kept == 4  # now counted, and read from the mask
+    with pytest.raises(ShapeError, match=r"^kept values of shape \(5,\) for 4 kept entries$"):
+        PrunedLayer(np.ones(5), mask)

@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import io
 import os
 import tracemalloc
 
@@ -7,6 +9,7 @@ import pytest
 
 from spp import StoreFormatError, TensorStore, store_read, store_write
 from spp.cli import main
+from spp.store import atomic_write
 
 
 def roundtrip(store, tmp_path):
@@ -146,6 +149,59 @@ def test_a_failed_write_names_the_path_asked_for(tmp_path, target, error):
         store_write(TensorStore(), path)
     assert exc.value.filename == str(path) and exc.value.filename2 is None
     assert sorted(os.listdir(tmp_path)) == ["adir"] and not os.listdir(tmp_path / "adir")
+
+
+class _FailingFile(io.BufferedWriter):
+    """A temp file whose second write, or whose flush on close, fails, as ``fail`` says."""
+
+    fail = None
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.fail == "write" and self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+    def flush(self):
+        if self.fail == "close" and not self.closed:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        super().flush()
+
+
+@pytest.mark.parametrize("step", ["write", "close", "replace"])
+@pytest.mark.parametrize("writer", ["store_write", "atomic_write"])
+def test_a_write_that_fails_at_any_step_leaves_the_old_output(tmp_path, monkeypatch, writer, step):
+    path = tmp_path / "out.sppt"
+    old_store = TensorStore()
+    old_store.add("old", np.arange(4.0))
+    store_write(old_store, path)
+    old = path.read_bytes()
+    new_store = TensorStore()
+    new_store.add("w", np.ones((64, 64)))  # past the write buffer
+    new_store.set_meta({"pattern": "2:4"})
+
+    def fdopen(fd, mode):
+        assert mode == "wb"
+        fh = _FailingFile(io.FileIO(fd, "wb"))
+        fh.fail = step
+        return fh
+
+    def replace(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+    if step == "replace":
+        monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError) as exc:
+        if writer == "store_write":
+            store_write(new_store, path)
+        else:
+            atomic_write(path, [b"new ", b"bytes"])
+    assert exc.value.filename == str(path) and exc.value.filename2 is None
+    assert sorted(os.listdir(tmp_path)) == ["out.sppt"]  # no temp file is left beside it
+    assert path.read_bytes() == old
+    assert store_read(path).get("old").tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def fixed_store():
